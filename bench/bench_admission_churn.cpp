@@ -167,7 +167,7 @@ struct RunRow {
   std::string mode;
   int requests = 0;
   std::int64_t admits = 0, rejects = 0, cacheHits = 0;
-  std::int64_t deltaSolves = 0, smtFallbacks = 0, fullResolves = 0;
+  std::int64_t deltaSolves = 0, fullResolves = 0;
   double p50Ms = 0, p95Ms = 0, p99Ms = 0, maxMs = 0;
   double admissionsPerSec = 0;
   double initialSolveSeconds = 0;
@@ -227,7 +227,6 @@ RunRow runTrace(const Plant& p, const sched::SchedulerConfig& config,
   row.rejects = c.rejects;
   row.cacheHits = c.cacheHits;
   row.deltaSolves = c.deltaSolves;
-  row.smtFallbacks = c.fallbackToSmt;
   row.fullResolves = c.fullResolves;
   row.p50Ms = percentile(latencies, 0.50) * 1e3;
   row.p95Ms = percentile(latencies, 0.95) * 1e3;
@@ -243,13 +242,12 @@ RunRow runTrace(const Plant& p, const sched::SchedulerConfig& config,
 }
 
 void printRow(const RunRow& r) {
-  std::printf("%-10s %5d %5lld %4lld %6lld %6lld %4lld %4lld %9.3f %9.3f "
+  std::printf("%-10s %5d %5lld %4lld %6lld %6lld %4lld %9.3f %9.3f "
               "%9.3f %9.3f %10.0f  %s\n",
               r.mode.c_str(), r.requests, static_cast<long long>(r.admits),
               static_cast<long long>(r.rejects),
               static_cast<long long>(r.cacheHits),
               static_cast<long long>(r.deltaSolves),
-              static_cast<long long>(r.smtFallbacks),
               static_cast<long long>(r.fullResolves), r.p50Ms, r.p95Ms,
               r.p99Ms, r.maxMs, r.admissionsPerSec,
               r.valid ? "ok" : "INVALID");
@@ -267,7 +265,6 @@ void jsonRow(std::ofstream& out, const RunRow& r, bool last) {
               ? static_cast<double>(r.cacheHits) / r.requests
               : 0)
       << ", \"delta_solves\": " << r.deltaSolves
-      << ", \"smt_fallbacks\": " << r.smtFallbacks
       << ", \"full_resolves\": " << r.fullResolves
       << ", \"p50_ms\": " << r.p50Ms << ", \"p95_ms\": " << r.p95Ms
       << ", \"p99_ms\": " << r.p99Ms << ", \"max_ms\": " << r.maxMs
@@ -314,9 +311,9 @@ int main(int argc, char** argv) {
   opts.portfolio.seed = args.seed;
   if (args.threads > 0) opts.portfolio.threads = args.threads;
 
-  std::printf("%-10s %5s %5s %4s %6s %6s %4s %4s %9s %9s %9s %9s %10s\n",
-              "mode", "reqs", "admit", "rej", "cacheH", "delta", "smt",
-              "rsolv", "p50(ms)", "p95(ms)", "p99(ms)", "max(ms)", "req/s");
+  std::printf("%-10s %5s %5s %4s %6s %6s %4s %9s %9s %9s %9s %10s\n",
+              "mode", "reqs", "admit", "rej", "cacheH", "delta", "rsolv",
+              "p50(ms)", "p95(ms)", "p99(ms)", "max(ms)", "req/s");
 
   const RunRow single = runTrace(plant, config, opts, trace, "single",
                                  /*batched=*/false, /*validateSamples=*/true);

@@ -37,7 +37,8 @@ etsn::Campaign makeGrid(const etsn::bench::Args& args) {
           ex.specs = workload::generateTct(ex.topo, w);
           ex.specs.push_back(
               workload::makeEct("ect", 1, 3, milliseconds(16), 1500));
-          ex.options.useHeuristic = heuristic;
+          ex.options.engine =
+              heuristic ? sched::Engine::Heuristic : sched::Engine::Smt;
           ex.options.config.numProbabilistic = 4;
           ex.simConfig.duration = args.duration;
           ex.simConfig.seed = taskSeed;

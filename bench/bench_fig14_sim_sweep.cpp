@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
       retry.add(cr.tasks[i].label, [args, cell](std::uint64_t) {
         Experiment ex =
             simulationExperiment(args, cell.method, cell.load, cell.mtus);
-        ex.options.useHeuristic = true;
+        ex.options.engine = sched::Engine::Heuristic;
         return ex;
       });
     }

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     }
     ExperimentResult r = runExperiment(ex);
     if (!r.feasible && !args.full) {
-      ex.options.useHeuristic = true;
+      ex.options.engine = sched::Engine::Heuristic;
       r = runExperiment(ex);
       if (r.feasible) std::printf("  (first-fit engine; SMT over budget)\n");
     }

@@ -39,8 +39,10 @@ int main() {
     ex.options.config.numProbabilistic = 8;
     // The 40-stream instance is large; the first-fit engine places it in
     // milliseconds and its schedules pass the same validator.  Switch to
-    // useHeuristic=false to reproduce with the complete SMT engine.
-    ex.options.useHeuristic = (method != sched::Method::PERIOD);
+    // engine = Engine::Smt to reproduce with the complete SMT engine.
+    ex.options.engine = method != sched::Method::PERIOD
+                            ? sched::Engine::Heuristic
+                            : sched::Engine::Smt;
     ex.simConfig.duration = seconds(20);
     ex.simConfig.seed = 99;
 

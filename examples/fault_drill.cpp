@@ -16,7 +16,7 @@
 #include <cstdio>
 
 #include "etsn/etsn.h"
-#include "sched/incremental.h"
+#include "sched/repair.h"
 #include "sched/validate.h"
 
 namespace {

@@ -86,12 +86,12 @@ int main() {
   expect(service.scheduleHash() == withVision,
          "rejection left the schedule byte-identical");
 
-  // Repeating the impossible request rejects again, byte-identically.
-  // (This verdict consulted the warm SMT rung, and SMT-touching decisions
-  // are deliberately never cached — solver state is history-dependent.)
+  // Repeating the impossible request rejects again, byte-identically, and
+  // the verdict comes from the cache: the state and request are unchanged.
   d = service.add(greedy);
   show("add", "greedy", d);
   expect(!d.admitted, "repeat rejection");
+  expect(d.fromCache, "repeat rejection served from cache");
   expect(service.scheduleHash() == withVision,
          "repeat rejection left the schedule byte-identical");
 
@@ -120,11 +120,10 @@ int main() {
               "constraints validated\n",
               final.specs.size(), final.slots.size());
   std::printf("requests: %lld  admits: %lld  rejects: %lld  cache hits: "
-              "%lld  smt fallbacks: %lld\n",
+              "%lld\n",
               static_cast<long long>(c.requests),
               static_cast<long long>(c.admits),
               static_cast<long long>(c.rejects),
-              static_cast<long long>(c.cacheHits),
-              static_cast<long long>(c.fallbackToSmt));
+              static_cast<long long>(c.cacheHits));
   return 0;
 }

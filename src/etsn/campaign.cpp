@@ -204,8 +204,6 @@ std::string toJson(const CampaignResult& r, bool includeSamples,
       appendKv(out, "admission_admits", t.result.solve.admissionAdmits);
       appendKv(out, "admission_rejects", t.result.solve.admissionRejects);
       appendKv(out, "admission_cache_hits", t.result.solve.admissionCacheHits);
-      appendKv(out, "admission_fallback_to_smt",
-               t.result.solve.admissionFallbackToSmt);
     }
     if (t.result.gptp.enabled) {
       // Cells that ran the faithful gPTP stack report the emergent sync

@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_set>
 
 #include "common/check.h"
 #include "common/math.h"
-#include "net/ethernet.h"
-#include "sched/expand.h"
-#include "sched/smt_builder.h"
 
 namespace etsn::sched {
 
@@ -143,7 +139,9 @@ AdmissionEngine::AdmissionEngine(const net::Topology& topo,
     topoHash_ = h.h;
   }
 
-  Expansion exp = expandStreams(topo_, initialSpecs, config_);
+  // The cursor carries on from the batch expansion, so later requests get
+  // exactly the priorities a batch expansion in admission order would give.
+  Expansion exp = expandStreams(topo_, initialSpecs, config_, cursor_);
   streams_ = std::move(exp.streams);
   liveStream_.assign(streams_.size(), 1);
   liveStreams_ = static_cast<int>(streams_.size());
@@ -151,11 +149,6 @@ AdmissionEngine::AdmissionEngine(const net::Topology& topo,
     net::StreamSpec& spec = initialSpecs[i];
     if (!liveByName_.emplace(spec.name, static_cast<int>(i)).second) {
       throw ConfigError("duplicate stream name '" + spec.name + "'");
-    }
-    // Mirror expandStreams' round-robin so later online expansions pick up
-    // exactly where the batch expansion left off.
-    if (spec.type == net::TrafficClass::TimeTriggered && spec.priority < 0) {
-      ++(spec.share ? sharedRr_ : nonSharedRr_);
     }
     specs_.push_back(SpecEntry{std::move(spec), true,
                                std::move(exp.specToStreams[i])});
@@ -194,8 +187,6 @@ AdmissionEngine::AdmissionEngine(const net::Topology& topo,
   }
 }
 
-AdmissionEngine::~AdmissionEngine() = default;
-
 // --- hashing ---------------------------------------------------------------
 
 std::uint64_t AdmissionEngine::streamStateHash(StreamId id) const {
@@ -227,8 +218,8 @@ void AdmissionEngine::hashIn(StreamId id) {
 std::uint64_t AdmissionEngine::stateHash() const {
   Hasher h;
   h.u64(stateHash_);
-  h.i64(sharedRr_);
-  h.i64(nonSharedRr_);
+  h.i64(cursor_.shared);
+  h.i64(cursor_.nonShared);
   return h.h;
 }
 
@@ -395,8 +386,7 @@ void AdmissionEngine::rollback(Txn& txn, std::size_t mark) {
     }
   }
   if (mark == 0) {
-    sharedRr_ = txn.sharedRr;
-    nonSharedRr_ = txn.nonSharedRr;
+    cursor_ = txn.cursor;
     ETSN_CHECK_MSG(stateHash_ == txn.stateHash &&
                        liveSpecs_ == txn.liveSpecs &&
                        liveStreams_ == txn.liveStreams,
@@ -404,179 +394,118 @@ void AdmissionEngine::rollback(Txn& txn, std::size_t mark) {
   }
 }
 
-// --- expansion / canonicalization ------------------------------------------
+AdmissionEngine::Txn AdmissionEngine::beginTxn() const {
+  Txn txn;
+  txn.stateHash = stateHash_;
+  txn.cursor = cursor_;
+  txn.liveSpecs = liveSpecs_;
+  txn.liveStreams = liveStreams_;
+  return txn;
+}
 
-std::vector<ExpandedStream> AdmissionEngine::expandSpec(
-    const net::StreamSpec& spec, std::int32_t specId) {
-  // Single-spec mirror of expandStreams (sched/expand.cpp), advancing the
-  // engine's persistent round-robin counters instead of locals so the
-  // result is exactly what a batch expansion in admission order would give.
-  net::validateSpec(topo_, spec);
-  std::vector<std::vector<net::LinkId>> paths;
-  if (spec.redundancy > 1) {
-    paths = topo_.disjointPaths(spec.src, spec.dst, spec.redundancy);
-    if (static_cast<int>(paths.size()) < spec.redundancy) {
-      throw ConfigError("stream '" + spec.name + "': redundancy " +
-                        std::to_string(spec.redundancy) +
-                        " needs that many link-disjoint paths but the "
-                        "topology supplies only " +
-                        std::to_string(paths.size()));
+// --- expansion / prudent reservation ---------------------------------------
+
+std::vector<StreamId> AdmissionEngine::appendSpec(
+    Txn& txn, const net::StreamSpec& spec) {
+  const int specIdx = doSpecAdd(txn, spec);
+  const StreamId firstId = static_cast<StreamId>(streams_.size());
+  std::vector<ExpandedStream> fresh =
+      expandSpec(topo_, spec, specIdx, firstId, config_, cursor_);
+  if (spec.type == net::TrafficClass::TimeTriggered && spec.share) {
+    const std::vector<EctGroup> ect = liveEctGroups();
+    for (ExpandedStream& s : fresh) {
+      s.framesOnLink = prudentFrames(topo_, s, ect, config_);
     }
-  } else {
-    paths.push_back(spec.path.empty() ? topo_.shortestPath(spec.src, spec.dst)
-                                      : spec.path);
   }
-  auto memberName = [&](int m) {
-    return spec.redundancy > 1 ? spec.name + "/m" + std::to_string(m + 1)
-                               : spec.name;
-  };
-  const std::vector<int> payloads = net::fragmentPayload(spec.payloadBytes);
-  std::vector<ExpandedStream> out;
 
-  if (spec.type == net::TrafficClass::TimeTriggered) {
-    int priority;
-    if (spec.priority >= 0) {
-      const int lo = spec.share ? config_.sharedPrioLow
-                                : config_.nonSharedPrioLow;
-      const int hi = spec.share ? config_.sharedPrioHigh
-                                : config_.nonSharedPrioHigh;
-      if (spec.priority < lo || spec.priority > hi) {
-        throw ConfigError("stream '" + spec.name +
-                          "': priority outside its group (constraint 6)");
+  // Grid checks before the streams enter the Placement: uniform tu and
+  // hyperperiod divisibility (growth is handled by a rebuild).
+  const TimeNs tu = placement_->tu();
+  bool needRebuild = false;
+  for (const ExpandedStream& s : fresh) {
+    for (const net::LinkId l : s.path) {
+      if (topo_.link(l).timeUnit != tu) {
+        throw ConfigError(
+            "stream '" + spec.name +
+            "' uses a link time unit different from the schedule's");
       }
-      priority = spec.priority;
-    } else if (spec.share) {
-      priority = config_.sharedPrioLow +
-                 sharedRr_++ % (config_.sharedPrioHigh -
-                                config_.sharedPrioLow + 1);
-    } else {
-      priority = config_.nonSharedPrioLow +
-                 nonSharedRr_++ % (config_.nonSharedPrioHigh -
-                                   config_.nonSharedPrioLow + 1);
     }
-    for (int m = 0; m < static_cast<int>(paths.size()); ++m) {
-      ExpandedStream s;
-      s.id = static_cast<StreamId>(streams_.size() + out.size());
-      s.specId = specId;
-      s.member = m;
-      s.name = memberName(m);
-      s.kind = StreamKind::Det;
-      s.path = paths[static_cast<std::size_t>(m)];
-      s.share = spec.share;
-      s.period = spec.period;
-      s.maxLatency = spec.maxLatency;
-      s.occurrence = spec.releaseOffset;
-      s.framePayloads = payloads;
-      s.priority = priority;
-      s.framesOnLink = canonicalFrames(s);
-      out.push_back(std::move(s));
+    if (s.period % tu != 0) {
+      throw ConfigError("stream '" + spec.name +
+                        "' period is not a positive multiple of the time "
+                        "unit");
     }
+    if (placement_->hyperTu() <= 0 ||
+        placement_->hyperTu() % (s.period / tu) != 0) {
+      needRebuild = true;
+    }
+  }
+  const int count = static_cast<int>(fresh.size());
+  doAppend(txn, std::move(fresh));
+  std::vector<StreamId>& ids =
+      specs_[static_cast<std::size_t>(specIdx)].streams;
+  for (int k = 0; k < count; ++k) ids.push_back(firstId + k);
+  // The rebuild is committed even if the request is later rejected: it
+  // preserves every placement bit-for-bit and only widens the internal
+  // hyperperiod, which placement results are invariant to.
+  if (needRebuild) {
+    rebuildPlacement();
   } else {
-    const int n = config_.numProbabilistic;
-    const TimeNs stagger = spec.period / n;
-    if (stagger <= 0) {
-      // Input-derived, so ConfigError (not an invariant): request() turns
-      // it into an "invalid" rejection after rolling the txn back.
-      throw ConfigError("stream '" + spec.name +
-                        "': min interevent time smaller than "
-                        "numProbabilistic (T/N == 0)");
-    }
-    const TimeNs tightened = spec.maxLatency - stagger;
-    if (tightened <= 0) {
-      throw ConfigError(
-          "stream '" + spec.name +
-          "': deadline too tight for N probabilistic streams (e2e - T/N "
-          "<= 0); increase numProbabilistic");
-    }
-    if (spec.priority >= 0 && spec.priority != config_.ectPriority) {
-      throw ConfigError("stream '" + spec.name +
-                        "': ECT must use the EP priority (constraint 6)");
-    }
-    for (int m = 0; m < static_cast<int>(paths.size()); ++m) {
-      const std::vector<net::LinkId>& mPath =
-          paths[static_cast<std::size_t>(m)];
-      for (int k = 0; k < n; ++k) {
-        ExpandedStream s;
-        s.id = static_cast<StreamId>(streams_.size() + out.size());
-        s.specId = specId;
-        s.member = m;
-        s.name = memberName(m) + "/ps" + std::to_string(k + 1);
-        s.kind = StreamKind::Prob;
-        s.path = mPath;
-        s.priority = config_.ectPriority;
-        s.period = spec.period;
-        s.maxLatency = tightened;
-        s.occurrence = static_cast<TimeNs>(k) * stagger;
-        s.framePayloads = payloads;
-        s.framesOnLink.assign(mPath.size(),
-                              static_cast<int>(payloads.size()));
-        out.push_back(std::move(s));
-      }
-    }
+    placement_->syncAppendedStreams();
+  }
+  return ids;
+}
+
+std::vector<EctGroup> AdmissionEngine::liveEctGroups() const {
+  std::vector<EctGroup> out;
+  for (const SpecEntry& e : specs_) {
+    if (!e.live || e.spec.type != net::TrafficClass::EventTriggered) continue;
+    // A spec's streams are appended together, so their ids are contiguous.
+    ETSN_CHECK(!e.streams.empty());
+    collectEctGroups(std::span<const ExpandedStream>(streams_).subspan(
+                         static_cast<std::size_t>(e.streams.front()),
+                         e.streams.size()),
+                     out);
   }
   return out;
 }
 
-std::vector<int> AdmissionEngine::canonicalFrames(
-    const ExpandedStream& s) const {
-  // Alg. 1 against the *live* ECT specs: base frames plus the prudent
-  // extras every live ECT stream crossing the link contributes.  Matches
-  // expandStreams' batch loop (sums commute, so spec order is irrelevant).
-  std::vector<int> out(s.path.size(), s.baseFrames());
-  if (s.kind != StreamKind::Det || !s.share || !config_.prudentReservation) {
-    return out;
+std::vector<StreamId> AdmissionEngine::regrid(
+    Txn& txn, const std::vector<StreamId>& ectStreams) {
+  std::vector<net::LinkId> links;
+  for (const StreamId sid : ectStreams) {
+    const ExpandedStream& s = streams_[static_cast<std::size_t>(sid)];
+    links.insert(links.end(), s.path.begin(), s.path.end());
   }
-  for (std::size_t hop = 0; hop < s.path.size(); ++hop) {
-    const net::LinkId link = s.path[hop];
-    for (const SpecEntry& e : specs_) {
-      if (!e.live || e.spec.type != net::TrafficClass::EventTriggered) {
-        continue;
-      }
-      const std::vector<StreamId>& probIds = e.streams;
-      ETSN_CHECK(!probIds.empty());
-      for (std::size_t b = 0; b < probIds.size(); ++b) {
-        const ExpandedStream& pe =
-            streams_[static_cast<std::size_t>(probIds[b])];
-        if (b > 0 &&
-            pe.member ==
-                streams_[static_cast<std::size_t>(probIds[b - 1])].member) {
-          continue;  // not the first stream of its member group
-        }
-        if (std::find(pe.path.begin(), pe.path.end(), link) == pe.path.end()) {
-          continue;
-        }
-        out[hop] += prudentExtraFrames(
-            s.baseFrames(), maxFrameTxTime(s, topo_.link(link)),
-            pe.baseFrames(), e.spec.period);
-      }
-    }
-  }
-  return out;
-}
+  std::sort(links.begin(), links.end());
+  links.erase(std::unique(links.begin(), links.end()), links.end());
 
-std::vector<StreamId> AdmissionEngine::reservationAffected(
-    const std::vector<net::LinkId>& ectLinks) const {
-  std::vector<StreamId> out;
+  const std::vector<EctGroup> ect = liveEctGroups();
+  std::vector<std::pair<StreamId, std::vector<int>>> changed;
   for (std::size_t i = 0; i < streams_.size(); ++i) {
     if (!liveStream_[i]) continue;
     const ExpandedStream& s = streams_[i];
     if (s.kind != StreamKind::Det || !s.share) continue;
-    bool touches = false;
-    for (const net::LinkId l : s.path) {
-      if (std::binary_search(ectLinks.begin(), ectLinks.end(), l)) {
-        touches = true;
-        break;
-      }
-    }
+    const bool touches =
+        std::any_of(s.path.begin(), s.path.end(), [&](net::LinkId l) {
+          return std::binary_search(links.begin(), links.end(), l);
+        });
     if (!touches) continue;
-    if (canonicalFrames(s) != s.framesOnLink) {
-      out.push_back(static_cast<StreamId>(i));
+    std::vector<int> frames = prudentFrames(topo_, s, ect, config_);
+    if (frames != s.framesOnLink) {
+      changed.emplace_back(static_cast<StreamId>(i), std::move(frames));
     }
   }
-  std::sort(out.begin(), out.end(), [&](StreamId a, StreamId b) {
-    return streams_[static_cast<std::size_t>(a)].name <
-           streams_[static_cast<std::size_t>(b)].name;
+  std::sort(changed.begin(), changed.end(), [&](const auto& a, const auto& b) {
+    return streams_[static_cast<std::size_t>(a.first)].name <
+           streams_[static_cast<std::size_t>(b.first)].name;
   });
+  std::vector<StreamId> out;
+  for (auto& [sid, frames] : changed) {
+    doRip(txn, sid);
+    doSetFrames(txn, sid, std::move(frames));
+    out.push_back(sid);
+  }
   return out;
 }
 
@@ -661,113 +590,6 @@ bool AdmissionEngine::placeLadder(Txn& txn, std::vector<StreamId> slice,
   return false;
 }
 
-bool AdmissionEngine::trySmt(Txn& txn, const std::vector<StreamId>& newIds) {
-  txn.touchedSmt = true;
-  const TimeNs tu = placement_->tu();
-  auto pinsFor = [&](StreamId engineId, StreamId modelId) {
-    const ExpandedStream& s = streams_[static_cast<std::size_t>(engineId)];
-    const auto& st = placement_->startsOf(engineId);
-    std::vector<Slot> pins;
-    for (int hop = 0; hop < s.hops(); ++hop) {
-      const int frames = s.framesOnLink[static_cast<std::size_t>(hop)];
-      for (int j = 0; j < frames; ++j) {
-        Slot slot;
-        slot.stream = modelId;
-        slot.hop = hop;
-        slot.frameIndex = j;
-        slot.start = st[static_cast<std::size_t>(hop)]
-                       [static_cast<std::size_t>(j)] * tu;
-        pins.push_back(slot);
-      }
-    }
-    return pins;
-  };
-  const std::unordered_set<StreamId> fresh(newIds.begin(), newIds.end());
-
-  if (!smt_) {
-    // Cold model: every live placed stream, pinned to its current slots
-    // as unconditional facts — the model is only valid while those
-    // placements stand (invalidateSmt fires on any movement).
-    smtToEngine_.clear();
-    std::vector<ExpandedStream> model;
-    for (std::size_t i = 0; i < streams_.size(); ++i) {
-      if (!liveStream_[i] || fresh.count(static_cast<StreamId>(i))) continue;
-      ExpandedStream c = streams_[i];
-      c.id = static_cast<StreamId>(model.size());
-      smtToEngine_.push_back(static_cast<StreamId>(i));
-      model.push_back(std::move(c));
-    }
-    SchedulerConfig smtConfig = config_;
-    smtConfig.conflictBudget = opts_.smtConflictBudget;
-    smt_ = std::make_unique<ScheduleSmt>(topo_, std::move(model), smtConfig);
-    smt_->buildConstraints();
-    for (std::size_t m = 0; m < smtToEngine_.size(); ++m) {
-      smt_->pinStreamTo(static_cast<StreamId>(m),
-                        pinsFor(smtToEngine_[m], static_cast<StreamId>(m)));
-    }
-  } else {
-    // Warm model: absorb streams admitted on the placement rungs since the
-    // last SMT call (zero-disruption adds, so existing pins stay valid).
-    std::unordered_set<StreamId> known(smtToEngine_.begin(),
-                                       smtToEngine_.end());
-    for (std::size_t i = 0; i < streams_.size(); ++i) {
-      const StreamId id = static_cast<StreamId>(i);
-      if (!liveStream_[i] || fresh.count(id) || known.count(id)) continue;
-      ExpandedStream c = streams_[i];
-      c.id = static_cast<StreamId>(smt_->streams().size());
-      const smt::Lit g = smt_->solver().boolVar();
-      smt_->addStreamGuarded(c, g);
-      smt_->pinStreamTo(c.id, pinsFor(id, c.id), g);
-      smt_->solver().require(g);  // commit immediately
-      smtToEngine_.push_back(id);
-    }
-  }
-
-  // Trial scope for the new streams (all members under one guard).
-  const smt::Lit g = smt_->solver().boolVar();
-  std::vector<StreamId> modelIds;
-  for (const StreamId id : newIds) {
-    ExpandedStream c = streams_[static_cast<std::size_t>(id)];
-    c.id = static_cast<StreamId>(smt_->streams().size());
-    modelIds.push_back(c.id);
-    smt_->addStreamGuarded(c, g);
-    smtToEngine_.push_back(id);
-  }
-  smt_->solver().setConflictBudget(opts_.smtConflictBudget);
-  const std::vector<smt::Lit> assume = {g};
-  const smt::Result r =
-      smt_->solver().solve(std::span<const smt::Lit>(assume));
-  if (r != smt::Result::Sat) {
-    // Unsat or conflict budget exhausted: permanently retire the trial
-    // scope; rung 5 gives the final verdict.
-    smt_->solver().require(~g);
-    for (std::size_t k = 0; k < newIds.size(); ++k) {
-      smt_->removeLastStream();
-      smtToEngine_.pop_back();
-    }
-    return false;
-  }
-  smt_->solver().require(g);  // commit
-  const std::vector<Slot> slots = smt_->extractSlots();
-  for (std::size_t k = 0; k < newIds.size(); ++k) {
-    const ExpandedStream& s = streams_[static_cast<std::size_t>(newIds[k])];
-    std::vector<std::vector<std::int64_t>> starts(
-        static_cast<std::size_t>(s.hops()));
-    for (int hop = 0; hop < s.hops(); ++hop) {
-      starts[static_cast<std::size_t>(hop)].resize(
-          static_cast<std::size_t>(
-              s.framesOnLink[static_cast<std::size_t>(hop)]));
-    }
-    for (const Slot& sl : slots) {
-      if (sl.stream != modelIds[k]) continue;
-      starts[static_cast<std::size_t>(sl.hop)]
-            [static_cast<std::size_t>(sl.frameIndex)] = sl.start / tu;
-    }
-    doPlaceAt(txn, newIds[k], starts);
-  }
-  return true;
-}
-
 bool AdmissionEngine::tryFullResolve(Txn& txn) {
   txn.usedResolve = true;
   // Canonical compacted instance: live specs in admission order, streams
@@ -820,11 +642,6 @@ bool AdmissionEngine::tryFullResolve(Txn& txn) {
   return true;
 }
 
-void AdmissionEngine::invalidateSmt() {
-  smt_.reset();
-  smtToEngine_.clear();
-}
-
 // --- request processing ----------------------------------------------------
 
 bool AdmissionEngine::processAdd(const net::StreamSpec& spec, Txn& txn,
@@ -834,87 +651,19 @@ bool AdmissionEngine::processAdd(const net::StreamSpec& spec, Txn& txn,
     *detail = "a live stream named '" + spec.name + "' already exists";
     return false;
   }
-  const int specIdx = doSpecAdd(txn, spec);
-  // expandSpec throws ConfigError on malformed specs; request() turns that
+  // appendSpec throws ConfigError on malformed specs; request() turns that
   // into an "invalid" rejection after rolling the txn back.
-  std::vector<ExpandedStream> fresh = expandSpec(spec, specIdx);
-  const StreamId firstId = static_cast<StreamId>(streams_.size());
-  const int count = static_cast<int>(fresh.size());
-
-  // Grid checks before the streams enter the Placement: uniform tu and
-  // hyperperiod divisibility (growth is handled by a rebuild).
-  const TimeNs tu = placement_->tu();
-  bool needRebuild = false;
-  for (const ExpandedStream& s : fresh) {
-    for (const net::LinkId l : s.path) {
-      if (topo_.link(l).timeUnit != tu) {
-        *rung = "invalid";
-        *detail = "stream '" + spec.name +
-                  "' uses a link time unit different from the schedule's";
-        return false;
-      }
-    }
-    if (s.period <= 0 || s.period % tu != 0) {
-      *rung = "invalid";
-      *detail = "stream '" + spec.name +
-                "' period is not a positive multiple of the time unit";
-      return false;
-    }
-    const std::int64_t periodTu = s.period / tu;
-    if (placement_->hyperTu() <= 0 ||
-        placement_->hyperTu() % periodTu != 0) {
-      needRebuild = true;
-    }
-  }
-  doAppend(txn, std::move(fresh));
-  std::vector<StreamId> newIds;
-  for (int k = 0; k < count; ++k) {
-    newIds.push_back(firstId + k);
-  }
-  specs_[static_cast<std::size_t>(specIdx)].streams = newIds;
-  // The rebuild is committed even if the request is later rejected: it
-  // preserves every placement bit-for-bit and only widens the internal
-  // hyperperiod, which placement results are invariant to.
-  if (needRebuild) {
-    rebuildPlacement();
-  } else {
-    placement_->syncAppendedStreams();
-  }
-
+  const std::vector<StreamId> newIds = appendSpec(txn, spec);
   std::vector<StreamId> slice = newIds;
   if (spec.type == net::TrafficClass::EventTriggered) {
     // Prudent reservation: the new ECT enlarges the grids of shared TCT
     // streams on every link it crosses; rip and re-place those too.
-    std::vector<net::LinkId> ectLinks;
-    for (const StreamId id : newIds) {
-      const ExpandedStream& s = streams_[static_cast<std::size_t>(id)];
-      ectLinks.insert(ectLinks.end(), s.path.begin(), s.path.end());
-    }
-    std::sort(ectLinks.begin(), ectLinks.end());
-    ectLinks.erase(std::unique(ectLinks.begin(), ectLinks.end()),
-                   ectLinks.end());
-    for (const StreamId sid : reservationAffected(ectLinks)) {
-      doRip(txn, sid);
-      doSetFrames(txn, sid,
-                  canonicalFrames(streams_[static_cast<std::size_t>(sid)]));
-      slice.push_back(sid);
-    }
+    for (const StreamId sid : regrid(txn, newIds)) slice.push_back(sid);
   }
 
   if (placeLadder(txn, std::move(slice), rung)) return true;
-
-  if (opts_.smtMaxStreams > 0 && liveStreams_ <= opts_.smtMaxStreams &&
-      spec.type == net::TrafficClass::TimeTriggered) {
-    if (trySmt(txn, newIds)) {
-      *rung = "smt";
-      return true;
-    }
-  }
-  if (tryFullResolve(txn)) {
-    *rung = "resolve";
-    return true;
-  }
   *rung = "resolve";
+  if (tryFullResolve(txn)) return true;
   *detail = "no feasible schedule admits stream '" + spec.name +
             "' (full portfolio re-solve failed)";
   return false;
@@ -930,39 +679,20 @@ bool AdmissionEngine::processRemove(const std::string& name, Txn& txn,
   }
   const int specIdx = it->second;
   const SpecEntry& e = specs_[static_cast<std::size_t>(specIdx)];
-  const bool wasEct = e.spec.type == net::TrafficClass::EventTriggered;
-  std::vector<net::LinkId> ectLinks;
-  if (wasEct) {
-    for (const StreamId sid : e.streams) {
-      const ExpandedStream& s = streams_[static_cast<std::size_t>(sid)];
-      ectLinks.insert(ectLinks.end(), s.path.begin(), s.path.end());
-    }
-    std::sort(ectLinks.begin(), ectLinks.end());
-    ectLinks.erase(std::unique(ectLinks.begin(), ectLinks.end()),
-                   ectLinks.end());
-  }
   for (const StreamId sid : e.streams) {
     if (placement_->isPlaced(sid)) doRip(txn, sid);
   }
   doSpecKill(txn, specIdx);
 
   std::vector<StreamId> slice;
-  if (wasEct) {
+  if (e.spec.type == net::TrafficClass::EventTriggered) {
     // Shrink the prudent reservations the departed ECT was responsible
     // for; the affected shared streams re-place on their tighter grids.
-    for (const StreamId sid : reservationAffected(ectLinks)) {
-      doRip(txn, sid);
-      doSetFrames(txn, sid,
-                  canonicalFrames(streams_[static_cast<std::size_t>(sid)]));
-      slice.push_back(sid);
-    }
+    slice = regrid(txn, e.streams);
   }
   if (placeLadder(txn, std::move(slice), rung)) return true;
-  if (tryFullResolve(txn)) {
-    *rung = "resolve";
-    return true;
-  }
   *rung = "resolve";
+  if (tryFullResolve(txn)) return true;
   *detail = "could not re-place shrunken reservations after removing '" +
             name + "'";
   return false;
@@ -1081,12 +811,7 @@ bool AdmissionEngine::replay(const AdmissionRequest& req,
   // divergence (a 64-bit collision that survived cacheLookup's triple
   // check) unwinds to the pre-request state instead of corrupting the
   // engine; the caller drops the entry and decides live.
-  Txn txn;
-  txn.stateHash = stateHash_;
-  txn.sharedRr = sharedRr_;
-  txn.nonSharedRr = nonSharedRr_;
-  txn.liveSpecs = liveSpecs_;
-  txn.liveStreams = liveStreams_;
+  Txn txn = beginTxn();
   auto replayRemove = [&](const std::string& name) {
     const int specIdx = liveByName_.at(name);
     const SpecEntry& e = specs_[static_cast<std::size_t>(specIdx)];
@@ -1095,40 +820,17 @@ bool AdmissionEngine::replay(const AdmissionRequest& req,
     }
     doSpecKill(txn, specIdx);
   };
-  auto replayAdd = [&](const net::StreamSpec& spec) {
-    const int specIdx = doSpecAdd(txn, spec);
-    std::vector<ExpandedStream> fresh = expandSpec(spec, specIdx);
-    const StreamId firstId = static_cast<StreamId>(streams_.size());
-    const int count = static_cast<int>(fresh.size());
-    const TimeNs tu = placement_->tu();
-    bool needRebuild = false;
-    for (const ExpandedStream& s : fresh) {
-      if (placement_->hyperTu() <= 0 ||
-          placement_->hyperTu() % (s.period / tu) != 0) {
-        needRebuild = true;
-      }
-    }
-    doAppend(txn, std::move(fresh));
-    std::vector<StreamId>& ids =
-        specs_[static_cast<std::size_t>(specIdx)].streams;
-    for (int k = 0; k < count; ++k) ids.push_back(firstId + k);
-    if (needRebuild) {
-      rebuildPlacement();
-    } else {
-      placement_->syncAppendedStreams();
-    }
-  };
   try {
     switch (req.op) {
       case AdmissionRequest::Op::Add:
-        replayAdd(req.spec);
+        appendSpec(txn, req.spec);
         break;
       case AdmissionRequest::Op::Remove:
         replayRemove(req.name.empty() ? req.spec.name : req.name);
         break;
       case AdmissionRequest::Op::Modify:
         replayRemove(req.name.empty() ? req.spec.name : req.name);
-        replayAdd(req.spec);
+        appendSpec(txn, req.spec);
         break;
     }
     // Apply the recorded placement deltas: rip everything first so no
@@ -1183,11 +885,12 @@ AdmissionDecision AdmissionEngine::request(const AdmissionRequest& req) {
   const auto t0 = std::chrono::steady_clock::now();
   ++counters_.requests;
   const std::uint64_t reqHash = requestHashOf(req);
+  const std::uint64_t preState = stateHash();
   std::uint64_t key = 0;
   {
     Hasher h;
     h.u64(topoHash_);
-    h.u64(stateHash());
+    h.u64(preState);
     h.u64(reqHash);
     key = h.h;
   }
@@ -1211,12 +914,7 @@ AdmissionDecision AdmissionEngine::request(const AdmissionRequest& req) {
   }
 
   if (!decided) {
-    Txn txn;
-    txn.stateHash = stateHash_;
-    txn.sharedRr = sharedRr_;
-    txn.nonSharedRr = nonSharedRr_;
-    txn.liveSpecs = liveSpecs_;
-    txn.liveStreams = liveStreams_;
+    Txn txn = beginTxn();
     try {
       d = decide(req, txn);
     } catch (const ConfigError& err) {
@@ -1235,27 +933,17 @@ AdmissionDecision AdmissionEngine::request(const AdmissionRequest& req) {
     // Rung usage is counted once per request: a Modify runs the ladder
     // for both of its phases, but that is still one delta-solved request.
     if (txn.usedDelta) ++counters_.deltaSolves;
-    if (txn.touchedSmt) ++counters_.fallbackToSmt;
     if (txn.usedResolve) ++counters_.fullResolves;
     if (!d.admitted) rollback(txn);
 
-    // Cacheability: never a transition that invoked the warm SMT solver
-    // (its verdicts depend on learned-clause history; replaying one would
-    // desynchronize cache-on and cache-off runs), and never a delta too
-    // large to be worth replaying.
-    if (opts_.cacheCapacity > 0 && !txn.touchedSmt) {
+    // Cacheability: every decided transition except a delta too large to
+    // be worth replaying.
+    if (opts_.cacheCapacity > 0) {
       CacheEntry entry;
       entry.topoHash = topoHash_;
-      // The key triple this entry answers for is the *pre*-state,
-      // reconstructed from the txn snapshot (stateHash() already moved on
-      // for admitted requests).
-      {
-        Hasher h;
-        h.u64(txn.stateHash);
-        h.i64(txn.sharedRr);
-        h.i64(txn.nonSharedRr);
-        entry.stateHash = h.h;
-      }
+      // The key triple this entry answers for is the *pre*-state
+      // (stateHash() already moved on for admitted requests).
+      entry.stateHash = preState;
       entry.requestHash = reqHash;
       entry.admitted = d.admitted;
       entry.rung = d.rung;
@@ -1308,12 +996,6 @@ AdmissionDecision AdmissionEngine::request(const AdmissionRequest& req) {
 
   if (d.admitted) {
     ++counters_.admits;
-    // The warm SMT model stays valid only across zero-disruption TCT adds
-    // (nothing moved, no reservation or live-set change it must track).
-    const bool pureAdd = req.op == AdmissionRequest::Op::Add &&
-                         req.spec.type == net::TrafficClass::TimeTriggered &&
-                         d.movedStreams == 0;
-    if (!pureAdd) invalidateSmt();
   } else {
     ++counters_.rejects;
   }
@@ -1373,7 +1055,6 @@ Schedule AdmissionEngine::schedule() const {
   out.info.admissionAdmits = counters_.admits;
   out.info.admissionRejects = counters_.rejects;
   out.info.admissionCacheHits = counters_.cacheHits;
-  out.info.admissionFallbackToSmt = counters_.fallbackToSmt;
   return out;
 }
 

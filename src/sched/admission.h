@@ -16,27 +16,19 @@
 //     rip conflicting streams off the blocking link (canonical
 //     name-ordered victims, budgeted, escalating budgets per attempt) and
 //     re-place them too.
-//  4. warm-started SMT — for small instances (<= smtMaxStreams), a
-//     persistent ScheduleSmt model extended per admission with guarded
-//     clauses and solved under assumption scopes (the incremental-SAT
-//     commit/retract idiom); existing slots stay pinned, so admissions on
-//     this rung are still zero-disruption.
-//  5. full re-solve — the portfolio scheduler on the canonical live
+//  4. full re-solve — the portfolio scheduler on the canonical live
 //     stream set; the verdict authority for rejections (identical to a
 //     from-scratch solve over the same specs), at baseline cost.  Commits
 //     through the op log like every other rung, so even a transaction
 //     whose earlier phase re-solved wholesale (a Modify) unwinds exactly
 //     on rejection.
 //
-// Determinism contract: every decision on rungs 1-3 and 5 is a pure
-// function of the canonical engine state (stream contents + placements,
-// not ids or history), so verdicts and schedule hashes are byte-identical
-// across thread counts and across cache on/off.  Rung 4 depends on the
-// solver's learned-clause history; its decisions are therefore never
-// cached (both cache-on and cache-off runs execute rung-4 work at the
-// same request positions with the same solver state, keeping them in
-// lockstep).  Rejections leave the schedule byte-identical: every state
-// mutation during a request is op-logged and unwound on rejection.
+// Determinism contract: every decision is a pure function of the
+// canonical engine state (stream contents + placements + the priority
+// round-robin cursor, not ids or history), so verdicts and schedule hashes
+// are byte-identical across thread counts and across cache on/off.
+// Rejections leave the schedule byte-identical: every state mutation
+// during a request is op-logged and unwound on rejection.
 #pragma once
 
 #include <cstdint>
@@ -49,13 +41,12 @@
 
 #include "net/stream.h"
 #include "net/topology.h"
+#include "sched/expand.h"
 #include "sched/placement.h"
 #include "sched/portfolio.h"
 #include "sched/schedule.h"
 
 namespace etsn::sched {
-
-class ScheduleSmt;
 
 struct AdmissionOptions {
   /// Rip-up budgets per ladder attempt; the first entry is the pure
@@ -63,18 +54,12 @@ struct AdmissionOptions {
   /// slice).  Each later attempt restarts from the pre-attempt state with
   /// a larger victim budget.
   std::vector<int> ripupBudgets = {0, 8, 64};
-  /// Rung 4 is only entered while the live stream count stays at or below
-  /// this (an SMT encode is quadratic in streams; at fleet scale rung 5
-  /// is cheaper than the encode).  0 disables the SMT rung entirely.
-  int smtMaxStreams = 160;
-  /// Conflict budget per rung-4 solve (Unknown falls through to rung 5).
-  std::int64_t smtConflictBudget = 20000;
   /// Sub-schedule cache capacity in entries; 0 disables the cache.
   std::size_t cacheCapacity = 1024;
   /// Placement deltas larger than this are not cached (a full re-solve
   /// rewrites every stream; replaying that is no cheaper than solving).
   std::size_t cacheMaxDelta = 256;
-  /// Budgets/seed/threads for the rung-5 portfolio re-solve (and the
+  /// Budgets/seed/threads for the rung-4 portfolio re-solve (and the
   /// initial solve).  Deterministic by rank for any thread count.
   PortfolioOptions portfolio;
 };
@@ -97,8 +82,8 @@ struct AdmissionDecision {
   bool admitted = false;
   /// Served from the sub-schedule cache (replayed, not solved).
   bool fromCache = false;
-  /// Ladder rung that decided: "cache", "delta", "ripup", "smt",
-  /// "resolve", or "invalid" (malformed request, state untouched).
+  /// Ladder rung that decided: "cache", "delta", "ripup", "resolve", or
+  /// "invalid" (malformed request, state untouched).
   std::string rung;
   /// Human-readable rejection reason; empty on admission.
   std::string detail;
@@ -121,8 +106,6 @@ struct AdmissionCounters {
   /// if it escalated through several rungs).
   /// Requests with at least one phase decided on the delta/rip-up rungs.
   std::int64_t deltaSolves = 0;
-  /// Requests that escalated into the warm SMT rung.
-  std::int64_t fallbackToSmt = 0;
   /// Requests that escalated into a full portfolio re-solve.
   std::int64_t fullResolves = 0;
 };
@@ -141,7 +124,6 @@ class AdmissionEngine {
                   std::vector<net::StreamSpec> initialSpecs,
                   const SchedulerConfig& config,
                   const AdmissionOptions& options = {});
-  ~AdmissionEngine();
 
   AdmissionEngine(const AdmissionEngine&) = delete;
   AdmissionEngine& operator=(const AdmissionEngine&) = delete;
@@ -165,7 +147,7 @@ class AdmissionEngine {
   Schedule schedule() const;
 
   /// Canonical state fingerprint: stream contents + placements + the
-  /// priority round-robin counters; id- and history-free.
+  /// priority round-robin cursor; id- and history-free.
   std::uint64_t stateHash() const;
 
   const AdmissionCounters& counters() const { return counters_; }
@@ -197,9 +179,8 @@ class AdmissionEngine {
   struct Txn {
     std::vector<Op> ops;
     std::uint64_t stateHash = 0;
-    int sharedRr = 0, nonSharedRr = 0;
+    PriorityCursor cursor;
     int liveSpecs = 0, liveStreams = 0;
-    bool touchedSmt = false;
     // Rung-usage flags, folded into the counters once per request.
     bool usedDelta = false;
     bool usedResolve = false;
@@ -236,6 +217,7 @@ class AdmissionEngine {
   int doSpecAdd(Txn& txn, net::StreamSpec spec);
   void doSpecKill(Txn& txn, int specIdx);
   void rollback(Txn& txn, std::size_t mark = 0);
+  Txn beginTxn() const;
 
   // --- ladder rungs ---
   AdmissionDecision decide(const AdmissionRequest& req, Txn& txn);
@@ -245,16 +227,19 @@ class AdmissionEngine {
                      std::string* detail);
   bool placeLadder(Txn& txn, std::vector<StreamId> slice, std::string* rung);
   bool attemptPlace(Txn& txn, const std::vector<StreamId>& slice, int budget);
-  bool trySmt(Txn& txn, const std::vector<StreamId>& newStreams);
   bool tryFullResolve(Txn& txn);
-  void invalidateSmt();
 
-  // --- expansion / canonicalization ---
-  std::vector<ExpandedStream> expandSpec(const net::StreamSpec& spec,
-                                         std::int32_t specId);
-  std::vector<int> canonicalFrames(const ExpandedStream& s) const;
-  std::vector<StreamId> reservationAffected(
-      const std::vector<net::LinkId>& ectLinks) const;
+  // --- expansion / prudent reservation ---
+  /// Adds `spec` and appends its streams (Alg. 1 grids against the live
+  /// ECT groups) through the op log.  Throws ConfigError on malformed
+  /// input.  Returns the new stream ids.
+  std::vector<StreamId> appendSpec(Txn& txn, const net::StreamSpec& spec);
+  std::vector<EctGroup> liveEctGroups() const;
+  /// Rips and re-grids the live shared Det streams on the links of
+  /// `ectStreams` whose Alg. 1 frame counts no longer match the live ECT
+  /// groups; returns them name-ordered.
+  std::vector<StreamId> regrid(Txn& txn,
+                               const std::vector<StreamId>& ectStreams);
   void rebuildPlacement();
 
   // --- hashing / cache ---
@@ -285,13 +270,7 @@ class AdmissionEngine {
   int liveSpecs_ = 0;
   int liveStreams_ = 0;
   std::unique_ptr<Placement> placement_;
-  int sharedRr_ = 0, nonSharedRr_ = 0;
-
-  // Warm SMT scope (rung 4): model over a snapshot of the live streams,
-  // extended per admission; invalidated by any slot movement, removal or
-  // reservation change.
-  std::unique_ptr<ScheduleSmt> smt_;
-  std::vector<StreamId> smtToEngine_;
+  PriorityCursor cursor_;
 
   std::uint64_t topoHash_ = 0;
   std::uint64_t stateHash_ = 0;

@@ -56,158 +56,183 @@ int prudentExtraFrames(int tctFrames, TimeNs tctFrameTxTime, int ectFrames,
   return ectFrames * static_cast<int>(ceilDiv(burst, minInterevent));
 }
 
+std::vector<ExpandedStream> expandSpec(const net::Topology& topo,
+                                       const net::StreamSpec& spec,
+                                       std::int32_t specId, StreamId firstId,
+                                       const SchedulerConfig& config,
+                                       PriorityCursor& cursor) {
+  checkPriorityGroups(config);
+  ETSN_CHECK_MSG(config.numProbabilistic >= 1, "need at least one possibility");
+  net::validateSpec(topo, spec);
+  // FRER (802.1CB): a protected spec becomes `redundancy` member groups,
+  // one per link-disjoint path.  Unprotected specs are the 1-member case.
+  std::vector<std::vector<net::LinkId>> paths;
+  if (spec.redundancy > 1) {
+    paths = topo.disjointPaths(spec.src, spec.dst, spec.redundancy);
+    if (static_cast<int>(paths.size()) < spec.redundancy) {
+      throw ConfigError(
+          "stream '" + spec.name + "': redundancy " +
+          std::to_string(spec.redundancy) + " needs that many link-" +
+          "disjoint paths but the topology supplies only " +
+          std::to_string(paths.size()));
+    }
+  } else {
+    paths.push_back(spec.path.empty() ? topo.shortestPath(spec.src, spec.dst)
+                                      : spec.path);
+  }
+  auto memberName = [&](int m) {
+    return spec.redundancy > 1 ? spec.name + "/m" + std::to_string(m + 1)
+                               : spec.name;
+  };
+  const std::vector<int> payloads = net::fragmentPayload(spec.payloadBytes);
+  std::vector<ExpandedStream> out;
+  auto push = [&](ExpandedStream s, const std::vector<net::LinkId>& path) {
+    s.id = firstId + static_cast<StreamId>(out.size());
+    s.specId = specId;
+    s.path = path;
+    s.period = spec.period;
+    s.framePayloads = payloads;
+    s.framesOnLink.assign(path.size(), static_cast<int>(payloads.size()));
+    out.push_back(std::move(s));
+  };
+
+  if (spec.type == net::TrafficClass::TimeTriggered) {
+    // Every member carries the same 802.1Q priority.
+    int priority;
+    if (spec.priority >= 0) {
+      const int lo =
+          spec.share ? config.sharedPrioLow : config.nonSharedPrioLow;
+      const int hi =
+          spec.share ? config.sharedPrioHigh : config.nonSharedPrioHigh;
+      if (spec.priority < lo || spec.priority > hi) {
+        throw ConfigError("stream '" + spec.name +
+                          "': priority outside its group (constraint 6)");
+      }
+      priority = spec.priority;
+    } else if (spec.share) {
+      priority = config.sharedPrioLow +
+                 cursor.shared++ % (config.sharedPrioHigh -
+                                    config.sharedPrioLow + 1);
+    } else {
+      priority = config.nonSharedPrioLow +
+                 cursor.nonShared++ % (config.nonSharedPrioHigh -
+                                       config.nonSharedPrioLow + 1);
+    }
+    for (int m = 0; m < static_cast<int>(paths.size()); ++m) {
+      ExpandedStream s;
+      s.member = m;
+      s.name = memberName(m);
+      s.kind = StreamKind::Det;
+      s.share = spec.share;
+      s.maxLatency = spec.maxLatency;
+      s.occurrence = spec.releaseOffset;  // the application's release phase
+      s.priority = priority;
+      push(std::move(s), paths[static_cast<std::size_t>(m)]);
+    }
+    return out;
+  }
+
+  // ECT: derive N probabilistic streams per member (§III-B).
+  const int n = config.numProbabilistic;
+  const TimeNs stagger = spec.period / n;
+  if (stagger <= 0) {
+    throw ConfigError("stream '" + spec.name +
+                      "': min interevent time smaller than "
+                      "numProbabilistic (T/N == 0)");
+  }
+  const TimeNs tightened = spec.maxLatency - stagger;
+  if (tightened <= 0) {
+    throw ConfigError(
+        "stream '" + spec.name +
+        "': deadline too tight for N probabilistic streams (e2e - T/N "
+        "<= 0); increase numProbabilistic");
+  }
+  if (spec.priority >= 0 && spec.priority != config.ectPriority) {
+    throw ConfigError("stream '" + spec.name +
+                      "': ECT must use the EP priority (constraint 6)");
+  }
+  for (int m = 0; m < static_cast<int>(paths.size()); ++m) {
+    for (int k = 0; k < n; ++k) {
+      ExpandedStream s;
+      s.member = m;
+      s.name = memberName(m) + "/ps" + std::to_string(k + 1);
+      s.kind = StreamKind::Prob;
+      s.priority = config.ectPriority;
+      s.maxLatency = tightened;
+      s.occurrence = static_cast<TimeNs>(k) * stagger;
+      push(std::move(s), paths[static_cast<std::size_t>(m)]);
+    }
+  }
+  return out;
+}
+
 Expansion expandStreams(const net::Topology& topo,
                         const std::vector<net::StreamSpec>& specs,
                         const SchedulerConfig& config) {
-  checkPriorityGroups(config);
-  ETSN_CHECK_MSG(config.numProbabilistic >= 1, "need at least one possibility");
+  PriorityCursor cursor;
+  return expandStreams(topo, specs, config, cursor);
+}
 
+Expansion expandStreams(const net::Topology& topo,
+                        const std::vector<net::StreamSpec>& specs,
+                        const SchedulerConfig& config,
+                        PriorityCursor& cursor) {
   Expansion out;
   out.specToStreams.resize(specs.size());
-
-  int sharedRr = 0, nonSharedRr = 0;  // round-robin within priority groups
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    const net::StreamSpec& spec = specs[i];
-    net::validateSpec(topo, spec);
-    // FRER (802.1CB): a protected spec becomes `redundancy` member groups,
-    // one per link-disjoint path.  Unprotected specs are the 1-member case.
-    std::vector<std::vector<net::LinkId>> paths;
-    if (spec.redundancy > 1) {
-      paths = topo.disjointPaths(spec.src, spec.dst, spec.redundancy);
-      if (static_cast<int>(paths.size()) < spec.redundancy) {
-        throw ConfigError(
-            "stream '" + spec.name + "': redundancy " +
-            std::to_string(spec.redundancy) + " needs that many link-" +
-            "disjoint paths but the topology supplies only " +
-            std::to_string(paths.size()));
-      }
-    } else {
-      paths.push_back(spec.path.empty() ? topo.shortestPath(spec.src, spec.dst)
-                                        : spec.path);
-    }
-    auto memberName = [&](int m) {
-      return spec.redundancy > 1 ? spec.name + "/m" + std::to_string(m + 1)
-                                 : spec.name;
-    };
-    const std::vector<int> payloads = net::fragmentPayload(spec.payloadBytes);
-
-    if (spec.type == net::TrafficClass::TimeTriggered) {
-      // Resolve the priority once per spec — every member carries the same
-      // 802.1Q priority, and the round-robin must advance per spec, not per
-      // member, so redundancy never perturbs other specs' priorities.
-      int priority;
-      if (spec.priority >= 0) {
-        const int lo = spec.share ? config.sharedPrioLow : config.nonSharedPrioLow;
-        const int hi = spec.share ? config.sharedPrioHigh : config.nonSharedPrioHigh;
-        if (spec.priority < lo || spec.priority > hi) {
-          throw ConfigError("stream '" + spec.name +
-                            "': priority outside its group (constraint 6)");
-        }
-        priority = spec.priority;
-      } else if (spec.share) {
-        priority = config.sharedPrioLow +
-                   sharedRr++ % (config.sharedPrioHigh -
-                                 config.sharedPrioLow + 1);
-      } else {
-        priority = config.nonSharedPrioLow +
-                   nonSharedRr++ % (config.nonSharedPrioHigh -
-                                    config.nonSharedPrioLow + 1);
-      }
-      for (int m = 0; m < static_cast<int>(paths.size()); ++m) {
-        ExpandedStream s;
-        s.id = static_cast<StreamId>(out.streams.size());
-        s.specId = static_cast<std::int32_t>(i);
-        s.member = m;
-        s.name = memberName(m);
-        s.kind = StreamKind::Det;
-        s.path = paths[static_cast<std::size_t>(m)];
-        s.share = spec.share;
-        s.period = spec.period;
-        s.maxLatency = spec.maxLatency;
-        s.occurrence = spec.releaseOffset;  // the application's release phase
-        s.framePayloads = payloads;
-        s.framesOnLink.assign(s.path.size(),
-                              static_cast<int>(payloads.size()));
-        s.priority = priority;
-        out.specToStreams[i].push_back(s.id);
-        out.streams.push_back(std::move(s));
-      }
-    } else {
-      // ECT: derive N probabilistic streams (§III-B).
-      const int n = config.numProbabilistic;
-      const TimeNs stagger = spec.period / n;
-      ETSN_CHECK_MSG(stagger > 0, "min interevent too small for N");
-      const TimeNs tightened = spec.maxLatency - stagger;
-      if (tightened <= 0) {
-        throw ConfigError(
-            "stream '" + spec.name +
-            "': deadline too tight for N probabilistic streams (e2e - T/N "
-            "<= 0); increase numProbabilistic");
-      }
-      if (spec.priority >= 0 && spec.priority != config.ectPriority) {
-        throw ConfigError("stream '" + spec.name +
-                          "': ECT must use the EP priority (constraint 6)");
-      }
-      for (int m = 0; m < static_cast<int>(paths.size()); ++m) {
-        const std::vector<net::LinkId>& mPath =
-            paths[static_cast<std::size_t>(m)];
-        for (int k = 0; k < n; ++k) {
-          ExpandedStream s;
-          s.id = static_cast<StreamId>(out.streams.size());
-          s.specId = static_cast<std::int32_t>(i);
-          s.member = m;
-          s.name = memberName(m) + "/ps" + std::to_string(k + 1);
-          s.kind = StreamKind::Prob;
-          s.path = mPath;
-          s.priority = config.ectPriority;
-          s.period = spec.period;
-          s.maxLatency = tightened;
-          s.occurrence = static_cast<TimeNs>(k) * stagger;
-          s.framePayloads = payloads;
-          s.framesOnLink.assign(mPath.size(),
-                                static_cast<int>(payloads.size()));
-          out.specToStreams[i].push_back(s.id);
-          out.streams.push_back(std::move(s));
-        }
-      }
+    for (ExpandedStream& s :
+         expandSpec(topo, specs[i], static_cast<std::int32_t>(i),
+                    static_cast<StreamId>(out.streams.size()), config,
+                    cursor)) {
+      out.specToStreams[i].push_back(s.id);
+      out.streams.push_back(std::move(s));
     }
   }
-
-  // Prudent reservation (Alg. 1): for every shared Det stream and every
-  // link of its path, add n extra frames per ECT stream crossing the link.
-  if (!config.prudentReservation) return out;
-  for (ExpandedStream& st : out.streams) {
-    if (st.kind != StreamKind::Det || !st.share) continue;
-    for (std::size_t hop = 0; hop < st.path.size(); ++hop) {
-      const net::LinkId link = st.path[hop];
-      for (std::size_t e = 0; e < specs.size(); ++e) {
-        const net::StreamSpec& se = specs[e];
-        if (se.type != net::TrafficClass::EventTriggered) continue;
-        // Does the ECT stream pass this link?  All Prob streams of one FRER
-        // member share a path, so probe the first stream of each member
-        // group; member paths are link-disjoint, so at most one group of
-        // this spec crosses the link.
-        const auto& probIds = out.specToStreams[e];
-        ETSN_CHECK(!probIds.empty());
-        for (std::size_t b = 0; b < probIds.size(); ++b) {
-          const ExpandedStream& pe =
-              out.streams[static_cast<std::size_t>(probIds[b])];
-          if (b > 0 &&
-              pe.member ==
-                  out.streams[static_cast<std::size_t>(probIds[b - 1])].member)
-            continue;  // not the first stream of its member group
-          if (std::find(pe.path.begin(), pe.path.end(), link) == pe.path.end())
-            continue;
-          const int extra = prudentExtraFrames(
-              st.baseFrames(), maxFrameTxTime(st, topo.link(link)),
-              pe.baseFrames(), se.period);
-          st.framesOnLink[hop] += extra;
-        }
-      }
+  std::vector<EctGroup> ect;
+  collectEctGroups(out.streams, ect);
+  for (ExpandedStream& s : out.streams) {
+    if (s.kind == StreamKind::Det && s.share) {
+      s.framesOnLink = prudentFrames(topo, s, ect, config);
     }
   }
-
   return out;
+}
+
+void collectEctGroups(std::span<const ExpandedStream> streams,
+                      std::vector<EctGroup>& out) {
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    const ExpandedStream& s = streams[i];
+    if (s.kind != StreamKind::Prob) continue;
+    // All N possibilities of one member share its path and frames.
+    if (i > 0 && streams[i - 1].kind == StreamKind::Prob &&
+        streams[i - 1].specId == s.specId &&
+        streams[i - 1].member == s.member) {
+      continue;
+    }
+    out.push_back(EctGroup{s.path, s.baseFrames(), s.period});
+  }
+}
+
+std::vector<int> prudentFrames(const net::Topology& topo,
+                               const ExpandedStream& s,
+                               std::span<const EctGroup> ect,
+                               const SchedulerConfig& config) {
+  std::vector<int> frames(s.path.size(), s.baseFrames());
+  if (s.kind != StreamKind::Det || !s.share || !config.prudentReservation) {
+    return frames;
+  }
+  for (std::size_t hop = 0; hop < s.path.size(); ++hop) {
+    const net::LinkId link = s.path[hop];
+    for (const EctGroup& g : ect) {
+      if (std::find(g.path.begin(), g.path.end(), link) == g.path.end()) {
+        continue;
+      }
+      frames[hop] += prudentExtraFrames(s.baseFrames(),
+                                        maxFrameTxTime(s, topo.link(link)),
+                                        g.frames, g.minInterevent);
+    }
+  }
+  return frames;
 }
 
 }  // namespace etsn::sched

@@ -1,7 +1,13 @@
 // Stream expansion: routing, probabilistic-stream derivation (§III-B),
 // priority assignment (constraint (6)), and prudent reservation (Alg. 1).
+//
+// Two rules, one owner each: expandSpec turns one spec into its streams,
+// prudentFrames sizes one shared stream's per-hop grid against the ECT
+// member groups in force.  The batch expansion, the admission engine and
+// the link-failure repair all build on these two.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "net/stream.h"
@@ -15,18 +21,66 @@ struct Expansion {
   std::vector<std::vector<StreamId>> specToStreams;
 };
 
-/// Expand user specs into scheduler streams:
-///  * each TCT spec becomes one Det stream;
-///  * each ECT spec becomes `config.numProbabilistic` Prob streams with
-///    occurrence times (i-1)*T/N and deadline e2e - T/N;
-///  * priorities are resolved per constraint (6) (round-robin within the
-///    shared / non-shared groups, EP for Prob) unless set explicitly;
-///  * prudent reservation adds extra frames to shared Det streams on every
-///    link an ECT stream crosses (Alg. 1).
+/// Round-robin position inside the shared and non-shared TCT priority
+/// groups (constraint (6)).  A batch expansion starts one at zero; the
+/// admission engine keeps one across its whole history.
+struct PriorityCursor {
+  int shared = 0;
+  int nonShared = 0;
+};
+
+/// Expand one spec into its streams, numbered firstId, firstId + 1, ...
+/// and tagged with `specId`:
+///  * a TCT spec becomes one Det stream per FRER member;
+///  * an ECT spec becomes `config.numProbabilistic` Prob streams per member
+///    (member-major) with occurrence times (i-1)*T/N and deadline
+///    e2e - T/N;
+///  * an explicit TCT priority is checked against its group, otherwise the
+///    spec takes the cursor's next value in its group (once per spec, so
+///    redundancy never shifts later specs' priorities); Prob streams use EP.
+/// framesOnLink holds the base frames; prudentFrames adds Alg. 1's extras.
+/// Throws ConfigError on invalid input.
+std::vector<ExpandedStream> expandSpec(const net::Topology& topo,
+                                       const net::StreamSpec& spec,
+                                       std::int32_t specId, StreamId firstId,
+                                       const SchedulerConfig& config,
+                                       PriorityCursor& cursor);
+
+/// Expand user specs in order (expandSpec with one cursor), then apply
+/// prudent reservation to every shared Det stream against all ECT specs.
 /// Throws ConfigError on invalid input.
 Expansion expandStreams(const net::Topology& topo,
                         const std::vector<net::StreamSpec>& specs,
                         const SchedulerConfig& config);
+
+/// As above, continuing the priority round-robin from `cursor`.
+Expansion expandStreams(const net::Topology& topo,
+                        const std::vector<net::StreamSpec>& specs,
+                        const SchedulerConfig& config,
+                        PriorityCursor& cursor);
+
+/// One FRER member of an ECT spec as Alg. 1 sees it: the path its N
+/// probabilistic streams share, their frames per event, and the minimum
+/// interevent time.
+struct EctGroup {
+  std::vector<net::LinkId> path;
+  int frames = 0;
+  TimeNs minInterevent = 0;
+};
+
+/// Append the ECT member groups among `streams` to `out`: one per run of
+/// Prob streams with equal (specId, member), the layout expandSpec emits.
+void collectEctGroups(std::span<const ExpandedStream> streams,
+                      std::vector<EctGroup>& out);
+
+/// Alg. 1: the per-hop frame counts of `s`.  A shared Det stream (with
+/// prudent reservation on) gets, on every hop, its base frames plus
+/// prudentExtraFrames for each group in `ect` crossing that link; any other
+/// stream gets its base frames.
+std::vector<int> prudentFrames(const net::Topology& topo,
+                               const ExpandedStream& s,
+                               std::span<const EctGroup> ect,
+                               const SchedulerConfig& config);
 
 /// Alg. 1's per-link extra frame count for one (shared TCT, ECT) pair:
 /// n = ect_frames * ceil(tct_frames * frame_tx_time / min_interevent).

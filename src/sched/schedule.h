@@ -149,7 +149,6 @@ struct SolveInfo {
   std::int64_t admissionAdmits = 0;
   std::int64_t admissionRejects = 0;
   std::int64_t admissionCacheHits = 0;
-  std::int64_t admissionFallbackToSmt = 0;
 };
 
 struct Schedule {

@@ -123,8 +123,7 @@ MethodSchedule buildSchedule(const net::Topology& topo,
   sched.specToStreams = std::move(specToStreams);
 
   const auto t0 = std::chrono::steady_clock::now();
-  const Engine engine =
-      options.useHeuristic ? Engine::Heuristic : options.engine;
+  const Engine engine = options.engine;
   if (engine == Engine::Heuristic) {
     HeuristicPlacer placer(topo, exp.streams, options.config);
     const bool ok = placer.place();

@@ -45,8 +45,6 @@ struct ScheduleOptions {
   int periodSlotFactor = 0;
   /// AVB baseline: class-A idle slope as a fraction of link bandwidth.
   double avbIdleSlopeFraction = 0.75;
-  /// Legacy alias for engine = Engine::Heuristic (overrides `engine`).
-  bool useHeuristic = false;
   Engine engine = Engine::Smt;
   /// Budgets/seed for the Greedy/Tabu/Dnc/Portfolio engines.
   PortfolioOptions portfolio;

@@ -119,56 +119,7 @@ void ScheduleSmt::buildConstraints() {
   }
 }
 
-void ScheduleSmt::addStreamGuarded(const ExpandedStream& s, smt::Lit guard) {
-  ETSN_CHECK_MSG(s.id == static_cast<StreamId>(streams_.size()),
-                 "incremental stream ids must be contiguous");
-  for (const net::LinkId l : s.path) {
-    if (topo_.link(l).timeUnit != tu_) {
-      throw ConfigError("incremental stream uses a different time unit");
-    }
-  }
-  streams_.push_back(s);
-  vars_.emplace_back();
-  hopBase_.emplace_back();
-  allocateVars(streams_.back());
-  guard_ = guard;
-  emitStreamLocal(streams_.back());
-  for (std::size_t i = 0; i + 1 < streams_.size(); ++i) {
-    emitPair(streams_[i], streams_.back());
-  }
-  guard_ = smt::kLitUndef;
-}
-
-void ScheduleSmt::removeLastStream() {
-  ETSN_CHECK(!streams_.empty());
-  streams_.pop_back();
-  vars_.pop_back();
-  hopBase_.pop_back();
-}
-
-void ScheduleSmt::pinStreams(int n, smt::Lit guard) {
-  // Snapshot first: adding any clause invalidates the solver's model.
-  std::vector<std::pair<smt::IntVar, std::int64_t>> pins;
-  for (int i = 0; i < n && i < static_cast<int>(streams_.size()); ++i) {
-    const ExpandedStream& s = streams_[static_cast<std::size_t>(i)];
-    for (int hop = 0; hop < s.hops(); ++hop) {
-      const int frames = s.framesOnLink[static_cast<std::size_t>(hop)];
-      for (int j = 0; j < frames; ++j) {
-        const smt::IntVar v = phi(s.id, hop, j);
-        pins.emplace_back(v, solver_->value(v));
-      }
-    }
-  }
-  guard_ = guard;
-  for (const auto& [v, val] : pins) {
-    emit(solver_->le(v, val));
-    emit(solver_->ge(v, val));
-  }
-  guard_ = smt::kLitUndef;
-}
-
-void ScheduleSmt::pinStreamTo(StreamId s, const std::vector<Slot>& slots,
-                              smt::Lit guard) {
+void ScheduleSmt::pinStreamTo(StreamId s, const std::vector<Slot>& slots) {
   if (s < 0 || static_cast<std::size_t>(s) >= streams_.size()) {
     throw ConfigError("pinStreamTo: unknown stream id");
   }
@@ -217,7 +168,6 @@ void ScheduleSmt::pinStreamTo(StreamId s, const std::vector<Slot>& slots,
                       "' (" + std::to_string(pinned) + " of " +
                       std::to_string(expected) + " frames pinned)");
   }
-  guard_ = guard;
   for (const Slot& slot : slots) {
     if (slot.stream != s) continue;
     const smt::IntVar v = phi(s, slot.hop, slot.frameIndex);
@@ -225,7 +175,6 @@ void ScheduleSmt::pinStreamTo(StreamId s, const std::vector<Slot>& slots,
     emit(solver_->le(v, val));
     emit(solver_->ge(v, val));
   }
-  guard_ = smt::kLitUndef;
 }
 
 void ScheduleSmt::emitStreamLocal(const ExpandedStream& s) {

@@ -29,36 +29,14 @@ class ScheduleSmt {
   /// Encode all constraint families into the solver.
   void buildConstraints();
 
-  /// Append one stream after construction (online admission): allocates
-  /// its variables and emits its per-stream constraints plus the pairwise
-  /// families against every existing stream.  All new clauses are guarded
-  /// by `guard` — solve with it as an assumption; require(guard) to commit
-  /// or require(~guard) to discard (the incremental-SAT idiom).  The
-  /// stream's id must equal the current stream count.
-  void addStreamGuarded(const ExpandedStream& s, smt::Lit guard);
-
-  /// Pin variables of streams [0, n) to their values in the last model,
-  /// guarded by `guard` (freeze existing slots during admission).
-  void pinStreams(int n, smt::Lit guard);
-
   /// Pin one stream's variables to previously extracted slots so a repair
   /// or delta solve preserves it bit-for-bit.  The slots must cover
   /// exactly the stream's current (hop, frameIndex) grid — throws
   /// ConfigError (never indexes out of bounds) when they don't: stale
   /// slots extracted against a different path or an outdated
   /// prudent-reservation grid, duplicate/out-of-range entries, or starts
-  /// off the tu grid.  With the default undefined `guard` the pins are
-  /// unconditional facts; pass a guard literal to make them retractable
-  /// (solve with the guard assumed, require(~guard) to discard — the same
-  /// idiom as addStreamGuarded).
-  void pinStreamTo(StreamId s, const std::vector<Slot>& slots,
-                   smt::Lit guard = smt::kLitUndef);
-
-  /// Drop the most recently added stream (after a rejected admission).
-  /// Its guarded clauses stay in the solver but are permanently disabled
-  /// by requiring the guard's negation; the stream no longer participates
-  /// in pair constraints or slot extraction.
-  void removeLastStream();
+  /// off the tu grid.
+  void pinStreamTo(StreamId s, const std::vector<Slot>& slots);
 
   smt::Result solve();
 

@@ -20,7 +20,8 @@ Experiment smallExperiment(std::uint64_t seed, double load, bool heuristic) {
   w.seed = seed;
   ex.specs = workload::generateTct(ex.topo, w);
   ex.specs.push_back(workload::makeEct("ect", 1, 3, milliseconds(16), 1500));
-  ex.options.useHeuristic = heuristic;
+  ex.options.engine =
+      heuristic ? sched::Engine::Heuristic : sched::Engine::Smt;
   ex.options.config.numProbabilistic = 3;
   ex.simConfig.duration = milliseconds(500);
   ex.simConfig.seed = seed;

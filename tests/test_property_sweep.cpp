@@ -39,7 +39,8 @@ Experiment makeExperiment(const SweepPoint& p) {
   ex.specs = workload::generateTct(ex.topo, w);
   ex.specs.push_back(workload::makeEct("ect", 1, 3, milliseconds(16), 1500));
   ex.options.method = p.method;
-  ex.options.useHeuristic = p.heuristic;
+  ex.options.engine =
+      p.heuristic ? sched::Engine::Heuristic : sched::Engine::Smt;
   ex.options.config.numProbabilistic = 4;
   ex.simConfig.duration = seconds(2);
   ex.simConfig.seed = p.seed;

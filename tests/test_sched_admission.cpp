@@ -4,7 +4,9 @@
 //    randomized instances; after EVERY request the live schedule must pass
 //    sched::validate, and the engine's feasibility verdict must match a
 //    from-scratch portfolio solve over the same canonical spec list (the
-//    engine's rung-5 verdict authority, run independently here).
+//    engine's re-solve rung, its verdict authority, run independently
+//    here), and the exported streams must equal a batch expansion of the
+//    live specs.
 //  * Rejections leave the schedule byte-identical (content hash).
 //  * Cache on vs cache off: identical verdicts and schedule hashes at
 //    every step of a trace (the cache may change *how* a decision is
@@ -13,12 +15,13 @@
 //    traces.
 //  * Invalid requests (unknown node, duplicate name, unknown removal)
 //    reject with rung "invalid" and the service stays up.
+//  * Hand-made incremental admissions on the paper's topologies.
 //
-// TCT specs carry explicit priorities throughout: the engine's round-robin
-// priority counters advance over its full history (removals included),
-// while a from-scratch batch expansion restarts them at zero — explicit
-// priorities keep the two expansions identical, which the oracle-parity
-// contract needs.
+// The randomized TCT specs carry explicit priorities: the engine's
+// round-robin priority cursor advances over its full history (removals
+// included), while a from-scratch batch expansion restarts it at zero —
+// explicit priorities keep the two expansions identical, which the
+// oracle-parity and batch-expansion checks need.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -26,6 +29,7 @@
 
 #include "common/rng.h"
 #include "sched/admission.h"
+#include "sched/expand.h"
 #include "sched/scheduler.h"
 #include "sched/validate.h"
 #include "workload/iec60802.h"
@@ -160,7 +164,7 @@ std::vector<AdmissionRequest> makeTrace(Rng& rng, const Instance& inst,
 }
 
 /// From-scratch portfolio verdict over an explicit spec list — the same
-/// engine family the admission engine's rung 5 runs, invoked through the
+/// engine family the admission engine's re-solve rung runs, invoked through the
 /// public batch API as an independent oracle.
 bool oracleFeasible(const net::Topology& topo,
                     const std::vector<net::StreamSpec>& specs) {
@@ -175,6 +179,32 @@ void expectValid(const net::Topology& topo, const Schedule& s,
   for (const auto& v : validate(topo, s)) {
     ADD_FAILURE() << "seed " << seed << " step " << step << ": "
                   << v.constraint << ": " << v.detail;
+  }
+}
+
+/// The engine's streams must be exactly what a batch expansion of its live
+/// specs gives — routing, possibilities, priorities and Alg. 1 grids —
+/// however the requests reached that spec list.
+void expectMatchesBatchExpansion(const net::Topology& topo, const Schedule& s,
+                                 std::uint64_t seed, int step) {
+  const Expansion exp = expandStreams(topo, s.specs, config());
+  ASSERT_EQ(s.streams.size(), exp.streams.size())
+      << "seed " << seed << " step " << step;
+  for (std::size_t i = 0; i < exp.streams.size(); ++i) {
+    const ExpandedStream& a = s.streams[i];
+    const ExpandedStream& b = exp.streams[i];
+    const std::string at = "seed " + std::to_string(seed) + " step " +
+                           std::to_string(step) + " stream " + b.name;
+    EXPECT_EQ(a.name, b.name) << at;
+    EXPECT_EQ(a.kind, b.kind) << at;
+    EXPECT_EQ(a.member, b.member) << at;
+    EXPECT_EQ(a.priority, b.priority) << at;
+    EXPECT_EQ(a.path, b.path) << at;
+    EXPECT_EQ(a.period, b.period) << at;
+    EXPECT_EQ(a.maxLatency, b.maxLatency) << at;
+    EXPECT_EQ(a.occurrence, b.occurrence) << at;
+    EXPECT_EQ(a.framePayloads, b.framePayloads) << at;
+    EXPECT_EQ(a.framesOnLink, b.framesOnLink) << at;
   }
 }
 
@@ -217,6 +247,7 @@ TEST(Admission, ChurnTracesValidateAndMatchOracle) {
       cacheHits += d.fromCache ? 1 : 0;
       const Schedule now = eng.schedule();
       expectValid(inst.topo, now, seed, step);
+      expectMatchesBatchExpansion(inst.topo, now, seed, step);
       if (!d.admitted) {
         EXPECT_EQ(scheduleHash(now), before)
             << "seed " << seed << " step " << step
@@ -326,14 +357,21 @@ TEST(Admission, RejectionLeavesScheduleByteIdentical) {
   const std::uint64_t before = scheduleHash(eng.schedule());
   const std::uint64_t stateBefore = eng.stateHash();
   // 4.5 kB every 500 us over a multi-hop path cannot fit a 100 Mbps link.
-  const AdmissionDecision d = eng.request(addRequest(
-      tct("greedy", inst.devices[0], inst.devices.back(),
-          microseconds(500), 4500, false, 1)));
+  const AdmissionRequest greedy = addRequest(
+      tct("greedy", inst.devices[0], inst.devices.back(), microseconds(500),
+          4500, false, 1));
+  const AdmissionDecision d = eng.request(greedy);
   EXPECT_FALSE(d.admitted);
   EXPECT_EQ(d.movedStreams, 0);
   EXPECT_EQ(scheduleHash(eng.schedule()), before);
   EXPECT_EQ(eng.stateHash(), stateBefore);
   EXPECT_EQ(eng.counters().rejects, 1);
+  // Same state, same request: the verdict is replayed from the cache.
+  const AdmissionDecision again = eng.request(greedy);
+  EXPECT_FALSE(again.admitted);
+  EXPECT_TRUE(again.fromCache);
+  EXPECT_EQ(scheduleHash(eng.schedule()), before);
+  EXPECT_EQ(eng.counters().rejects, 2);
 }
 
 TEST(Admission, InvalidRequestsRejectWithoutThrowing) {
@@ -391,8 +429,8 @@ TEST(Admission, EctPeriodTooSmallForNRejectsInvalid) {
 }
 
 // Regression: with the rip-up ladder weakened to a single zero-budget
-// attempt and the SMT rung disabled, non-trivial decisions escalate into
-// the full re-solve rung, which commits through the op log.  Rejections
+// attempt, non-trivial decisions escalate into the full re-solve rung,
+// which commits through the op log.  Rejections
 // (including Modifies whose remove phase already re-solved) must unwind
 // to the byte-identical pre-request state, and cached re-solve
 // transitions must replay to the exact recorded post-state (parity with
@@ -403,7 +441,6 @@ TEST(Admission, WeakLadderEscalationStaysTransactional) {
     const Instance inst = makeInstance(seed);
     AdmissionOptions weak;
     weak.ripupBudgets = {0};
-    weak.smtMaxStreams = 0;
     AdmissionOptions weakOff = weak;
     weakOff.cacheCapacity = 0;
     AdmissionEngine on(inst.topo, inst.base, config(), weak);
@@ -447,10 +484,9 @@ TEST(Admission, RungCountersIncrementOncePerRequest) {
   ASSERT_TRUE(eng.request(modifyRequest(grown)).admitted);
   const AdmissionCounters& c = eng.counters();
   EXPECT_LE(c.deltaSolves, snap.deltaSolves + 1);
-  EXPECT_LE(c.fallbackToSmt, snap.fallbackToSmt + 1);
   EXPECT_LE(c.fullResolves, snap.fullResolves + 1);
-  EXPECT_GE(c.deltaSolves + c.fallbackToSmt + c.fullResolves,
-            snap.deltaSolves + snap.fallbackToSmt + snap.fullResolves + 1);
+  EXPECT_GE(c.deltaSolves + c.fullResolves,
+            snap.deltaSolves + snap.fullResolves + 1);
 }
 
 TEST(Admission, ModifyReplacesSpecAtomically) {
@@ -509,7 +545,130 @@ TEST(Admission, CountersAreConsistent) {
   EXPECT_EQ(c.requests, static_cast<std::int64_t>(trace.size()));
   EXPECT_EQ(c.admits + c.rejects, c.requests);
   EXPECT_EQ(c.cacheHits + c.cacheMisses, c.requests);
-  EXPECT_GE(c.deltaSolves + c.fallbackToSmt + c.fullResolves, 0);
+  EXPECT_GE(c.deltaSolves + c.fullResolves, 0);
+}
+
+// Incremental admission by hand on the paper's topologies: small cases
+// whose expectations can be checked on paper (the churn traces above cover
+// the same rungs at random).  N = 4, round-robin priorities.
+
+SchedulerConfig testbedConfig() {
+  SchedulerConfig c;
+  c.numProbabilistic = 4;
+  return c;
+}
+
+TEST(Incremental, BaseScheduleSolves) {
+  const net::Topology t = net::makeTestbedTopology();
+  AdmissionEngine eng(
+      t,
+      {tct("t1", 0, 2, milliseconds(4), 1000, true, -1),
+       workload::makeEct("e1", 1, 3, milliseconds(16), 1500)},
+      testbedConfig());
+  ASSERT_TRUE(eng.feasible());
+  expectValid(t, eng.schedule(), 0, 0);
+}
+
+TEST(Incremental, AdmitExtendsSchedule) {
+  const net::Topology t = net::makeTestbedTopology();
+  AdmissionEngine eng(t, {tct("t1", 0, 2, milliseconds(4), 1000, false, -1)},
+                      testbedConfig());
+  ASSERT_TRUE(eng.feasible());
+  EXPECT_TRUE(eng.request(addRequest(tct("t2", 1, 3, milliseconds(8), 2000,
+                                         false, -1)))
+                  .admitted);
+  EXPECT_EQ(eng.counters().admits, 1);
+  const Schedule s = eng.schedule();
+  EXPECT_EQ(s.specs.size(), 2u);
+  EXPECT_EQ(s.streams.size(), 2u);
+  expectValid(t, s, 0, 1);
+}
+
+// A delta add is zero-disruption: the established stream keeps every slot
+// bit-for-bit and the decision reports no moved stream.
+TEST(Incremental, FreezeKeepsExistingSlots) {
+  const net::Topology t = net::makeTestbedTopology();
+  AdmissionEngine eng(t, {tct("t1", 0, 2, milliseconds(4), 1000, false, -1)},
+                      testbedConfig());
+  ASSERT_TRUE(eng.feasible());
+  const Schedule before = eng.schedule();
+  const AdmissionDecision d = eng.request(
+      addRequest(tct("t2", 0, 2, milliseconds(4), 1000, false, -1)));
+  ASSERT_TRUE(d.admitted);
+  EXPECT_EQ(d.rung, "delta");
+  EXPECT_EQ(d.movedStreams, 0);
+  const Schedule after = eng.schedule();
+  for (int hop = 0; hop < before.streams[0].hops(); ++hop) {
+    const auto a = before.slotsOf(0, hop);
+    const auto b = after.slotsOf(0, hop);
+    ASSERT_EQ(a.size(), b.size()) << "hop " << hop;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].start, b[i].start) << "hop " << hop << " slot " << i;
+      EXPECT_EQ(a[i].duration, b[i].duration);
+    }
+  }
+}
+
+TEST(Incremental, RejectionLeavesScheduleIntact) {
+  const net::Topology t = net::makeTestbedTopology();
+  // A 3-frame stream over 3 hops needs ~750 us end to end: 900 us fits.
+  AdmissionEngine eng(
+      t, {tct("t1", 0, 2, microseconds(900), 3 * 1500, false, -1)},
+      testbedConfig());
+  ASSERT_TRUE(eng.feasible());
+  const std::uint64_t before = scheduleHash(eng.schedule());
+  // A 700 us deadline cannot cover the 3-hop pipeline: must be rejected.
+  EXPECT_FALSE(eng.request(addRequest(tct("t2", 1, 2, microseconds(700),
+                                          3 * 1500, false, -1)))
+                   .admitted);
+  EXPECT_EQ(eng.counters().rejects, 1);
+  EXPECT_EQ(scheduleHash(eng.schedule()), before);
+  // Still able to admit something small afterwards (harmonic period:
+  // non-harmonic periods shrink the gcd below a frame time and make
+  // periodic non-overlap impossible).
+  EXPECT_TRUE(eng.request(addRequest(tct("t3", 1, 2, microseconds(1800), 500,
+                                         false, -1)))
+                  .admitted);
+  expectValid(t, eng.schedule(), 0, 2);
+}
+
+TEST(Incremental, SeveralAdmissionsStayValid) {
+  const net::Topology t = net::makeSimulationTopology();
+  AdmissionEngine eng(
+      t,
+      {tct("base", 0, 11, milliseconds(10), 2000, true, -1),
+       workload::makeEct("e1", 0, 11, milliseconds(10), 1500)},
+      testbedConfig());
+  ASSERT_TRUE(eng.feasible());
+  int admitted = 0;
+  for (int i = 0; i < 6; ++i) {
+    const net::StreamSpec s =
+        tct("online" + std::to_string(i), static_cast<net::NodeId>(i),
+            static_cast<net::NodeId>(11 - i), milliseconds(10), 1000,
+            i % 2 == 0, -1);
+    admitted += eng.request(addRequest(s)).admitted ? 1 : 0;
+  }
+  EXPECT_GE(admitted, 4);  // moderate load: most must fit
+  expectValid(t, eng.schedule(), 0, 6);
+}
+
+TEST(Incremental, SharedAdmissionGetsPrudentExtras) {
+  const net::Topology t = net::makeTestbedTopology();
+  AdmissionEngine eng(
+      t,
+      {tct("t1", 0, 2, milliseconds(8), 1000, true, -1),
+       workload::makeEct("e1", 1, 2, milliseconds(16), 1500)},
+      testbedConfig());
+  ASSERT_TRUE(eng.feasible());
+  // Admit a sharing stream whose path overlaps the ECT on SW1-SW2, SW2-D3.
+  ASSERT_TRUE(eng.request(addRequest(tct("t2", 0, 2, milliseconds(8), 1000,
+                                         true, -1)))
+                  .admitted);
+  const Schedule s = eng.schedule();
+  const ExpandedStream& t2 = s.streams.back();
+  ASSERT_EQ(t2.name, "t2");
+  EXPECT_EQ(t2.framesOnLink, (std::vector<int>{1, 2, 2}));  // +1 on 2 hops
+  expectValid(t, s, 0, 1);
 }
 
 }  // namespace

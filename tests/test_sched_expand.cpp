@@ -117,6 +117,17 @@ TEST(Expand, EctDeadlineTooTightThrows) {
   EXPECT_NO_THROW(expandStreams(t, {e}, cfg));
 }
 
+TEST(Expand, EctPeriodBelowNThrowsConfigError) {
+  // T/N == 0: the possibilities cannot be staggered.  Malformed input, so
+  // ConfigError (not an invariant failure).
+  net::Topology t = net::makeTestbedTopology();
+  SchedulerConfig cfg;
+  cfg.numProbabilistic = 4;
+  EXPECT_THROW(expandStreams(t, {ect("e", 1, 3, /*minInterevent=*/3, 100)},
+                             cfg),
+               ConfigError);
+}
+
 TEST(Expand, PrudentReservationOnlyOnSharedOverlappingLinks) {
   net::Topology t = net::makeTestbedTopology();
   SchedulerConfig cfg;

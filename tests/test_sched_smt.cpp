@@ -172,7 +172,7 @@ TEST(SmtSchedule, HeuristicMatchesSmtOnFeasibility) {
       ect("e1", 1, 3, milliseconds(16), 1500),
   };
   ScheduleOptions opt;
-  opt.useHeuristic = true;
+  opt.engine = Engine::Heuristic;
   const auto ms = buildSchedule(t, specs, opt);
   ASSERT_TRUE(ms.schedule.info.feasible);
   EXPECT_EQ(ms.schedule.info.engine, "heuristic");
