@@ -3,6 +3,10 @@
 // throughput.
 #include <benchmark/benchmark.h>
 
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "net/ethernet.h"
 #include "net/gcl.h"
 #include "net/topology.h"
@@ -66,6 +70,35 @@ void BM_GclLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GclLookup);
+
+// GCL construction (GclBuilder::build plus the compiled tables) at
+// flagship size: a mesh-5000 link carries up to ~5 600 entries in its 80 ms
+// hyperperiod.  2 800 slots of 12 us over queues 1-6, the EP queue opening
+// with the sharing ones (4-6), best effort in the unallocated time.  Items
+// are windows opened, so items/s is the compile rate in windows/s.
+void BM_GclBuild(benchmark::State& state) {
+  const TimeNs cycle = milliseconds(80);
+  std::mt19937 rng(7);
+  std::vector<std::pair<int, TimeNs>> slots;
+  std::int64_t windows = 0;
+  for (int i = 0; i < 2800; ++i) {
+    const int queue = 1 + static_cast<int>(rng() % 6);
+    slots.push_back({queue, static_cast<TimeNs>(rng() % 80'000'000u)});
+    windows += queue >= 4 ? 2 : 1;
+  }
+  for (auto _ : state) {
+    net::GclBuilder b(cycle);
+    for (const auto& [queue, start] : slots) {
+      b.open(queue, start, start + microseconds(12));
+      if (queue >= 4) b.open(7, start, start + microseconds(12));
+    }
+    b.openInUnallocated(0);
+    const net::Gcl gcl = b.build();
+    benchmark::DoNotOptimize(gcl.entries().data());
+  }
+  state.SetItemsProcessed(state.iterations() * windows);
+}
+BENCHMARK(BM_GclBuild)->Unit(benchmark::kMicrosecond);
 
 void BM_EthernetMath(benchmark::State& state) {
   int payload = 1;

@@ -1,6 +1,7 @@
 #include "net/gcl.h"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace etsn::net {
 
@@ -47,39 +48,24 @@ void Gcl::compile() {
     }
   }
 
-  // Per-(queue, entry) continuation tables, each derived by one walk over
-  // two unrolled cycles — construction cost O(kNumQueues * n), paid once.
-  extraAfter_.assign(kNumQueues * n, 0);
-  nextOpenDelta_.assign(kNumQueues * n, -1);
+  // flip_ by one backward recurrence per queue over two unrolled cycles: the
+  // flip of unrolled entry u is u + 1 if the gate differs between u and
+  // u + 1, else the flip of u + 1.  Any change lies within one cycle of
+  // u < n, so a search that runs off the end of the second cycle means the
+  // gate never changes.
+  ETSN_CHECK_MSG(n <= static_cast<std::size_t>(INT32_MAX), "GCL too long");
+  flip_.assign(kNumQueues * n, -1);
   for (int q = 0; q < kNumQueues; ++q) {
-    // extraAfter: scan backwards over entries twice so the open run
-    // following entry i (wrapping) is known when i is visited.
-    for (std::size_t pass = 0; pass < 2; ++pass) {
-      for (std::size_t ii = n; ii-- > 0;) {
-        const std::size_t nxt = (ii + 1) % n;
-        const bool nextOpenGate = (entries_[nxt].gateMask >> q) & 1;
-        TimeNs extra = 0;
-        if (nextOpenGate) {
-          extra = entries_[nxt].duration + extraAfter_[q * n + nxt];
-          extra = std::min(extra, cycle_);
-        }
-        extraAfter_[q * n + ii] = extra;
+    std::int32_t* row = flip_.data() + static_cast<std::size_t>(q) * n;
+    auto gate = [&](std::size_t u) {
+      return (entries_[u < n ? u : u - n].gateMask >> q) & 1;
+    };
+    std::int32_t next = -1;  // flip of unrolled entry u + 1, as an index
+    for (std::size_t u = 2 * n - 1; u-- > 0;) {
+      if (gate(u) != gate(u + 1)) {
+        next = static_cast<std::int32_t>(u + 1 < n ? u + 1 : u + 1 - n);
       }
-    }
-    // nextOpenDelta: distance from entry i's start to the first open
-    // offset, walking forward over two cycles.
-    for (std::size_t i = 0; i < n; ++i) {
-      TimeNs delta = 0;
-      bool found = false;
-      for (std::size_t step = 0; step < 2 * n; ++step) {
-        const std::size_t j = (i + step) % n;
-        if ((entries_[j].gateMask >> q) & 1) {
-          found = true;
-          break;
-        }
-        delta += entries_[j].duration;
-      }
-      nextOpenDelta_[q * n + i] = found ? delta : -1;
+      if (u < n) row[u] = next;
     }
   }
 }
@@ -101,12 +87,10 @@ TimeNs Gcl::openTimeRemaining(int queue, TimeNs t) const {
   TimeNs entryStart = 0;
   const std::size_t i = entryIndexAt(t, &entryStart);
   if (((entries_[i].gateMask >> queue) & 1) == 0) return 0;
-  const TimeNs untilEntryEnd = entryStart + entries_[i].duration - t;
-  const TimeNs remaining =
-      untilEntryEnd + extraAfter_[static_cast<std::size_t>(queue) *
-                                      entries_.size() +
-                                  i];
-  return std::min(remaining, cycle_);
+  // An open run ends at least one entry short of a cycle past its start,
+  // so only an always-open gate reaches the one-cycle cap.
+  const std::int32_t closes = flip(queue, i);
+  return closes < 0 ? cycle_ : startAfter(i, closes, entryStart) - t;
 }
 
 TimeNs Gcl::nextOpen(int queue, TimeNs t) const {
@@ -115,10 +99,8 @@ TimeNs Gcl::nextOpen(int queue, TimeNs t) const {
   TimeNs entryStart = 0;
   const std::size_t i = entryIndexAt(t, &entryStart);
   if ((entries_[i].gateMask >> queue) & 1) return t;
-  const TimeNs delta =
-      nextOpenDelta_[static_cast<std::size_t>(queue) * entries_.size() + i];
-  if (delta < 0) return -1;
-  return entryStart + delta;
+  const std::int32_t opens = flip(queue, i);
+  return opens < 0 ? -1 : startAfter(i, opens, entryStart);
 }
 
 GclBuilder::GclBuilder(TimeNs cycle) : cycle_(cycle) {
@@ -142,15 +124,6 @@ void GclBuilder::open(int queue, TimeNs start, TimeNs end) {
 }
 
 Gcl GclBuilder::build() const {
-  // Sweep over the boundary points, computing the mask per segment.
-  std::vector<TimeNs> cuts{0, cycle_};
-  for (const Window& w : windows_) {
-    cuts.push_back(w.start);
-    cuts.push_back(w.end);
-  }
-  std::sort(cuts.begin(), cuts.end());
-  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-
   std::uint8_t alwaysMask = 0;
   for (const int q : always_) {
     ETSN_CHECK(q >= 0 && q < kNumQueues);
@@ -162,24 +135,48 @@ Gcl GclBuilder::build() const {
     unallocMask |= static_cast<std::uint8_t>(1u << q);
   }
 
+  // Sweep the sorted window edges, keeping per-queue open counts: between
+  // two consecutive edge times, a queue is open iff one of its windows
+  // covers the segment, and the time is unallocated iff no window does.
+  struct Edge {
+    TimeNs at;
+    std::int32_t queue;
+    std::int32_t delta;  // +1 at a window's start, -1 at its end
+  };
+  std::vector<Edge> edges;
+  edges.reserve(2 * windows_.size());
+  for (const Window& w : windows_) {
+    edges.push_back({w.start, w.queue, +1});
+    edges.push_back({w.end, w.queue, -1});
+  }
+  std::sort(edges.begin(), edges.end(),
+            [](const Edge& a, const Edge& b) { return a.at < b.at; });
+
   std::vector<GclEntry> entries;
-  for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
-    const TimeNs s = cuts[i], e = cuts[i + 1];
-    std::uint8_t mask = alwaysMask;
-    bool allocated = false;
-    for (const Window& w : windows_) {
-      if (w.start <= s && e <= w.end) {
-        mask |= static_cast<std::uint8_t>(1u << w.queue);
-        allocated = true;
-      }
+  std::int32_t openCount[kNumQueues] = {};
+  std::int32_t allocated = 0;
+  std::uint8_t windowMask = 0;
+  std::size_t k = 0;
+  for (TimeNs at = 0; at < cycle_;) {
+    for (; k < edges.size() && edges[k].at == at; ++k) {
+      const Edge& e = edges[k];
+      openCount[e.queue] += e.delta;
+      allocated += e.delta;
+      const auto bit = static_cast<std::uint8_t>(1u << e.queue);
+      windowMask = openCount[e.queue] > 0
+                       ? static_cast<std::uint8_t>(windowMask | bit)
+                       : static_cast<std::uint8_t>(windowMask & ~bit);
     }
-    if (!allocated) mask |= unallocMask;
+    const TimeNs next = k < edges.size() ? edges[k].at : cycle_;
+    const std::uint8_t mask = static_cast<std::uint8_t>(
+        alwaysMask | windowMask | (allocated == 0 ? unallocMask : 0));
     // Merge with the previous entry when the mask is unchanged.
     if (!entries.empty() && entries.back().gateMask == mask) {
-      entries.back().duration += e - s;
+      entries.back().duration += next - at;
     } else {
-      entries.push_back({e - s, mask});
+      entries.push_back({next - at, mask});
     }
+    at = next;
   }
   // Merge the wrap-around boundary (last entry and first entry equal mask)
   // is deliberately not folded: entries must sum to exactly one cycle.

@@ -52,11 +52,10 @@ void sortAndMerge(std::vector<ArrivalWindow>& windows) {
   windows = std::move(merged);
 }
 
-StreamFilter compileGate(const Topology& topo, const sched::Schedule& sched,
-                         std::int32_t specId, sched::StreamId streamId,
-                         TimeNs guard) {
-  const sched::ExpandedStream& s =
-      sched.streams[static_cast<std::size_t>(streamId)];
+/// `firstHop` holds the stream's hop-0 slots.
+StreamFilter compileGate(const Topology& topo, const sched::ExpandedStream& s,
+                         const std::vector<sched::Slot>& firstHop,
+                         std::int32_t specId, TimeNs guard) {
   ETSN_CHECK(!s.path.empty());
   const TimeNs prop = topo.link(s.path[0]).propagationDelay;
 
@@ -68,8 +67,7 @@ StreamFilter compileGate(const Topology& topo, const sched::Schedule& sched,
   // arrival opportunity: a frame transmitted inside [start, start+duration]
   // is fully received prop later, so the conformance window is that span
   // shifted by prop and widened by the guard on both sides.
-  for (const sched::Slot& slot : sched.slots) {
-    if (slot.stream != streamId || slot.hop != 0) continue;
+  for (const sched::Slot& slot : firstHop) {
     addNormalized(f.gate.windows, slot.start + prop - guard,
                   slot.start + slot.duration + prop + guard, s.period);
     if (f.gate.windows.size() == 1 && f.gate.windows[0].start == 0 &&
@@ -112,6 +110,11 @@ PsfpConfig compileFilters(const Topology& topo, const sched::MethodSchedule& ms,
   const TimeNs guard = options.guardBand + sched.config.syncErrorMargin;
   ETSN_CHECK_MSG(guard >= 0, "negative PSFP guard band");
 
+  const std::vector<std::vector<sched::Slot>> firstHop = sched.firstHopSlots();
+  auto gateOf = [&](std::int32_t specId, sched::StreamId id) {
+    const auto i = static_cast<std::size_t>(id);
+    return compileGate(topo, sched.streams[i], firstHop[i], specId, guard);
+  };
   PsfpConfig config;
   config.filters.resize(sched.specs.size());
   for (std::size_t i = 0; i < sched.specs.size(); ++i) {
@@ -136,13 +139,12 @@ PsfpConfig compileFilters(const Topology& topo, const sched::MethodSchedule& ms,
         f.kind = StreamFilter::Kind::Gate;
         f.members = static_cast<int>(ids.size());
         for (const sched::StreamId id : ids) {
-          f.memberGates.push_back(
-              compileGate(topo, sched, specId, id, guard).gate);
+          f.memberGates.push_back(gateOf(specId, id).gate);
         }
         f.gate = f.memberGates[0];
         config.filters[i] = std::move(f);
       } else {
-        config.filters[i] = compileGate(topo, sched, specId, ids[0], guard);
+        config.filters[i] = gateOf(specId, ids[0]);
       }
     } else {
       // Dropped by a link-failure repair: no talker is installed, nothing

@@ -35,6 +35,23 @@ std::map<std::string, std::string> parseFields(std::istringstream& line,
   return fields;
 }
 
+/// The whole of `text` as an integer (0x.. accepted, for gates).
+std::int64_t parseInt(const std::string& text, const std::string& key,
+                      int lineNo) {
+  std::size_t used = 0;
+  std::int64_t value = 0;
+  try {
+    value = std::stoll(text, &used, 0);
+  } catch (const std::exception&) {
+    used = 0;
+  }
+  if (used == 0 || used != text.size()) {
+    throw ConfigError("qcc line " + std::to_string(lineNo) + ": field '" +
+                      key + "' is not a number: '" + text + "'");
+  }
+  return value;
+}
+
 std::int64_t fieldInt(const std::map<std::string, std::string>& fields,
                       const std::string& key, int lineNo) {
   const auto it = fields.find(key);
@@ -42,12 +59,7 @@ std::int64_t fieldInt(const std::map<std::string, std::string>& fields,
     throw ConfigError("qcc line " + std::to_string(lineNo) +
                       ": missing field '" + key + "'");
   }
-  try {
-    return std::stoll(it->second, nullptr, 0);  // accepts 0x.. for gates
-  } catch (const std::exception&) {
-    throw ConfigError("qcc line " + std::to_string(lineNo) +
-                      ": field '" + key + "' is not a number");
-  }
+  return parseInt(it->second, key, lineNo);
 }
 
 std::string fieldStr(const std::map<std::string, std::string>& fields,
@@ -111,8 +123,14 @@ QccConfig parseQcc(const std::string& text) {
       throw ConfigError("qcc: gcl for link " + std::to_string(gclLink) +
                         " has no entries");
     }
-    TimeNs sum = 0;
-    for (const GclEntry& e : gclEntries) sum += e.duration;
+    TimeNs sum = 0;  // stays within [0, gclCycle], so it cannot overflow
+    for (const GclEntry& e : gclEntries) {
+      if (e.duration > gclCycle - sum) {
+        throw ConfigError("qcc: gcl entries for link " +
+                          std::to_string(gclLink) + " exceed the cycle");
+      }
+      sum += e.duration;
+    }
     if (sum != gclCycle) {
       throw ConfigError("qcc: gcl entries for link " +
                         std::to_string(gclLink) +
@@ -158,7 +176,8 @@ QccConfig parseQcc(const std::string& text) {
         std::istringstream ps(fields.at("path"));
         std::string item;
         while (std::getline(ps, item, ',')) {
-          s.path.push_back(static_cast<LinkId>(std::stoll(item)));
+          s.path.push_back(
+              static_cast<LinkId>(parseInt(item, "path", lineNo)));
         }
       }
       config.streams.push_back(std::move(s));
@@ -167,6 +186,10 @@ QccConfig parseQcc(const std::string& text) {
       const auto fields = parseFields(line, lineNo);
       gclLink = static_cast<LinkId>(fieldInt(fields, "link", lineNo));
       gclCycle = fieldInt(fields, "cycle", lineNo);
+      if (gclCycle <= 0) {
+        throw ConfigError("qcc line " + std::to_string(lineNo) +
+                          ": gcl cycle must be positive");
+      }
     } else if (keyword == "entry") {
       if (gclLink == kNoLink) {
         throw ConfigError("qcc line " + std::to_string(lineNo) +
@@ -175,8 +198,16 @@ QccConfig parseQcc(const std::string& text) {
       const auto fields = parseFields(line, lineNo);
       GclEntry e;
       e.duration = fieldInt(fields, "duration", lineNo);
-      e.gateMask =
-          static_cast<std::uint8_t>(fieldInt(fields, "gates", lineNo));
+      if (e.duration <= 0) {
+        throw ConfigError("qcc line " + std::to_string(lineNo) +
+                          ": entry duration must be positive");
+      }
+      const std::int64_t gates = fieldInt(fields, "gates", lineNo);
+      if (gates < 0 || gates > 0xFF) {
+        throw ConfigError("qcc line " + std::to_string(lineNo) +
+                          ": gates must fit the eight queues (0x00-0xff)");
+      }
+      e.gateMask = static_cast<std::uint8_t>(gates);
       gclEntries.push_back(e);
     } else {
       throw ConfigError("qcc line " + std::to_string(lineNo) +

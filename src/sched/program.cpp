@@ -78,6 +78,7 @@ NetworkProgram compileProgram(const net::Topology& topo,
   }
 
   // --- Talkers and event sources -------------------------------------------
+  const std::vector<std::vector<Slot>> firstHop = sched.firstHopSlots();
   for (std::size_t i = 0; i < sched.specs.size(); ++i) {
     const net::StreamSpec& spec = sched.specs[i];
     const auto& ids = sched.specToStreams[i];
@@ -98,7 +99,8 @@ NetworkProgram compileProgram(const net::Topology& topo,
       t.specId = static_cast<std::int32_t>(i);
       for (const StreamId id : ids) {
         const ExpandedStream& s = sched.streams[static_cast<std::size_t>(id)];
-        const auto firstSlots = sched.slotsOf(s.id, 0);
+        const std::vector<Slot>& firstSlots =
+            firstHop[static_cast<std::size_t>(s.id)];
         ETSN_CHECK(!firstSlots.empty());
         TalkerMember m;
         m.stream = s.id;

@@ -11,6 +11,7 @@
 //    framesOnLink can exceed the base frame count (§III-D).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -164,9 +165,28 @@ struct Schedule {
 
   /// Slots of one stream on one hop, ordered by frame index.
   std::vector<Slot> slotsOf(StreamId s, int hop) const;
+  /// slotsOf(s, 0) for every stream s (indexed by StreamId), from one pass
+  /// over `slots`: for callers that read many streams' first-link slots.
+  /// Inline, so etsn_net can call it without linking etsn_sched.
+  std::vector<std::vector<Slot>> firstHopSlots() const;
   /// All slots on a directed link (any stream), unordered.
   std::vector<Slot> slotsOnLink(net::LinkId link,
                                 const net::Topology& topo) const;
 };
+
+inline std::vector<std::vector<Slot>> Schedule::firstHopSlots() const {
+  std::vector<std::vector<Slot>> out(streams.size());
+  for (const Slot& slot : slots) {
+    if (slot.hop == 0) {
+      out[static_cast<std::size_t>(slot.stream)].push_back(slot);
+    }
+  }
+  for (std::vector<Slot>& v : out) {
+    std::sort(v.begin(), v.end(), [](const Slot& a, const Slot& b) {
+      return a.frameIndex < b.frameIndex;
+    });
+  }
+  return out;
+}
 
 }  // namespace etsn::sched

@@ -105,6 +105,40 @@ TEST(Qcc, ErrorsCarryLineNumbers) {
   EXPECT_THROW(parseQcc("etsn-config cycle\n"), ConfigError);
 }
 
+// Malformed GCL blocks and numbers are input errors: none may surface as
+// an InvariantError from Gcl's own checks, escape as a std:: exception, or
+// parse into something other than what was written.
+TEST(Qcc, MalformedNumbersAndGclsAreConfigErrors) {
+  const std::string head = "etsn-config cycle=10\ngcl link=0 cycle=10\n";
+  EXPECT_THROW(parseQcc(head + "entry duration=0 gates=0x1\n"
+                               "entry duration=10 gates=0x2\n"),
+               ConfigError);
+  // Negative entries that still sum to the cycle.
+  EXPECT_THROW(parseQcc(head + "entry duration=15 gates=0x1\n"
+                               "entry duration=-5 gates=0x2\n"),
+               ConfigError);
+  EXPECT_THROW(parseQcc("etsn-config cycle=10\ngcl link=0 cycle=0\n"
+                        "entry duration=0 gates=0x1\n"),
+               ConfigError);
+  // Durations whose sum overflows.
+  EXPECT_THROW(parseQcc(head + "entry duration=9223372036854775807 gates=0x1\n"
+                               "entry duration=9223372036854775807 gates=0x1\n"
+                               "entry duration=12 gates=0x1\n"),
+               ConfigError);
+  // Nine gates for eight queues.
+  EXPECT_THROW(parseQcc(head + "entry duration=10 gates=0x100\n"), ConfigError);
+  // Trailing garbage after a number.
+  EXPECT_THROW(parseQcc(head + "entry duration=10x gates=0x1\n"), ConfigError);
+  const std::string stream =
+      "etsn-config cycle=10\nstream name=x src=0 dst=1 period=5 "
+      "max-latency=5 payload=1 priority=0 type=time-triggered share=0 "
+      "release=0 path=";
+  EXPECT_THROW(parseQcc(stream + "a,b\n"), ConfigError);
+  EXPECT_THROW(parseQcc(stream + "1,,2\n"), ConfigError);
+  EXPECT_EQ(parseQcc(stream + "1,2\n").streams[0].path,
+            (std::vector<LinkId>{1, 2}));
+}
+
 TEST(Qcc, ExportsARealSchedule) {
   // End-to-end: schedule the testbed, export the program, re-parse, and
   // check the GCLs match gate-for-gate.

@@ -82,5 +82,31 @@ TEST(PerfSmoke, GclLookupThroughputFloor) {
                          << perSec / 1e6 << "M lookups/s";
 }
 
+// GCL construction on a flagship-sized link: 20 000 entries from one busy
+// queue, the unallocated queue toggling with it, and the other queues
+// opening once, never or always.  Building it is a sort and a few linear
+// passes (a few ms); the cuts-by-windows builder and the per-entry walk to
+// the next opening took ~7 queues * 2n^2 steps, seconds at this size.
+// Ceiling: 1 s.
+TEST(PerfSmoke, GclBuildStaysLinear) {
+  const TimeNs cycle = milliseconds(80);
+  net::GclBuilder b(cycle);
+  for (int i = 0; i < 10'000; ++i) {
+    b.open(6, microseconds(8 * i), microseconds(8 * i + 2));
+  }
+  b.openInUnallocated(0);
+  b.open(1, microseconds(4001), microseconds(4003));
+  b.open(3, cycle - microseconds(3), cycle + microseconds(1));  // wraps
+  b.alwaysOpen(5);
+  const auto start = std::chrono::steady_clock::now();
+  const net::Gcl gcl = b.build();
+  const double elapsed = secondsSince(start);
+  ASSERT_GE(gcl.entries().size(), 20'000u);
+  EXPECT_EQ(gcl.nextOpen(2, 0), -1);
+  EXPECT_LE(elapsed, 1.0) << "GCL construction no longer linear: "
+                          << elapsed << " s for " << gcl.entries().size()
+                          << " entries";
+}
+
 }  // namespace
 }  // namespace etsn::sim
