@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
     for (const StreamResult& s : r.streams) {
       if (s.type != net::TrafficClass::TimeTriggered) continue;
       misses += s.deadlineMisses;
-      delivered += s.delivered;
+      delivered += s.messagesDelivered;
     }
     const auto& e = r.byName("ect").latency;
     std::printf("%-10s %10.1f %12.1f %12.1f %12lld %10lld\n", m.name,

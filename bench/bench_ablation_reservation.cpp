@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
       for (const StreamResult& s : r.streams) {
         if (s.type != net::TrafficClass::TimeTriggered) continue;
         misses += s.deadlineMisses;
-        delivered += s.delivered;
+        delivered += s.messagesDelivered;
         if (s.deadline > 0 && s.latency.maxNs > s.deadline) {
           worstOverrun = std::max<long long>(worstOverrun,
                                              s.latency.maxNs - s.deadline);

@@ -166,8 +166,7 @@ std::vector<sched::AdmissionRequest> makeTrace(const Plant& p,
 struct RunRow {
   std::string mode;
   int requests = 0;
-  std::int64_t admits = 0, rejects = 0, cacheHits = 0;
-  std::int64_t deltaSolves = 0, fullResolves = 0;
+  sched::AdmissionCounters counters;
   double p50Ms = 0, p95Ms = 0, p99Ms = 0, maxMs = 0;
   double admissionsPerSec = 0;
   double initialSolveSeconds = 0;
@@ -222,12 +221,7 @@ RunRow runTrace(const Plant& p, const sched::SchedulerConfig& config,
   }
   const double wall = secondsSince(span);
 
-  const sched::AdmissionCounters& c = eng.counters();
-  row.admits = c.admits;
-  row.rejects = c.rejects;
-  row.cacheHits = c.cacheHits;
-  row.deltaSolves = c.deltaSolves;
-  row.fullResolves = c.fullResolves;
+  row.counters = eng.counters();
   row.p50Ms = percentile(latencies, 0.50) * 1e3;
   row.p95Ms = percentile(latencies, 0.95) * 1e3;
   row.p99Ms = percentile(latencies, 0.99) * 1e3;
@@ -244,12 +238,13 @@ RunRow runTrace(const Plant& p, const sched::SchedulerConfig& config,
 void printRow(const RunRow& r) {
   std::printf("%-10s %5d %5lld %4lld %6lld %6lld %4lld %9.3f %9.3f "
               "%9.3f %9.3f %10.0f  %s\n",
-              r.mode.c_str(), r.requests, static_cast<long long>(r.admits),
-              static_cast<long long>(r.rejects),
-              static_cast<long long>(r.cacheHits),
-              static_cast<long long>(r.deltaSolves),
-              static_cast<long long>(r.fullResolves), r.p50Ms, r.p95Ms,
-              r.p99Ms, r.maxMs, r.admissionsPerSec,
+              r.mode.c_str(), r.requests,
+              static_cast<long long>(r.counters.admits),
+              static_cast<long long>(r.counters.rejects),
+              static_cast<long long>(r.counters.cacheHits),
+              static_cast<long long>(r.counters.deltaSolves),
+              static_cast<long long>(r.counters.fullResolves), r.p50Ms,
+              r.p95Ms, r.p99Ms, r.maxMs, r.admissionsPerSec,
               r.valid ? "ok" : "INVALID");
 }
 
@@ -258,14 +253,15 @@ void jsonRow(std::ofstream& out, const RunRow& r, bool last) {
   std::snprintf(hash, sizeof hash, "%016llx",
                 static_cast<unsigned long long>(r.scheduleHash));
   out << "    {\"mode\": \"" << r.mode << "\", \"requests\": " << r.requests
-      << ", \"admits\": " << r.admits << ", \"rejects\": " << r.rejects
-      << ", \"cache_hits\": " << r.cacheHits
+      << ", \"admits\": " << r.counters.admits
+      << ", \"rejects\": " << r.counters.rejects
+      << ", \"cache_hits\": " << r.counters.cacheHits
       << ", \"cache_hit_rate\": "
       << (r.requests > 0
-              ? static_cast<double>(r.cacheHits) / r.requests
+              ? static_cast<double>(r.counters.cacheHits) / r.requests
               : 0)
-      << ", \"delta_solves\": " << r.deltaSolves
-      << ", \"full_resolves\": " << r.fullResolves
+      << ", \"delta_solves\": " << r.counters.deltaSolves
+      << ", \"full_resolves\": " << r.counters.fullResolves
       << ", \"p50_ms\": " << r.p50Ms << ", \"p95_ms\": " << r.p95Ms
       << ", \"p99_ms\": " << r.p99Ms << ", \"max_ms\": " << r.maxMs
       << ", \"admissions_per_sec\": " << r.admissionsPerSec

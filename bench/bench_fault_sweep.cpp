@@ -22,8 +22,8 @@ double classRatio(const ExperimentResult& r, net::TrafficClass type) {
   std::int64_t sent = 0, delivered = 0;
   for (const StreamResult& s : r.streams) {
     if (s.type != type) continue;
-    sent += s.sent;
-    delivered += s.delivered;
+    sent += s.messagesSent;
+    delivered += s.messagesDelivered;
   }
   return sent > 0 ? static_cast<double>(delivered) / static_cast<double>(sent)
                   : 1.0;

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
       const ExperimentResult& r = cr.tasks[task++].result;
       printEctRow(sched::methodName(method), r);
       if (!r.feasible) continue;
-      const auto points = stats::cdf(r.byName("ect").samples, 10);
+      const auto points = stats::cdf(r.byName("ect").latencies, 10);
       std::printf("    CDF (P, us): ");
       for (const auto& p : points) {
         std::printf("(%.1f, %.0f) ", p.fraction,

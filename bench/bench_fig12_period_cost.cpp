@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     std::printf("    dedicated ECT slots use %.1f%% of each path link\n",
                 100.0 * ectSlotBandwidth(r, factor, milliseconds(16)));
     if (r.feasible) {
-      const auto points = stats::cdf(r.byName("ect").samples, 10);
+      const auto points = stats::cdf(r.byName("ect").latencies, 10);
       std::printf("    CDF (P, us): ");
       for (const auto& p : points) {
         std::printf("(%.1f, %.0f) ", p.fraction,

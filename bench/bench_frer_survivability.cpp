@@ -18,8 +18,9 @@
 //
 // Every cell's books close per stream:
 //   emitted == delivered + dropped* + duplicates_eliminated + in_flight.
-// The campaign JSON hash printed at the end is invariant across
-// --threads 1/2/8 (byte-determinism of the campaign layer).
+// The campaign runs at 1, 2 and 8 threads and the JSON hash printed at the
+// end must be identical for all three (byte-determinism of the campaign
+// layer).  The binary exits nonzero if either check fails.
 #include <map>
 #include <memory>
 #include <utility>
@@ -119,7 +120,7 @@ void printCell(const char* label, const ExperimentResult& r) {
   const StreamResult& stop = r.byName("stop");
   std::printf("  %-22s crit=%.6f  stop=%.6f  tct_miss=%-4lld"
               "  repl=%-6lld elim=%-6lld recov=%-5lld alarms=%lld\n",
-              label, crit.deliveryRatio, stop.deliveryRatio,
+              label, crit.deliveryRatio(), stop.deliveryRatio(),
               bench::totalTctMisses(r),
               static_cast<long long>(crit.framesReplicated +
                                      stop.framesReplicated),
@@ -129,6 +130,25 @@ void printCell(const char* label, const ExperimentResult& r) {
                                      stop.recoveredByRedundancy),
               static_cast<long long>(crit.frerLatentAlarms +
                                      stop.frerLatentAlarms));
+}
+
+/// Streams of `r` whose frame books do not close, each reported on stderr.
+int openBooks(const char* label, const ExperimentResult& r) {
+  int open = 0;
+  for (const StreamResult& s : r.streams) {
+    const std::int64_t accounted =
+        s.framesDelivered + s.framesDroppedLoss + s.framesDroppedOutage +
+        s.framesDroppedPolicer + s.framesDroppedOverflow +
+        s.duplicatesEliminated + s.framesInFlight;
+    if (s.framesEmitted != accounted) {
+      std::fprintf(stderr, "FAIL: %s %s emitted %lld frames, accounted %lld\n",
+                   label, s.name.c_str(),
+                   static_cast<long long>(s.framesEmitted),
+                   static_cast<long long>(accounted));
+      ++open;
+    }
+  }
+  return open;
 }
 
 std::uint64_t fnv1a(const std::string& s) {
@@ -187,9 +207,20 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Run the same grid at three pool sizes; the first is the report, the
+  // others only feed the determinism gate.
   bench::Args campaignArgs = args;
   campaignArgs.jsonPath.clear();  // rows file below, not the raw dump
-  const CampaignResult r = bench::runBenchCampaign(std::move(c), campaignArgs);
+  std::uint64_t hashes[3] = {0, 0, 0};
+  CampaignResult r;
+  const int pools[3] = {1, 2, 8};
+  for (int i = 0; i < 3; ++i) {
+    campaignArgs.threads = pools[i];
+    CampaignResult cr = bench::runBenchCampaign(c, campaignArgs);
+    hashes[i] =
+        fnv1a(toJson(cr, /*includeSamples=*/true, /*includeTiming=*/false));
+    if (i == 0) r = std::move(cr);
+  }
 
   bench::printHeader(
       "FRER survivability: seamless redundancy vs path-killing faults");
@@ -221,8 +252,8 @@ int main(int argc, char** argv) {
         "\"tct_miss\": %lld, \"replicated\": %lld, \"eliminated\": %lld, "
         "\"recovered\": %lld, \"latent_alarms\": %lld}",
         cell.fault, cell.frer ? "true" : "false", cell.method,
-        res.feasible ? "true" : "false", crit.deliveryRatio,
-        stop.deliveryRatio,
+        res.feasible ? "true" : "false", crit.deliveryRatio(),
+        stop.deliveryRatio(),
         static_cast<long long>(bench::totalTctMisses(res)),
         static_cast<long long>(crit.framesReplicated + stop.framesReplicated),
         static_cast<long long>(crit.duplicatesEliminated +
@@ -238,9 +269,22 @@ int main(int argc, char** argv) {
                 path.c_str());
   }
 
-  // Determinism fingerprint: identical across --threads 1/2/8.
+  int open = 0;
+  for (const CampaignTaskResult& t : r.tasks) {
+    open += openBooks(t.label.c_str(), t.result);
+  }
+  std::printf("[frame books: %s]\n", open == 0 ? "closed in every cell"
+                                               : "OPEN");
   std::printf("[campaign hash %016llx]\n",
-              static_cast<unsigned long long>(fnv1a(
-                  toJson(r, /*includeSamples=*/true, /*includeTiming=*/false))));
-  return 0;
+              static_cast<unsigned long long>(hashes[0]));
+  if (hashes[0] != hashes[1] || hashes[0] != hashes[2]) {
+    std::fprintf(stderr,
+                 "FAIL: campaign hash differs across thread counts "
+                 "(t1=%016llx t2=%016llx t8=%016llx)\n",
+                 static_cast<unsigned long long>(hashes[0]),
+                 static_cast<unsigned long long>(hashes[1]),
+                 static_cast<unsigned long long>(hashes[2]));
+    return 1;
+  }
+  return open == 0 ? 0 : 1;
 }

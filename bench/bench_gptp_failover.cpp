@@ -84,7 +84,8 @@ Experiment cellExperiment(const bench::Args& args, TimeNs margin) {
   ex.options.method = sched::Method::ETSN;
   ex.options.config.numProbabilistic = 4;
   ex.options.config.syncErrorMargin = margin;
-  ex.enablePolicing = true;  // gates judged at the ingress switch's clock
+  // Gates judged at the ingress switch's clock.
+  ex.simConfig.police.enabled = true;
   ex.simConfig.duration = args.duration;
   ex.simConfig.seed = args.seed;
   ex.simConfig.frer.latentErrorPeriod = milliseconds(100);
@@ -221,7 +222,7 @@ int main(int argc, char** argv) {
                 r.tasks[i].label.c_str(),
                 static_cast<long long>(bench::totalTctMisses(res)),
                 static_cast<long long>(psfpFalseBlocks(res)),
-                res.byName("crit").deliveryRatio);
+                res.byName("crit").deliveryRatio());
     if (g.enabled) {
       std::printf("  gm=%llu offset=%.2fus holdover=%.2fus reelect=%.1fms"
                   " viol=%d",
@@ -254,7 +255,7 @@ int main(int argc, char** argv) {
         res.feasible ? "true" : "false",
         static_cast<long long>(bench::totalTctMisses(res)),
         static_cast<long long>(psfpFalseBlocks(res)),
-        res.feasible ? res.byName("crit").deliveryRatio : 0.0,
+        res.feasible ? res.byName("crit").deliveryRatio() : 0.0,
         static_cast<unsigned long long>(g.grandmaster),
         static_cast<long long>(g.maxOffsetError),
         static_cast<long long>(g.maxHoldoverExcursion),

@@ -25,8 +25,8 @@ double classRatio(const ExperimentResult& r, net::TrafficClass type) {
   std::int64_t sent = 0, delivered = 0;
   for (const StreamResult& s : r.streams) {
     if (s.type != type) continue;
-    sent += s.sent;
-    delivered += s.delivered;
+    sent += s.messagesSent;
+    delivered += s.messagesDelivered;
   }
   return sent > 0 ? static_cast<double>(delivered) / static_cast<double>(sent)
                   : 1.0;
@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
                       presolved = solved[m]](std::uint64_t) {
           Experiment ex = bench::testbedExperiment(args, m, load);
           ex.presolved = presolved;
-          ex.enablePolicing = police;
+          ex.simConfig.police.enabled = police;
           ex.simConfig.police.blockOnViolation = true;
           ex.simConfig.police.quietPeriod = milliseconds(10);
           if (interval > 0) {

@@ -28,8 +28,8 @@ void printStreams(const char* phase, const ExperimentResult& r) {
               "misses", "policer_drop", "blocks");
   for (const StreamResult& s : r.streams) {
     std::printf("  %-8s %8lld %10lld %8lld %12lld %8lld\n", s.name.c_str(),
-                static_cast<long long>(s.sent),
-                static_cast<long long>(s.delivered),
+                static_cast<long long>(s.messagesSent),
+                static_cast<long long>(s.messagesDelivered),
                 static_cast<long long>(s.deadlineMisses),
                 static_cast<long long>(s.framesDroppedPolicer),
                 static_cast<long long>(s.blockedIntervals));
@@ -37,8 +37,8 @@ void printStreams(const char* phase, const ExperimentResult& r) {
 }
 
 bool fullDelivery(const StreamResult& s) {
-  return s.sent > 0 && s.deadlineMisses == 0 &&
-         s.delivered + s.unterminated == s.sent;
+  return s.messagesSent > 0 && s.deadlineMisses == 0 &&
+         s.messagesDelivered + s.messagesUnterminated == s.messagesSent;
 }
 
 }  // namespace
@@ -89,7 +89,7 @@ int main() {
 
   ex.simConfig.duration = seconds(2);
   ex.simConfig.seed = 7;
-  ex.enablePolicing = true;
+  ex.simConfig.police.enabled = true;
   ex.simConfig.police.blockOnViolation = true;
   ex.simConfig.police.quietPeriod = milliseconds(10);
   ex.simConfig.police.onBlock = [](std::int32_t specId, TimeNs at) {
@@ -150,7 +150,7 @@ int main() {
 
   // Phase 3: same babble, policing off — the control loop's shared slots
   // are starved by the priority-7 flood.
-  ex.enablePolicing = false;
+  ex.simConfig.police.enabled = false;
   std::printf("\n");
   const ExperimentResult exposed = runExperiment(ex);
   printStreams("phase 3: panel babbles, policing OFF", exposed);

@@ -83,9 +83,9 @@ int main() {
   const StreamResult& s = r.byName("crit");
   std::printf("\ncrit: sent=%lld delivered=%lld lost=%lld miss=%lld "
               "(latency mean %.1f us, max %.1f us)\n",
-              static_cast<long long>(s.sent),
-              static_cast<long long>(s.delivered),
-              static_cast<long long>(s.lost),
+              static_cast<long long>(s.messagesSent),
+              static_cast<long long>(s.messagesDelivered),
+              static_cast<long long>(s.messagesLost),
               static_cast<long long>(s.deadlineMisses), s.latency.meanUs(),
               static_cast<double>(s.latency.maxNs) / 1000.0);
   std::printf("frer: replicated=%lld eliminated=%lld recovered=%lld "
@@ -102,9 +102,9 @@ int main() {
       ok = false;
     }
   };
-  expect(s.sent > 0, "talker fired");
-  expect(s.lost == 0, "no message lost across the path kill");
-  expect(s.deliveryRatio == 1.0 || s.unterminated > 0,
+  expect(s.messagesSent > 0, "talker fired");
+  expect(s.messagesLost == 0, "no message lost across the path kill");
+  expect(s.deliveryRatio() == 1.0 || s.messagesUnterminated > 0,
          "delivery ratio 1.0 (modulo run-end in-flight)");
   expect(s.deadlineMisses == 0, "zero missed TCT deadlines");
   expect(s.duplicatesEliminated > 0, "merge point eliminated duplicates");
@@ -112,6 +112,11 @@ int main() {
          "fragments recovered by the surviving member after the kill");
   expect(s.frerLatentAlarms > 0 && alarmed,
          "latent-error detector noticed the dead member");
+  expect(s.framesEmitted ==
+             s.framesDelivered + s.framesDroppedLoss + s.framesDroppedOutage +
+                 s.framesDroppedPolicer + s.framesDroppedOverflow +
+                 s.duplicatesEliminated + s.framesInFlight,
+         "frame books close copy-for-copy");
 
   if (!ok) return 1;
   std::printf("\nfrer drill passed: seamless failover, zero deadline "

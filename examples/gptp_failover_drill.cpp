@@ -46,7 +46,7 @@ int main() {
   // 2 ppm oscillators against a 2 us margin: a ~500 ms holdover window
   // can slide a clock ~1 us, so the drill must close with margin intact.
   ex.options.config.syncErrorMargin = microseconds(2);
-  ex.enablePolicing = true;
+  ex.simConfig.police.enabled = true;
   ex.simConfig.duration = seconds(2);
   ex.simConfig.clockDriftPpbMax = 2'000;
   ex.simConfig.gptp.enabled = true;

@@ -85,7 +85,7 @@ int main() {
       std::printf(
           "  %-18s events=%-5lld avg=%8.1fus  worst=%8.1fus  "
           "jitter=%7.1fus  deadline-misses=%lld\n",
-          name, static_cast<long long>(s.delivered), s.latency.meanUs(),
+          name, static_cast<long long>(s.messagesDelivered), s.latency.meanUs(),
           s.latency.maxUs(), s.latency.jitterUs(),
           static_cast<long long>(s.deadlineMisses));
     }

@@ -73,12 +73,12 @@ void appendStream(std::string& out, const StreamResult& s,
   appendKv(out, "class",
            std::string(s.type == net::TrafficClass::TimeTriggered ? "tct"
                                                                   : "ect"));
-  appendKv(out, "delivered", s.delivered);
+  appendKv(out, "delivered", s.messagesDelivered);
   appendKv(out, "deadline_misses", s.deadlineMisses);
   appendKv(out, "deadline_ns", s.deadline);
-  appendKv(out, "sent", s.sent);
-  appendKv(out, "lost", s.lost);
-  appendKv(out, "unterminated", s.unterminated);
+  appendKv(out, "sent", s.messagesSent);
+  appendKv(out, "lost", s.messagesLost);
+  appendKv(out, "unterminated", s.messagesUnterminated);
   appendKv(out, "dropped_loss", s.framesDroppedLoss);
   appendKv(out, "dropped_outage", s.framesDroppedOutage);
   appendKv(out, "dropped_policer", s.framesDroppedPolicer);
@@ -89,16 +89,16 @@ void appendStream(std::string& out, const StreamResult& s,
   appendKv(out, "duplicates_eliminated", s.duplicatesEliminated);
   appendKv(out, "recovered_by_redundancy", s.recoveredByRedundancy);
   appendKv(out, "frer_latent_alarms", s.frerLatentAlarms);
-  appendKv(out, "delivery_ratio", s.deliveryRatio);
+  appendKv(out, "delivery_ratio", s.deliveryRatio());
   out += "\"latency\":";
   appendSummary(out, s.latency);
   if (includeSamples) {
     out += ",\"samples_ns\":[";
-    for (std::size_t i = 0; i < s.samples.size(); ++i) {
+    for (std::size_t i = 0; i < s.latencies.size(); ++i) {
       if (i > 0) out += ',';
       char buf[24];
       std::snprintf(buf, sizeof buf, "%lld",
-                    static_cast<long long>(s.samples[i]));
+                    static_cast<long long>(s.latencies[i]));
       out += buf;
     }
     out += ']';
@@ -126,7 +126,7 @@ std::vector<TimeNs> CampaignResult::samples(
     if (!t.result.feasible) continue;
     for (const StreamResult& s : t.result.streams) {
       if (s.name == streamName) {
-        out.insert(out.end(), s.samples.begin(), s.samples.end());
+        out.insert(out.end(), s.latencies.begin(), s.latencies.end());
       }
     }
   }
@@ -201,9 +201,10 @@ std::string toJson(const CampaignResult& r, bool includeSamples,
              static_cast<std::int64_t>(t.result.solve.degraded ? 1 : 0));
     if (t.result.solve.engine == "admission") {
       // Fleet sweeps over admission-engine cells report churn counters.
-      appendKv(out, "admission_admits", t.result.solve.admissionAdmits);
-      appendKv(out, "admission_rejects", t.result.solve.admissionRejects);
-      appendKv(out, "admission_cache_hits", t.result.solve.admissionCacheHits);
+      const sched::AdmissionCounters& a = t.result.solve.admission;
+      appendKv(out, "admission_admits", a.admits);
+      appendKv(out, "admission_rejects", a.rejects);
+      appendKv(out, "admission_cache_hits", a.cacheHits);
     }
     if (t.result.gptp.enabled) {
       // Cells that ran the faithful gPTP stack report the emergent sync

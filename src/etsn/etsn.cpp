@@ -98,8 +98,7 @@ ExperimentResult runExperiment(const Experiment& ex) {
 
   const sched::NetworkProgram program = sched::compileProgram(ex.topo, ms);
   sim::SimConfig simConfig = ex.simConfig;
-  if (ex.enablePolicing) {
-    simConfig.police.enabled = true;
+  if (simConfig.police.enabled) {
     simConfig.police.filters = net::compileFilters(ex.topo, ms,
                                                    ex.psfpOptions);
   }
@@ -114,52 +113,22 @@ ExperimentResult runExperiment(const Experiment& ex) {
     r.name = ex.specs[i].name;
     r.type = ex.specs[i].type;
     if (static_cast<int>(i) < rec.numSpecs()) {
-      const sim::StreamRecord& sr = rec.record(static_cast<std::int32_t>(i));
-      r.samples = sr.latencies;
-      r.latency = stats::summarize(sr.latencies);
-      r.delivered = sr.messagesDelivered;
-      r.deadlineMisses = sr.deadlineMisses;
-      r.deadline = sr.deadline;
-      r.sent = sr.messagesSent;
-      r.lost = sr.messagesLost;
-      r.unterminated = sr.messagesUnterminated;
-      r.framesDroppedLoss = sr.framesDroppedLoss;
-      r.framesDroppedOutage = sr.framesDroppedOutage;
-      r.framesDroppedPolicer = sr.framesDroppedPolicer;
-      r.framesDroppedOverflow = sr.framesDroppedOverflow;
-      r.policerViolations = sr.policerViolations;
-      r.blockedIntervals = sr.blockedIntervals;
-      r.framesReplicated = sr.framesReplicated;
-      r.duplicatesEliminated = sr.duplicatesEliminated;
-      r.recoveredByRedundancy = sr.recoveredByRedundancy;
-      r.frerLatentAlarms = sr.frerLatentAlarms;
-      r.deliveryRatio = sr.deliveryRatio();
+      static_cast<sim::StreamRecord&>(r) =
+          rec.record(static_cast<std::int32_t>(i));
+      r.latency = stats::summarize(r.latencies);
     }
     out.streams.push_back(std::move(r));
   }
 
   if (const sim::Gptp* g = network.gptp()) {
     out.gptp.enabled = true;
-    const sim::GptpStats& gs = g->stats();
-    out.gptp.reelections = gs.reelections;
-    out.gptp.framesSent = gs.framesSent;
-    out.gptp.framesDelivered = gs.framesDelivered;
-    out.gptp.framesDropped = gs.framesDropped;
-    out.gptp.framesInFlight = gs.framesInFlight;
+    static_cast<sim::GptpStats&>(out.gptp) = g->stats();
     // The margin the schedule budgeted vs the offsets the network showed.
     const TimeNs margin = ms.schedule.config.syncErrorMargin;
     std::vector<std::pair<std::uint64_t, int>> followers;
     for (net::NodeId n = 0; n < ex.topo.numNodes(); ++n) {
       const sim::GptpNodeStats& ns = g->nodeStats(n);
-      GptpNodeResult nr;
-      nr.node = ex.topo.node(n).name;
-      nr.master = ns.master;
-      nr.corrections = ns.corrections;
-      nr.maxOffsetError = ns.maxOffsetError;
-      nr.holdoverExcursion = ns.holdoverExcursion;
-      nr.reelectionTimeNs = ns.reelectionTimeNs;
-      nr.reelections = ns.reelections;
-      out.gptp.nodes.push_back(std::move(nr));
+      out.gptp.nodes.push_back({ns, ex.topo.node(n).name});
 
       const TimeNs worst = std::max(ns.maxOffsetError, ns.holdoverExcursion);
       out.gptp.maxOffsetError = std::max(out.gptp.maxOffsetError, worst);

@@ -40,11 +40,11 @@ struct Experiment {
   /// Validate the schedule with the independent checker before running
   /// (throws InvariantError on any violation).
   bool validateSchedule = true;
-  /// Compile 802.1Qci filters from the solved schedule and police the
-  /// switch ingress.  The filter table is derived inside runExperiment
-  /// (it needs the solved slots); the remaining knobs — fail-silent
+  /// Filter options for ingress policing.  With simConfig.police.enabled,
+  /// runExperiment compiles the 802.1Qci filter table from the solved
+  /// schedule (it needs the solved slots) and replaces
+  /// simConfig.police.filters with it; the remaining knobs — fail-silent
   /// blocking, quiet period, alarm hooks — come from simConfig.police.
-  bool enablePolicing = false;
   net::PsfpOptions psfpOptions;
   /// Reuse an already-solved schedule instead of calling buildSchedule.
   /// Sweeps that vary only runtime knobs (fault plans, policing, sim seed)
@@ -63,59 +63,30 @@ struct Experiment {
 std::shared_ptr<const sched::MethodSchedule> solveSchedule(
     const Experiment& ex);
 
-struct StreamResult {
+/// One stream's simulator record (sim/recorder.h: message and frame
+/// books, survivability, policing and FRER counters, latency samples)
+/// plus the spec's identity and a latency summary.  Fault-free runs leave
+/// every loss counter at zero.
+struct StreamResult : sim::StreamRecord {
   std::string name;
   net::TrafficClass type = net::TrafficClass::TimeTriggered;
-  stats::Summary latency;
-  std::vector<TimeNs> samples;
-  std::int64_t delivered = 0;
-  std::int64_t deadlineMisses = 0;
-  TimeNs deadline = 0;
-
-  // Survivability (fault layer); zero on fault-free runs except `sent`.
-  std::int64_t sent = 0;          // message instances emitted
-  std::int64_t lost = 0;          // >= 1 frame dropped by the fault layer
-  std::int64_t unterminated = 0;  // still in flight when the run ended
-  std::int64_t framesDroppedLoss = 0;    // random + burst loss
-  std::int64_t framesDroppedOutage = 0;  // cut by a link outage
-  std::int64_t framesDroppedPolicer = 0;   // non-conformant at ingress
-  std::int64_t framesDroppedOverflow = 0;  // tail-dropped (bounded queues)
-  std::int64_t policerViolations = 0;      // non-conformant frames seen
-  std::int64_t blockedIntervals = 0;       // fail-silent episodes entered
-
-  // 802.1CB FRER (zero for unprotected streams).
-  std::int64_t framesReplicated = 0;       // extra member copies emitted
-  std::int64_t duplicatesEliminated = 0;   // discarded at the merge point
-  std::int64_t recoveredByRedundancy = 0;  // frags saved by a surviving copy
-  std::int64_t frerLatentAlarms = 0;       // latent-error detections
-  /// delivered / sent (1.0 with nothing sent).
-  double deliveryRatio = 1.0;
+  stats::Summary latency;  // over `latencies`
 };
 
 /// Per-node sync quality when the faithful gPTP stack ran (sim/gptp.h).
-struct GptpNodeResult {
+struct GptpNodeResult : sim::GptpNodeStats {
   std::string node;  // topology node name
-  std::uint64_t master = 0;  // grandmaster identity followed at run end
-  std::int64_t corrections = 0;
-  TimeNs maxOffsetError = 0;
-  TimeNs holdoverExcursion = 0;
-  TimeNs reelectionTimeNs = 0;
-  int reelections = 0;
 };
 
-/// Network-wide gPTP summary; `enabled` is false (and everything zero)
-/// unless Experiment::simConfig.gptp.enabled.
-struct GptpResult {
+/// Network-wide gPTP summary: the stack's counters (sim/gptp.h, including
+/// the closed frame books) plus the worst node.  `enabled` is false (and
+/// everything zero) unless Experiment::simConfig.gptp.enabled.
+struct GptpResult : sim::GptpStats {
   bool enabled = false;
   std::uint64_t grandmaster = 0;  // identity most nodes follow at run end
   TimeNs maxOffsetError = 0;       // worst emergent per-node offset
   TimeNs maxHoldoverExcursion = 0;
   TimeNs maxReelectionTimeNs = 0;
-  int reelections = 0;
-  std::int64_t framesSent = 0;
-  std::int64_t framesDelivered = 0;
-  std::int64_t framesDropped = 0;
-  std::int64_t framesInFlight = 0;
   /// Nodes whose observed worst offset (steady-state or post-failover
   /// holdover excursion) exceeded the schedule's syncErrorMargin — the
   /// margin was an act of faith the measured network did not honor.

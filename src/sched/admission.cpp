@@ -418,7 +418,8 @@ std::vector<StreamId> AdmissionEngine::appendSpec(
     }
   }
 
-  // Grid checks before the streams enter the Placement: uniform tu and
+  // Grid checks before the streams enter the Placement: uniform tu
+  // (expandSpec already put the period on every link's grid) and
   // hyperperiod divisibility (growth is handled by a rebuild).
   const TimeNs tu = placement_->tu();
   bool needRebuild = false;
@@ -429,11 +430,6 @@ std::vector<StreamId> AdmissionEngine::appendSpec(
             "stream '" + spec.name +
             "' uses a link time unit different from the schedule's");
       }
-    }
-    if (s.period % tu != 0) {
-      throw ConfigError("stream '" + spec.name +
-                        "' period is not a positive multiple of the time "
-                        "unit");
     }
     if (placement_->hyperTu() <= 0 ||
         placement_->hyperTu() % (s.period / tu) != 0) {
@@ -1052,9 +1048,7 @@ Schedule AdmissionEngine::schedule() const {
   if (!periods.empty()) out.hyperperiod = lcmAll(periods);
   out.info.feasible = feasible_;
   out.info.engine = "admission";
-  out.info.admissionAdmits = counters_.admits;
-  out.info.admissionRejects = counters_.rejects;
-  out.info.admissionCacheHits = counters_.cacheHits;
+  out.info.admission = counters_;
   return out;
 }
 

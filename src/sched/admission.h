@@ -93,23 +93,6 @@ struct AdmissionDecision {
   double seconds = 0;
 };
 
-struct AdmissionCounters {
-  std::int64_t requests = 0;
-  std::int64_t admits = 0;
-  std::int64_t rejects = 0;
-  std::int64_t cacheHits = 0;
-  std::int64_t cacheMisses = 0;
-  std::int64_t cacheEvictions = 0;
-  /// Rung-usage counters, each incremented at most once per request (a
-  /// Modify that runs the ladder for both its phases is still one
-  /// delta-solved request; a request can contribute to several counters
-  /// if it escalated through several rungs).
-  /// Requests with at least one phase decided on the delta/rip-up rungs.
-  std::int64_t deltaSolves = 0;
-  /// Requests that escalated into a full portfolio re-solve.
-  std::int64_t fullResolves = 0;
-};
-
 /// Canonical content hash of a schedule (streams, slots, feasibility) —
 /// id-free, so equal schedules hash equal regardless of history.  The
 /// determinism fingerprint used by the admission tests and bench.

@@ -80,6 +80,18 @@ std::vector<ExpandedStream> expandSpec(const net::Topology& topo,
     paths.push_back(spec.path.empty() ? topo.shortestPath(spec.src, spec.dst)
                                       : spec.path);
   }
+  // Slots sit on each link's time-unit grid and repeat with the period,
+  // so the period must be a whole number of every crossed link's tu (for
+  // PERIOD this is the converted ECT period).
+  for (const std::vector<net::LinkId>& path : paths) {
+    for (const net::LinkId l : path) {
+      if (spec.period % topo.link(l).timeUnit != 0) {
+        throw ConfigError("stream '" + spec.name +
+                          "': period is not a multiple of the time unit of "
+                          "link " + std::to_string(l) + " on its path");
+      }
+    }
+  }
   auto memberName = [&](int m) {
     return spec.redundancy > 1 ? spec.name + "/m" + std::to_string(m + 1)
                                : spec.name;

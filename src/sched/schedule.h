@@ -119,6 +119,24 @@ struct Slot {
   TimeNs duration = 0;  // slot length (>= the frame's wire time)
 };
 
+/// Lifetime churn counters of an admission engine (sched/admission.h).
+struct AdmissionCounters {
+  std::int64_t requests = 0;
+  std::int64_t admits = 0;
+  std::int64_t rejects = 0;
+  std::int64_t cacheHits = 0;
+  std::int64_t cacheMisses = 0;
+  std::int64_t cacheEvictions = 0;
+  /// Rung-usage counters, each incremented at most once per request (a
+  /// Modify that runs the ladder for both its phases is still one
+  /// delta-solved request; a request can contribute to several counters
+  /// if it escalated through several rungs).
+  /// Requests with at least one phase decided on the delta/rip-up rungs.
+  std::int64_t deltaSolves = 0;
+  /// Requests that escalated into a full portfolio re-solve.
+  std::int64_t fullResolves = 0;
+};
+
 /// Statistics about a scheduling run (for benches / EXPERIMENTS.md).
 struct SolveInfo {
   bool feasible = false;
@@ -145,11 +163,9 @@ struct SolveInfo {
   std::int64_t flowspanTu = 0;  // this schedule's flowspan (tu grid)
   std::int64_t flowspanLowerBoundTu = 0;
   double gapPercent = 0;
-  /// Admission-engine exports (engine == "admission", sched/admission.h):
-  /// lifetime churn counters of the engine that produced this schedule.
-  std::int64_t admissionAdmits = 0;
-  std::int64_t admissionRejects = 0;
-  std::int64_t admissionCacheHits = 0;
+  /// Admission-engine exports (engine == "admission"): the counters of
+  /// the engine that produced this schedule; zero for batch engines.
+  AdmissionCounters admission;
 };
 
 struct Schedule {

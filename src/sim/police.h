@@ -28,6 +28,10 @@
 namespace etsn::sim {
 
 struct PolicingConfig {
+  /// The one switch that arms ingress policing.  Through the façade
+  /// (etsn::runExperiment) it also compiles `filters` from the solved
+  /// schedule, replacing whatever the caller put there; a sim::Network
+  /// built directly enforces `filters` as given.
   bool enabled = false;
   net::PsfpConfig filters;
 

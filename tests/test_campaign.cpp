@@ -64,7 +64,7 @@ TEST(Campaign, BitIdenticalAcrossThreadCounts) {
       ASSERT_EQ(a.result.feasible, b.result.feasible) << a.label;
       ASSERT_EQ(a.result.streams.size(), b.result.streams.size());
       for (std::size_t s = 0; s < a.result.streams.size(); ++s) {
-        EXPECT_EQ(a.result.streams[s].samples, b.result.streams[s].samples)
+        EXPECT_EQ(a.result.streams[s].latencies, b.result.streams[s].latencies)
             << a.label << " stream " << a.result.streams[s].name;
       }
     }
@@ -114,8 +114,8 @@ TEST(Campaign, ResultsKeepTaskOrderRegardlessOfCompletionOrder) {
   ASSERT_EQ(r.tasks.size(), 7u);
   EXPECT_EQ(r.tasks[0].label, "slow");
   EXPECT_EQ(r.tasks[0].index, 0u);
-  EXPECT_GT(r.tasks[0].result.byName("ect").delivered,
-            r.tasks[1].result.byName("ect").delivered);
+  EXPECT_GT(r.tasks[0].result.byName("ect").messagesDelivered,
+            r.tasks[1].result.byName("ect").messagesDelivered);
 }
 
 TEST(Campaign, AggregateMatchesSummarizeOverConcatenatedSamples) {
@@ -145,6 +145,141 @@ TEST(Campaign, JsonExportHasHeaderTasksAndAggregates) {
   // Samples are opt-in.
   EXPECT_EQ(js.find("samples_ns"), std::string::npos);
   EXPECT_NE(toJson(r, true).find("samples_ns"), std::string::npos);
+}
+
+// The campaign JSON's keys, their order and the field each one reads are
+// part of the export format (sweep scripts and the committed BENCH_*.json
+// parse them).  Every exported field gets a distinct value here, with
+// samples and timing on, an admission-engine task and a gPTP task, so a
+// key that moves, is renamed or reads another counter changes the string.
+TEST(Campaign, JsonExportIsPinnedByteForByte) {
+  CampaignResult r;
+  r.name = "golden";
+  r.seed = 11;
+  r.threads = 3;
+  r.wallSeconds = 1.5;
+
+  CampaignTaskResult admission;
+  admission.label = "admission/cell";
+  admission.index = 0;
+  admission.taskSeed = 12;
+  admission.wallSeconds = 0.25;
+  admission.result.feasible = true;
+  admission.result.solve.engine = "admission";
+  admission.result.solve.degraded = true;
+  admission.result.solve.solveSeconds = 0.125;
+  admission.result.solve.admission.admits = 13;
+  admission.result.solve.admission.rejects = 14;
+  admission.result.solve.admission.cacheHits = 15;
+  StreamResult ctl;
+  ctl.name = "ctl";
+  ctl.type = net::TrafficClass::TimeTriggered;
+  ctl.latency = {3, 20.5, 16, 26, 4.25};
+  ctl.latencies = {16, 20, 26};
+  ctl.messagesDelivered = 3;
+  ctl.deadlineMisses = 17;
+  ctl.deadline = 18;
+  ctl.messagesSent = 12;  // delivery ratio 3 / 12
+  ctl.messagesLost = 19;
+  ctl.messagesUnterminated = 21;
+  ctl.framesDroppedLoss = 22;
+  ctl.framesDroppedOutage = 23;
+  ctl.framesDroppedPolicer = 24;
+  ctl.framesDroppedOverflow = 25;
+  ctl.policerViolations = 26;
+  ctl.blockedIntervals = 27;
+  ctl.framesReplicated = 28;
+  ctl.duplicatesEliminated = 29;
+  ctl.recoveredByRedundancy = 30;
+  ctl.frerLatentAlarms = 31;
+  admission.result.streams.push_back(ctl);
+  r.tasks.push_back(admission);
+
+  CampaignTaskResult gptp;
+  gptp.label = "gptp/cell";
+  gptp.index = 1;
+  gptp.taskSeed = 32;
+  gptp.wallSeconds = 0.75;
+  gptp.result.feasible = true;
+  gptp.result.solve.engine = "portfolio";
+  gptp.result.solve.solveSeconds = 0.0625;
+  GptpResult& g = gptp.result.gptp;
+  g.enabled = true;
+  g.grandmaster = 33;
+  g.maxOffsetError = 34;
+  g.maxHoldoverExcursion = 35;
+  g.maxReelectionTimeNs = 36;
+  g.reelections = 37;
+  g.framesSent = 38;
+  g.framesDelivered = 39;
+  g.framesDropped = 40;
+  g.framesInFlight = 41;
+  g.syncMarginViolations = 42;
+  StreamResult stop;
+  stop.name = "stop";
+  stop.type = net::TrafficClass::EventTriggered;
+  stop.latency = {2, 43.5, 43, 44, 0.5};
+  stop.latencies = {43, 44};
+  stop.messagesDelivered = 2;
+  stop.messagesSent = 2;
+  gptp.result.streams.push_back(stop);
+  StreamResult ctl2;  // merged into the "ctl" aggregate
+  ctl2.name = "ctl";
+  ctl2.latency = {1, 45, 45, 45, 0};
+  ctl2.latencies = {45};
+  ctl2.messagesDelivered = 1;
+  ctl2.messagesSent = 1;
+  gptp.result.streams.push_back(ctl2);
+  r.tasks.push_back(gptp);
+
+  const std::string expected =
+      R"({"campaign":"golden","seed":11,"tasks":2,"feasible":2,"threads":3,)"
+      R"("wall_seconds":1.5,)"
+      R"("results":[{"label":"admission/cell","index":0,"task_seed":12,)"
+      R"("feasible":1,"engine":"admission","degraded":1,)"
+      R"("admission_admits":13,"admission_rejects":14,)"
+      R"("admission_cache_hits":15,"wall_seconds":0.25,)"
+      R"("solve_seconds":0.125,)"
+      R"("streams":[{"name":"ctl","class":"tct","delivered":3,)"
+      R"("deadline_misses":17,"deadline_ns":18,"sent":12,"lost":19,)"
+      R"("unterminated":21,"dropped_loss":22,"dropped_outage":23,)"
+      R"("dropped_policer":24,"dropped_overflow":25,)"
+      R"("policer_violations":26,"blocked_intervals":27,)"
+      R"("frames_replicated":28,"duplicates_eliminated":29,)"
+      R"("recovered_by_redundancy":30,"frer_latent_alarms":31,)"
+      R"("delivery_ratio":0.25,)"
+      R"("latency":{"count":3,"mean_ns":20.5,"min_ns":16,"max_ns":26,)"
+      R"("stddev_ns":4.25},"samples_ns":[16,20,26]}]},)"
+      R"({"label":"gptp/cell","index":1,"task_seed":32,"feasible":1,)"
+      R"("engine":"portfolio","degraded":0,)"
+      R"("gptp_grandmaster":33,"gptp_max_offset_ns":34,)"
+      R"("gptp_max_holdover_ns":35,"gptp_max_reelection_ns":36,)"
+      R"("gptp_reelections":37,"gptp_frames_sent":38,)"
+      R"("gptp_frames_delivered":39,"gptp_frames_dropped":40,)"
+      R"("gptp_frames_in_flight":41,"sync_margin_violations":42,)"
+      R"("wall_seconds":0.75,"solve_seconds":0.0625,)"
+      R"("streams":[{"name":"stop","class":"ect","delivered":2,)"
+      R"("deadline_misses":0,"deadline_ns":0,"sent":2,"lost":0,)"
+      R"("unterminated":0,"dropped_loss":0,"dropped_outage":0,)"
+      R"("dropped_policer":0,"dropped_overflow":0,"policer_violations":0,)"
+      R"("blocked_intervals":0,"frames_replicated":0,)"
+      R"("duplicates_eliminated":0,"recovered_by_redundancy":0,)"
+      R"("frer_latent_alarms":0,"delivery_ratio":1,"latency":{"count":2,)"
+      R"("mean_ns":43.5,"min_ns":43,"max_ns":44,"stddev_ns":0.5},)"
+      R"("samples_ns":[43,44]},)"
+      R"({"name":"ctl","class":"tct","delivered":1,"deadline_misses":0,)"
+      R"("deadline_ns":0,"sent":1,"lost":0,"unterminated":0,)"
+      R"("dropped_loss":0,"dropped_outage":0,"dropped_policer":0,)"
+      R"("dropped_overflow":0,"policer_violations":0,"blocked_intervals":0,)"
+      R"("frames_replicated":0,"duplicates_eliminated":0,)"
+      R"("recovered_by_redundancy":0,"frer_latent_alarms":0,)"
+      R"("delivery_ratio":1,"latency":{"count":1,"mean_ns":45,"min_ns":45,)"
+      R"("max_ns":45,"stddev_ns":0},"samples_ns":[45]}]}],)"
+      R"("aggregates":{"ctl":{"count":4,"mean_ns":26.625,"min_ns":16,)"
+      R"("max_ns":45,"stddev_ns":11.229147340737853},"stop":{"count":2,)"
+      R"("mean_ns":43.5,"min_ns":43,"max_ns":44,"stddev_ns":0.5}}})";
+  EXPECT_EQ(toJson(r, /*includeSamples=*/true, /*includeTiming=*/true),
+            expected);
 }
 
 TEST(Campaign, TaskExceptionPropagates) {

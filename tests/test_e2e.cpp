@@ -32,11 +32,11 @@ TEST(EndToEnd, EtsnTestbedDeliversEverything) {
   const auto result = runExperiment(testbedExperiment(sched::Method::ETSN, 0.5));
   ASSERT_TRUE(result.feasible);
   for (const StreamResult& s : result.streams) {
-    EXPECT_GT(s.delivered, 0) << s.name;
+    EXPECT_GT(s.messagesDelivered, 0) << s.name;
   }
   // ~5 s / ~24 ms mean interarrival ≈ 200 events.
   const StreamResult& ect = result.byName("ect");
-  EXPECT_GT(ect.delivered, 150);
+  EXPECT_GT(ect.messagesDelivered, 150);
   EXPECT_GT(ect.latency.meanNs, 0);
 }
 
@@ -109,7 +109,7 @@ TEST(EndToEnd, DeterministicAcrossRuns) {
   ASSERT_TRUE(a.feasible && b.feasible);
   ASSERT_EQ(a.streams.size(), b.streams.size());
   for (std::size_t i = 0; i < a.streams.size(); ++i) {
-    EXPECT_EQ(a.streams[i].samples, b.streams[i].samples) << i;
+    EXPECT_EQ(a.streams[i].latencies, b.streams[i].latencies) << i;
   }
 }
 
@@ -119,7 +119,7 @@ TEST(EndToEnd, HeuristicEngineRunsTheSamePipeline) {
   const auto result = runExperiment(ex);
   ASSERT_TRUE(result.feasible);
   const StreamResult& ect = result.byName("ect");
-  EXPECT_GT(ect.delivered, 150);
+  EXPECT_GT(ect.messagesDelivered, 150);
   EXPECT_EQ(ect.deadlineMisses, 0);
   for (const StreamResult& s : result.streams) {
     if (s.type == net::TrafficClass::TimeTriggered) {
@@ -134,7 +134,7 @@ TEST(EndToEnd, MultiMtuEctDelivered) {
   const auto result = runExperiment(ex);
   ASSERT_TRUE(result.feasible);
   const StreamResult& ect = result.byName("ect");
-  EXPECT_GT(ect.delivered, 100);
+  EXPECT_GT(ect.messagesDelivered, 100);
   EXPECT_EQ(ect.deadlineMisses, 0);
 }
 

@@ -77,9 +77,9 @@ TEST(Facade, SeedChangesEctSamplesOnly) {
   const auto rb = runExperiment(b);
   ASSERT_TRUE(ra.feasible && rb.feasible);
   // TCT is schedule-driven: identical across sim seeds.
-  EXPECT_EQ(ra.byName("tct").samples, rb.byName("tct").samples);
+  EXPECT_EQ(ra.byName("tct").latencies, rb.byName("tct").latencies);
   // ECT occurrences are stochastic: samples differ.
-  EXPECT_NE(ra.byName("ect").samples, rb.byName("ect").samples);
+  EXPECT_NE(ra.byName("ect").latencies, rb.byName("ect").latencies);
 }
 
 TEST(Facade, MethodsShareWorkload) {
@@ -91,8 +91,8 @@ TEST(Facade, MethodsShareWorkload) {
   ex.options.method = sched::Method::AVB;
   const auto ra = runExperiment(ex);
   ASSERT_TRUE(rp.feasible && ra.feasible);
-  EXPECT_GT(rp.byName("ect").delivered, 0);
-  EXPECT_GT(ra.byName("ect").delivered, 0);
+  EXPECT_GT(rp.byName("ect").messagesDelivered, 0);
+  EXPECT_GT(ra.byName("ect").messagesDelivered, 0);
 }
 
 TEST(Facade, ValidateScheduleFlag) {
@@ -111,8 +111,9 @@ TEST(Facade, PresolvedScheduleMatchesFreshSolve) {
   ASSERT_TRUE(fresh.feasible && reused.feasible);
   ASSERT_EQ(fresh.streams.size(), reused.streams.size());
   for (std::size_t i = 0; i < fresh.streams.size(); ++i) {
-    EXPECT_EQ(fresh.streams[i].samples, reused.streams[i].samples);
-    EXPECT_EQ(fresh.streams[i].delivered, reused.streams[i].delivered);
+    EXPECT_EQ(fresh.streams[i].latencies, reused.streams[i].latencies);
+    EXPECT_EQ(fresh.streams[i].messagesDelivered,
+              reused.streams[i].messagesDelivered);
   }
 }
 

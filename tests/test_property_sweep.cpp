@@ -73,7 +73,7 @@ void checkSweepResults(const std::vector<SweepPoint>& points,
       continue;
     }
     for (const StreamResult& s : res.streams) {
-      EXPECT_GT(s.delivered, 0) << r.tasks[i].label << " " << s.name;
+      EXPECT_GT(s.messagesDelivered, 0) << r.tasks[i].label << " " << s.name;
       // The SMT engine's schedules must hold at runtime; the heuristic
       // documents possible same-queue interaction (see heuristic.h).
       if (s.type == net::TrafficClass::TimeTriggered && !p.heuristic) {
@@ -133,7 +133,7 @@ TEST_P(NprobSweep, EctDeliveredWithinDeadline) {
   const ExperimentResult r = runExperiment(ex);
   ASSERT_TRUE(r.feasible) << "N=" << n;
   const StreamResult& e = r.byName("ect");
-  EXPECT_GT(e.delivered, 50);
+  EXPECT_GT(e.messagesDelivered, 50);
   EXPECT_EQ(e.deadlineMisses, 0) << "N=" << n;
 }
 

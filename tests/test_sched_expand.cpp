@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "net/ethernet.h"
+#include "sched/admission.h"
 #include "sched/expand.h"
+#include "sched/scheduler.h"
 
 namespace etsn::sched {
 namespace {
@@ -126,6 +128,41 @@ TEST(Expand, EctPeriodBelowNThrowsConfigError) {
   EXPECT_THROW(expandStreams(t, {ect("e", 1, 3, /*minInterevent=*/3, 100)},
                              cfg),
                ConfigError);
+}
+
+// Slots repeat with the period on each link's time-unit grid, so a period
+// off that grid is malformed input: every engine must reject it with a
+// ConfigError (not report a schedule the validator refuses, nor trip an
+// internal check), PERIOD's converted ECT period included, and the
+// admission engine must reject such a request as "invalid".
+TEST(Expand, OffGridPeriodIsConfigErrorForEveryEngine) {
+  const net::Topology topo = net::makeTestbedTopology();
+  // D1 -> D3 and D2 -> D4 share the SW1 -> SW2 trunk (1 us time unit).
+  const net::StreamSpec onGrid =
+      tct(topo, "on", 0, 2, milliseconds(4), 200, false);
+  const net::StreamSpec offGrid =
+      tct(topo, "off", 1, 3, milliseconds(4) + 1, 200, false);
+  // PERIOD with 3 slots per 16 ms interevent time: a 16/3 ms period.
+  const net::StreamSpec stop = ect("stop", 1, 3, milliseconds(16), 200);
+  for (const char* engine :
+       {"smt", "heuristic", "greedy", "tabu", "dnc", "portfolio"}) {
+    ScheduleOptions opt;
+    opt.engine = engineFromString(engine);
+    EXPECT_THROW(buildSchedule(topo, {onGrid, offGrid}, opt), ConfigError)
+        << engine;
+    opt.method = Method::PERIOD;
+    opt.periodSlotFactor = 3;
+    EXPECT_THROW(buildSchedule(topo, {onGrid, stop}, opt), ConfigError)
+        << engine;
+  }
+
+  AdmissionEngine eng(topo, {onGrid}, SchedulerConfig{});
+  ASSERT_TRUE(eng.feasible());
+  const std::uint64_t before = scheduleHash(eng.schedule());
+  const AdmissionDecision d = eng.request(addRequest(offGrid));
+  EXPECT_FALSE(d.admitted);
+  EXPECT_EQ(d.rung, "invalid");
+  EXPECT_EQ(scheduleHash(eng.schedule()), before);
 }
 
 TEST(Expand, PrudentReservationOnlyOnSharedOverlappingLinks) {

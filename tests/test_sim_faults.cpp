@@ -32,7 +32,9 @@ Experiment pipelineExperiment() {
 /// Message-level books must close for every stream.
 void expectBooksClosed(const ExperimentResult& r) {
   for (const StreamResult& s : r.streams) {
-    EXPECT_EQ(s.sent, s.delivered + s.lost + s.unterminated) << s.name;
+    EXPECT_EQ(s.messagesSent, s.messagesDelivered + s.messagesLost +
+                                  s.messagesUnterminated)
+        << s.name;
   }
 }
 
@@ -41,11 +43,11 @@ void expectIdentical(const ExperimentResult& a, const ExperimentResult& b) {
   for (std::size_t i = 0; i < a.streams.size(); ++i) {
     const StreamResult& x = a.streams[i];
     const StreamResult& y = b.streams[i];
-    EXPECT_EQ(x.samples, y.samples) << x.name;
-    EXPECT_EQ(x.sent, y.sent) << x.name;
-    EXPECT_EQ(x.delivered, y.delivered) << x.name;
-    EXPECT_EQ(x.lost, y.lost) << x.name;
-    EXPECT_EQ(x.unterminated, y.unterminated) << x.name;
+    EXPECT_EQ(x.latencies, y.latencies) << x.name;
+    EXPECT_EQ(x.messagesSent, y.messagesSent) << x.name;
+    EXPECT_EQ(x.messagesDelivered, y.messagesDelivered) << x.name;
+    EXPECT_EQ(x.messagesLost, y.messagesLost) << x.name;
+    EXPECT_EQ(x.messagesUnterminated, y.messagesUnterminated) << x.name;
     EXPECT_EQ(x.framesDroppedLoss, y.framesDroppedLoss) << x.name;
     EXPECT_EQ(x.framesDroppedOutage, y.framesDroppedOutage) << x.name;
     EXPECT_EQ(x.deadlineMisses, y.deadlineMisses) << x.name;
@@ -375,13 +377,13 @@ TEST(SimFaults, RandomLossClosesTheBooks) {
   for (const StreamResult& s : r.streams) {
     droppedLoss += s.framesDroppedLoss;
     droppedOutage += s.framesDroppedOutage;
-    lost += s.lost;
+    lost += s.messagesLost;
   }
   EXPECT_GT(droppedLoss, 0);
   EXPECT_EQ(droppedOutage, 0);
   EXPECT_GT(lost, 0);
-  EXPECT_LT(r.byName("s").deliveryRatio, 1.0);
-  EXPECT_GT(r.byName("s").deliveryRatio, 0.5);
+  EXPECT_LT(r.byName("s").deliveryRatio(), 1.0);
+  EXPECT_GT(r.byName("s").deliveryRatio(), 0.5);
 }
 
 TEST(SimFaults, BurstLossDropsWithoutIidModel) {
@@ -396,7 +398,7 @@ TEST(SimFaults, BurstLossDropsWithoutIidModel) {
   ASSERT_TRUE(r.feasible);
   expectBooksClosed(r);
   EXPECT_GT(r.streams[0].framesDroppedLoss, 0);
-  EXPECT_LT(r.streams[0].deliveryRatio, 1.0);
+  EXPECT_LT(r.streams[0].deliveryRatio(), 1.0);
 }
 
 TEST(SimFaults, SameSeedSamePlanReproducesExactly) {
@@ -508,7 +510,8 @@ TEST(SimFaults, BabblingSourceViolatesMinInterevent) {
   ASSERT_TRUE(babbling.feasible);
 
   // ~500 extra events on top of the declared-rate baseline.
-  EXPECT_GE(babbling.byName("e").sent, clean.byName("e").sent + 400);
+  EXPECT_GE(babbling.byName("e").messagesSent,
+            clean.byName("e").messagesSent + 400);
   expectBooksClosed(babbling);
 }
 

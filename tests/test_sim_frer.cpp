@@ -226,7 +226,7 @@ TEST(FrerEndToEnd, LatentAlarmSurfacesInResults) {
   const ExperimentResult r = runExperiment(ex);
   ASSERT_TRUE(r.feasible);
   const StreamResult& s = r.byName("crit");
-  EXPECT_EQ(s.lost, 0);
+  EXPECT_EQ(s.messagesLost, 0);
   EXPECT_EQ(s.deadlineMisses, 0);
   EXPECT_GT(s.frerLatentAlarms, 0);
   EXPECT_GT(s.duplicatesEliminated, 0);
@@ -246,8 +246,8 @@ TEST(FrerEndToEnd, ProtectedEctStreamSurvivesKill) {
   const ExperimentResult r = runExperiment(ex);
   ASSERT_TRUE(r.feasible);
   const StreamResult& s = r.byName("stop");
-  EXPECT_GT(s.sent, 0);
-  EXPECT_EQ(s.lost, 0);
+  EXPECT_GT(s.messagesSent, 0);
+  EXPECT_EQ(s.messagesLost, 0);
   EXPECT_GT(s.duplicatesEliminated, 0);
 }
 
@@ -264,8 +264,8 @@ TEST(FrerEndToEnd, DeterministicAcrossRuns) {
   ASSERT_TRUE(a.feasible);
   ASSERT_EQ(a.streams.size(), b.streams.size());
   for (std::size_t i = 0; i < a.streams.size(); ++i) {
-    EXPECT_EQ(a.streams[i].samples, b.streams[i].samples);
-    EXPECT_EQ(a.streams[i].delivered, b.streams[i].delivered);
+    EXPECT_EQ(a.streams[i].latencies, b.streams[i].latencies);
+    EXPECT_EQ(a.streams[i].messagesDelivered, b.streams[i].messagesDelivered);
     EXPECT_EQ(a.streams[i].duplicatesEliminated,
               b.streams[i].duplicatesEliminated);
     EXPECT_EQ(a.streams[i].recoveredByRedundancy,

@@ -335,7 +335,7 @@ TEST(GptpFacade, ResultsSurfaceSyncQualityWithClosedBooks) {
   EXPECT_GT(r.gptp.maxOffsetError, 0);
   EXPECT_LT(r.gptp.maxOffsetError, microseconds(2));
   // The data plane runs to spec under gPTP discipline.
-  EXPECT_GE(r.streams[0].delivered, 240);
+  EXPECT_GE(r.streams[0].messagesDelivered, 240);
   EXPECT_EQ(r.streams[0].deadlineMisses, 0);
 }
 
@@ -359,7 +359,7 @@ TEST(GptpFacade, RunsAreByteIdenticalAcrossRepeats) {
   const auto a = runExperiment(ex);
   const auto b = runExperiment(ex);
   ASSERT_TRUE(a.feasible && b.feasible);
-  EXPECT_EQ(a.streams[0].samples, b.streams[0].samples);
+  EXPECT_EQ(a.streams[0].latencies, b.streams[0].latencies);
   EXPECT_EQ(a.gptp.maxOffsetError, b.gptp.maxOffsetError);
   EXPECT_EQ(a.gptp.framesSent, b.gptp.framesSent);
   EXPECT_EQ(a.gptp.grandmaster, b.gptp.grandmaster);

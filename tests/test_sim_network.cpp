@@ -30,7 +30,7 @@ TEST(SimNetwork, PipelineLatencyMatchesSchedule) {
   ASSERT_TRUE(r.feasible);
   const StreamResult& s = r.streams[0];
   // ~250 instances in 1 s at 4 ms.
-  EXPECT_GE(s.delivered, 249);
+  EXPECT_GE(s.messagesDelivered, 249);
   // 3 hops of one MTU: >= 3 * 123us wire time; with zero queueing the
   // jitter is identically zero (fully deterministic pipeline).
   EXPECT_GE(s.latency.minNs, 3 * net::frameTxTime(1500, 100'000'000));
@@ -44,7 +44,7 @@ TEST(SimNetwork, MultiFrameMessageReassembled) {
   const auto r = runExperiment(ex);
   ASSERT_TRUE(r.feasible);
   const StreamResult& s = r.streams[0];
-  EXPECT_GE(s.delivered, 249);
+  EXPECT_GE(s.messagesDelivered, 249);
   // Latency covers all three frames: at least 3 frames on the first link
   // plus the pipeline of the last frame.
   EXPECT_GE(s.latency.minNs, 3 * net::frameTxTime(1500, 100'000'000));
@@ -68,7 +68,7 @@ TEST(SimNetwork, TwoStreamsIndependentRoutes) {
   const auto r = runExperiment(ex);
   ASSERT_TRUE(r.feasible);
   for (const auto& s : r.streams) {
-    EXPECT_GE(s.delivered, 249) << s.name;
+    EXPECT_GE(s.messagesDelivered, 249) << s.name;
     EXPECT_EQ(s.deadlineMisses, 0) << s.name;
   }
 }
@@ -79,8 +79,8 @@ TEST(SimNetwork, SuppressEctTraffic) {
   ex.simConfig.suppressEctTraffic = true;
   const auto r = runExperiment(ex);
   ASSERT_TRUE(r.feasible);
-  EXPECT_EQ(r.byName("e").delivered, 0);
-  EXPECT_GT(r.byName("s").delivered, 0);
+  EXPECT_EQ(r.byName("e").messagesDelivered, 0);
+  EXPECT_GT(r.byName("s").messagesDelivered, 0);
 }
 
 TEST(SimNetwork, EctJitterWindowControlsArrivalDensity) {
@@ -92,7 +92,8 @@ TEST(SimNetwork, EctJitterWindowControlsArrivalDensity) {
   ex.simConfig.ectJitterWindow = milliseconds(20);  // ~20 ms interarrival
   const auto sparse = runExperiment(ex);
   ASSERT_TRUE(dense.feasible && sparse.feasible);
-  EXPECT_GT(dense.byName("e").delivered, sparse.byName("e").delivered);
+  EXPECT_GT(dense.byName("e").messagesDelivered,
+            sparse.byName("e").messagesDelivered);
 }
 
 TEST(SimNetwork, ClockDriftWithPtpStillDelivers) {
@@ -107,7 +108,7 @@ TEST(SimNetwork, ClockDriftWithPtpStillDelivers) {
   const auto r = runExperiment(ex);
   ASSERT_TRUE(r.feasible);
   const StreamResult& s = r.streams[0];
-  EXPECT_GE(s.delivered, 490);
+  EXPECT_GE(s.messagesDelivered, 490);
   EXPECT_EQ(s.deadlineMisses, 0);
 }
 
@@ -132,8 +133,9 @@ TEST(SimNetwork, RecorderCountsConsistent) {
   const auto r = runExperiment(ex);
   ASSERT_TRUE(r.feasible);
   for (const auto& s : r.streams) {
-    EXPECT_EQ(static_cast<std::int64_t>(s.samples.size()), s.delivered);
-    EXPECT_EQ(s.latency.count, s.delivered);
+    EXPECT_EQ(static_cast<std::int64_t>(s.latencies.size()),
+              s.messagesDelivered);
+    EXPECT_EQ(s.latency.count, s.messagesDelivered);
   }
 }
 

@@ -59,11 +59,11 @@ void expectWellBehavedIdentical(const ExperimentResult& a,
                                 const std::string& name) {
   const StreamResult& x = a.byName(name);
   const StreamResult& y = b.byName(name);
-  EXPECT_EQ(x.samples, y.samples) << name;
-  EXPECT_EQ(x.sent, y.sent) << name;
-  EXPECT_EQ(x.delivered, y.delivered) << name;
+  EXPECT_EQ(x.latencies, y.latencies) << name;
+  EXPECT_EQ(x.messagesSent, y.messagesSent) << name;
+  EXPECT_EQ(x.messagesDelivered, y.messagesDelivered) << name;
   EXPECT_EQ(x.deadlineMisses, y.deadlineMisses) << name;
-  EXPECT_EQ(x.unterminated, y.unterminated) << name;
+  EXPECT_EQ(x.messagesUnterminated, y.messagesUnterminated) << name;
   EXPECT_EQ(x.framesDroppedPolicer, y.framesDroppedPolicer) << name;
 }
 
@@ -255,7 +255,7 @@ TEST(Police, UnpolicedSpecsAlwaysPass) {
 TEST(SimPolice, CleanTrafficIsUntouchedByPolicing) {
   Experiment plain = policeExperiment();
   Experiment policed = plain;
-  policed.enablePolicing = true;
+  policed.simConfig.police.enabled = true;
   policed.simConfig.police.blockOnViolation = true;
 
   const auto a = runExperiment(plain);
@@ -278,13 +278,13 @@ TEST(SimPolice, CleanTrafficIsUntouchedByPolicing) {
 TEST(SimPolice, PolicingIsolatesWellBehavedStreamsFromBabbler) {
   Experiment ex = policeExperiment();
   ex.simConfig.suppressEctTraffic = true;
-  ex.enablePolicing = true;
+  ex.simConfig.police.enabled = true;
   ex.simConfig.police.blockOnViolation = true;
   ex.simConfig.police.quietPeriod = milliseconds(10);
 
   const auto clean = runExperiment(ex);
   ASSERT_TRUE(clean.feasible);
-  EXPECT_GT(clean.byName("victim").delivered, 200);
+  EXPECT_GT(clean.byName("victim").messagesDelivered, 200);
   EXPECT_EQ(clean.byName("victim").deadlineMisses, 0);
 
   // Babble from 102 ms (phase 2 ms of the victim's 4 ms cycle, away from
@@ -311,13 +311,29 @@ TEST(SimPolice, PolicingIsolatesWellBehavedStreamsFromBabbler) {
   // Non-vacuity guard: the identical scenario with policing off measurably
   // degrades the shared-slot victim (EP flood displaces its slots).
   Experiment open = babbling;
-  open.enablePolicing = false;
+  open.simConfig.police.enabled = false;
   const auto degraded = runExperiment(open);
   ASSERT_TRUE(degraded.feasible);
   const StreamResult& victim = degraded.byName("victim");
   EXPECT_TRUE(victim.deadlineMisses > 0 ||
-              victim.delivered < clean.byName("victim").delivered)
+              victim.messagesDelivered <
+                  clean.byName("victim").messagesDelivered)
       << "babbler caused no victim degradation — vacuous isolation test";
+}
+
+// One switch arms policing: with only simConfig.police.enabled set,
+// runExperiment compiles the filter table from the solved schedule, so the
+// babbler's flood dies at ingress while the meter passes its declared rate.
+TEST(SimPolice, SimConfigFlagAloneCompilesFiltersAndPolices) {
+  Experiment ex = policeExperiment();
+  ex.simConfig.suppressEctTraffic = true;
+  ex.simConfig.police.enabled = true;
+  ex.simConfig.faults.babblers.push_back(floodFrom(milliseconds(102)));
+  const ExperimentResult r = runExperiment(ex);
+  ASSERT_TRUE(r.feasible);
+  const StreamResult& bab = r.byName("bab");
+  EXPECT_GT(bab.framesDroppedPolicer, 1'000);
+  EXPECT_EQ(bab.policerViolations, bab.framesDroppedPolicer);  // no blocking
 }
 
 // Bounded queues turn the unpoliced flood's unbounded backlog into
@@ -390,7 +406,7 @@ TEST(SimPolice, CampaignJsonCarriesPolicerCounters) {
         ex.simConfig.duration = milliseconds(100);
         ex.simConfig.seed = taskSeed;
         ex.simConfig.suppressEctTraffic = true;
-        ex.enablePolicing = cell % 2 == 0;
+        ex.simConfig.police.enabled = cell % 2 == 0;
         ex.simConfig.faults.babblers.push_back(
             floodFrom(milliseconds(10 + cell)));
         return ex;
