@@ -6,9 +6,9 @@
 // runs the load sweep at {25, 75}% and lengths {1, 5} MTU, --full runs the
 // paper's complete grid ({25, 50, 75}% and 1..5 MTU).  Both grids run as
 // one campaign (--threads N fans the independent solves+simulations out);
-// in quick mode each solve is conflict-bounded and any cell whose SMT
-// budget runs out is re-run in a follow-up campaign on the (validated)
-// first-fit engine and labelled.
+// in quick mode each solve is conflict-bounded, and a cell whose SMT
+// budget runs out is placed by the (validated) first-fit fallback and
+// labelled.
 #include "harness.h"
 
 namespace {
@@ -57,35 +57,7 @@ int main(int argc, char** argv) {
       return ex;
     });
   }
-  CampaignResult cr = runBenchCampaign(std::move(c), args);
-
-  // Quick mode: re-run budget-exhausted cells on the first-fit engine.
-  std::vector<std::size_t> fallback;
-  if (!args.full) {
-    for (std::size_t i = 0; i < cr.tasks.size(); ++i) {
-      if (!cr.tasks[i].result.feasible) fallback.push_back(i);
-    }
-  }
-  if (!fallback.empty()) {
-    Campaign retry;
-    retry.name = "fig14_first_fit_fallback";
-    for (const std::size_t i : fallback) {
-      const Cell cell = cells[i];
-      retry.add(cr.tasks[i].label, [args, cell](std::uint64_t) {
-        Experiment ex =
-            simulationExperiment(args, cell.method, cell.load, cell.mtus);
-        ex.options.engine = sched::Engine::Heuristic;
-        return ex;
-      });
-    }
-    const CampaignResult rr = runBenchCampaign(std::move(retry), args);
-    for (std::size_t k = 0; k < fallback.size(); ++k) {
-      if (rr.tasks[k].result.feasible) {
-        cr.tasks[fallback[k]].result = rr.tasks[k].result;
-        cr.tasks[fallback[k]].label += " (first-fit; SMT over budget)";
-      }
-    }
-  }
+  const CampaignResult cr = runBenchCampaign(std::move(c), args);
 
   std::size_t task = 0;
   printHeader("Fig. 14(a)(d): ECT latency/jitter vs network load "
@@ -95,7 +67,7 @@ int main(int argc, char** argv) {
     for (const auto method : methods) {
       const CampaignTaskResult& t = cr.tasks[task++];
       printEctRow(sched::methodName(method), t.result);
-      if (t.label.find("first-fit") != std::string::npos) {
+      if (t.result.solve.degraded) {
         std::printf("  (first-fit engine; SMT over budget)\n");
       }
     }
@@ -108,7 +80,7 @@ int main(int argc, char** argv) {
     for (const auto method : methods) {
       const CampaignTaskResult& t = cr.tasks[task++];
       printEctRow(sched::methodName(method), t.result);
-      if (t.label.find("first-fit") != std::string::npos) {
+      if (t.result.solve.degraded) {
         std::printf("  (first-fit engine; SMT over budget)\n");
       }
     }

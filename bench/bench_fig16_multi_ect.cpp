@@ -33,15 +33,13 @@ int main(int argc, char** argv) {
     std::printf("\n--- %s ---\n", sched::methodName(method));
     Experiment ex = build(method);
     if (!args.full) {
-      // Bound the quick pass; on budget exhaustion fall back to the
-      // (validated) first-fit engine and say so.
+      // Bound the quick pass; on budget exhaustion buildSchedule falls
+      // back to the (validated) first-fit engine, and the row says so.
       ex.options.config.conflictBudget = 60'000;
     }
-    ExperimentResult r = runExperiment(ex);
-    if (!r.feasible && !args.full) {
-      ex.options.engine = sched::Engine::Heuristic;
-      r = runExperiment(ex);
-      if (r.feasible) std::printf("  (first-fit engine; SMT over budget)\n");
+    const ExperimentResult r = runExperiment(ex);
+    if (r.solve.degraded) {
+      std::printf("  (first-fit engine; SMT over budget)\n");
     }
     if (!r.feasible) {
       std::printf("  schedule infeasible (solve %.1fs, engine %s)\n",

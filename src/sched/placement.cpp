@@ -99,16 +99,6 @@ bool Placement::canOverlapWith(const ExpandedStream& s,
   return false;
 }
 
-bool Placement::needsIsolation(const ExpandedStream& s,
-                               const Placed& p) const {
-  // Like the first-fit placer, the incremental engines realize the
-  // FifoOrder flavour of isolation (see heuristic.h).
-  if (config_.isolation == SchedulerConfig::Isolation::None) return false;
-  const ExpandedStream& o = (*streams_)[static_cast<std::size_t>(p.stream)];
-  return s.kind == StreamKind::Det && o.kind == StreamKind::Det &&
-         s.priority == o.priority && s.id != o.id;
-}
-
 std::vector<std::uint16_t>& Placement::probSpecCounts(LinkState& ls,
                                                       std::int32_t specId) {
   for (auto& [id, counts] : ls.probSpec) {
@@ -162,7 +152,8 @@ void Placement::mark(const ExpandedStream& s, LinkState& ls,
   }
 }
 
-std::int64_t Placement::bitmapPush(const ExpandedStream& s, LinkState& ls,
+std::int64_t Placement::bitmapPush(const ExpandedStream& s,
+                                   const LinkState& ls,
                                    std::int64_t a, std::int64_t len,
                                    std::int64_t periodTu) const {
   if (ls.detAll.empty() && ls.probCount.empty()) return a;
@@ -212,6 +203,19 @@ std::int64_t Placement::bitmapPush(const ExpandedStream& s, LinkState& ls,
   return a;
 }
 
+std::int64_t Placement::pairwisePush(const ExpandedStream& s,
+                                     const LinkState& ls, std::int64_t a,
+                                     std::int64_t len,
+                                     std::int64_t periodTu) const {
+  for (const Placed& p : ls.placed) {
+    if (p.stream == s.id || canOverlapWith(s, p)) continue;
+    if (periodicIntervalsOverlap(a, len, periodTu, p.start, p.len, p.period)) {
+      a = pushPastPeriodic(a, periodTu, p.start, p.len, p.period);
+    }
+  }
+  return a;
+}
+
 std::int64_t Placement::fifoRequired(const ExpandedStream& s,
                                      net::LinkId link, std::int64_t a,
                                      std::int64_t arrival) const {
@@ -224,9 +228,13 @@ std::int64_t Placement::fifoRequired(const ExpandedStream& s,
   std::int64_t out = a;
   for (const Placed& p : links_[static_cast<std::size_t>(link)].placed) {
     if (!p.det || p.priority != s.priority || p.stream == s.id) continue;
-    // FIFO consistency, resolvable direction (see heuristic.cpp): among
-    // repetition offsets d where the placed frame arrives no later than
-    // us, the binding one is the largest; our slot starts after it ends.
+    // Among the repetition offsets d (multiples of g) at which the placed
+    // frame arrives no later than ours (p.arrival + d <= myArrival), the
+    // largest binds: our slot starts after that occurrence ends.  This is
+    // the one direction a single forward pass can resolve.  The converse —
+    // we arrive first but only fit after — needs upstream slots to move,
+    // so it is accepted as a same-queue swap; only the SMT engine forbids
+    // it, and Presence and Flow isolation both run as this rule here.
     const std::int64_t g = std::gcd(period, p.period);
     const std::int64_t diff = myArrival - p.arrival;
     const std::int64_t dmax =
@@ -236,133 +244,76 @@ std::int64_t Placement::fifoRequired(const ExpandedStream& s,
   return out;
 }
 
-std::int64_t Placement::findStartPairwise(const ExpandedStream& s,
-                                          net::LinkId link, std::int64_t lb,
-                                          std::int64_t hi, std::int64_t len,
-                                          std::int64_t arrival) {
-  const std::int64_t period = s.period / tu_;
-  std::int64_t a = lb;
-  bool moved = true;
-  while (moved) {
-    if (a > hi) return -1;
-    moved = false;
-    for (const Placed& p : links_[static_cast<std::size_t>(link)].placed) {
-      if (p.stream == s.id) continue;  // sequencing handled via lb
-      const bool isolate = needsIsolation(s, p);
-      if (canOverlapWith(s, p) && !isolate) continue;
-      if (periodicIntervalsOverlap(a, len, period, p.start, p.len, p.period)) {
-        a = pushPastPeriodic(a, period, p.start, p.len, p.period);
-        moved = true;
-        if (a > hi) return -1;
-        continue;
-      }
-      if (!isolate) continue;
-      const std::int64_t g = std::gcd(period, p.period);
-      const std::int64_t myArrival = arrival < 0 ? a : arrival;
-      const std::int64_t diff = myArrival - p.arrival;
-      const std::int64_t dmax =
-          diff >= 0 ? (diff / g) * g : -ceilDiv(-diff, g) * g;
-      const std::int64_t required = p.start + dmax + p.len;
-      if (a < required) {
-        a = required;
-        moved = true;
-        if (a > hi) return -1;
-      }
-    }
-  }
-  return a;
-}
-
-std::int64_t Placement::findStartBitmap(const ExpandedStream& s,
-                                        net::LinkId link, std::int64_t lb,
-                                        std::int64_t hi, std::int64_t len,
-                                        std::int64_t arrival) {
-  LinkState& ls = links_[static_cast<std::size_t>(link)];
-  const std::int64_t period = s.period / tu_;
-  std::int64_t a = lb;
-  while (true) {
-    if (a > hi) return -1;
-    const std::int64_t pushed = bitmapPush(s, ls, a, len, period);
-    if (pushed < 0) return -1;
-    if (pushed != a) {
-      a = pushed;
-      continue;
-    }
-    const std::int64_t req = fifoRequired(s, link, a, arrival);
-    if (req != a) {
-      a = req;
-      continue;
-    }
-    return a;
-  }
-}
-
 std::int64_t Placement::findStart(const ExpandedStream& s, net::LinkId link,
                                   std::int64_t lb, std::int64_t hi,
                                   std::int64_t len, std::int64_t arrival) {
-  return useBitmap_ ? findStartBitmap(s, link, lb, hi, len, arrival)
-                    : findStartPairwise(s, link, lb, hi, len, arrival);
+  const LinkState& ls = links_[static_cast<std::size_t>(link)];
+  const std::int64_t period = s.period / tu_;
+  // Both pushes only skip starts that are infeasible, so the fixed point
+  // is the earliest feasible start whichever overlap path runs.
+  std::int64_t a = lb;
+  while (a <= hi) {
+    const std::int64_t pushed = useBitmap_
+                                    ? bitmapPush(s, ls, a, len, period)
+                                    : pairwisePush(s, ls, a, len, period);
+    if (pushed < 0) return -1;
+    if (pushed == a) {
+      const std::int64_t req = fifoRequired(s, link, a, arrival);
+      if (req == a) return a;
+      a = req;
+    } else {
+      a = pushed;
+    }
+  }
+  return -1;
+}
+
+std::int64_t Placement::arrivalAt(
+    const ExpandedStream& s, int hop, int j,
+    const std::vector<std::int64_t>& upStarts) const {
+  const int nUp = s.framesOnLink[static_cast<std::size_t>(hop - 1)];
+  const int o =
+      std::max(nUp - s.framesOnLink[static_cast<std::size_t>(hop)], 0);
+  const int upIdx = std::min(j + o, nUp - 1);
+  const net::Link& up = topo_.link(s.path[static_cast<std::size_t>(hop - 1)]);
+  return upStarts[static_cast<std::size_t>(upIdx)] +
+         ceilDiv(frameTxTimeOf(s, upIdx, up), tu_) +
+         ceilDiv(up.propagationDelay + config_.switchProcessingDelay +
+                     config_.syncErrorMargin,
+                 tu_);
 }
 
 bool Placement::placeFrames(const ExpandedStream& s,
-                            std::vector<std::vector<std::int64_t>>* starts,
-                            std::vector<std::vector<std::int64_t>>* arrivals) {
+                            std::vector<std::vector<std::int64_t>>* starts) {
   const std::int64_t period = s.period / tu_;
   const std::int64_t ot = ceilDiv(s.occurrence, tu_);
-  const std::int64_t slide = ot;
   auto& placed = *starts;
-  auto& arr = *arrivals;
   placed.assign(static_cast<std::size_t>(s.hops()), {});
-  arr.assign(static_cast<std::size_t>(s.hops()), {});
 
   for (int hop = 0; hop < s.hops(); ++hop) {
     const net::LinkId link = s.path[static_cast<std::size_t>(hop)];
     const net::Link& l = topo_.link(link);
+    auto& mine = placed[static_cast<std::size_t>(hop)];
     const int frames = s.framesOnLink[static_cast<std::size_t>(hop)];
-    const int nUp =
-        hop > 0 ? s.framesOnLink[static_cast<std::size_t>(hop - 1)] : 0;
-    const int o = hop > 0 ? std::max(nUp - frames, 0) : 0;
-    const std::int64_t hopDelay =
-        hop > 0 ? ceilDiv(topo_.link(s.path[static_cast<std::size_t>(hop - 1)])
-                                  .propagationDelay +
-                              config_.switchProcessingDelay +
-                              config_.syncErrorMargin,
-                          tu_)
-                : 0;
     for (int j = 0; j < frames; ++j) {
       const std::int64_t len = ceilDiv(frameTxTimeOf(s, j, l), tu_);
-      std::int64_t lb = 0;
-      std::int64_t arrival = 0;
-      if (hop == 0) {
-        if (j == 0) lb = ot;
-        if (j > 0) {
-          lb = placed[0][static_cast<std::size_t>(j - 1)] +
-               ceilDiv(frameTxTimeOf(s, j - 1, l), tu_);
-        }
-        arrival = -1;  // sentinel: the talker paces frames per schedule
-      } else {
-        const int upIdx = std::min(j + o, nUp - 1);
-        const net::Link& upLink =
-            topo_.link(s.path[static_cast<std::size_t>(hop - 1)]);
-        arrival = placed[static_cast<std::size_t>(hop - 1)]
-                        [static_cast<std::size_t>(upIdx)] +
-                  ceilDiv(frameTxTimeOf(s, upIdx, upLink), tu_) + hopDelay;
-        lb = arrival;
-        if (j > 0) {
-          lb = std::max(lb, placed[static_cast<std::size_t>(hop)]
-                                  [static_cast<std::size_t>(j - 1)] +
-                                ceilDiv(frameTxTimeOf(s, j - 1, l), tu_));
-        }
+      const std::int64_t arrival =
+          hop == 0 ? -1
+                   : arrivalAt(s, hop, j,
+                               placed[static_cast<std::size_t>(hop - 1)]);
+      std::int64_t lb = hop == 0 ? ot : arrival;
+      if (j > 0) {
+        lb = std::max(lb, mine.back() +
+                              ceilDiv(frameTxTimeOf(s, j - 1, l), tu_));
       }
-      const std::int64_t hiB = period + slide - len;
-      const std::int64_t start = findStart(s, link, lb, hiB, len, arrival);
+      // Slots may slide up to the occurrence past the period boundary.
+      const std::int64_t hi = period + ot - len;
+      const std::int64_t start = findStart(s, link, lb, hi, len, arrival);
       if (start < 0) {
         lastFailedLink_ = link;
         return false;
       }
-      placed[static_cast<std::size_t>(hop)].push_back(start);
-      arr[static_cast<std::size_t>(hop)].push_back(hop == 0 ? start
-                                                            : arrival);
+      mine.push_back(start);
     }
   }
 
@@ -388,35 +339,14 @@ bool Placement::placeFrames(const ExpandedStream& s,
 bool Placement::tryPlace(StreamId id) {
   const ExpandedStream& s = (*streams_)[static_cast<std::size_t>(id)];
   ETSN_CHECK(!isPlaced(id) && s.hops() > 0);
-  std::vector<std::vector<std::int64_t>> placed;
-  std::vector<std::vector<std::int64_t>> arrivals;
-  if (!placeFrames(s, &placed, &arrivals)) return false;
-
-  const std::int64_t period = s.period / tu_;
-  for (int hop = 0; hop < s.hops(); ++hop) {
-    const net::LinkId link = s.path[static_cast<std::size_t>(hop)];
-    const net::Link& l = topo_.link(link);
-    LinkState& ls = links_[static_cast<std::size_t>(link)];
-    const int frames = s.framesOnLink[static_cast<std::size_t>(hop)];
-    for (int j = 0; j < frames; ++j) {
-      const std::int64_t start =
-          placed[static_cast<std::size_t>(hop)][static_cast<std::size_t>(j)];
-      const std::int64_t len = ceilDiv(frameTxTimeOf(s, j, l), tu_);
-      ls.placed.push_back({s.id, hop, j, start, len, period,
-                           arrivals[static_cast<std::size_t>(hop)]
-                                   [static_cast<std::size_t>(j)],
-                           s.priority, s.kind == StreamKind::Det});
-      mark(s, ls, start, len, period, /*place=*/true);
-    }
-  }
-  starts_[static_cast<std::size_t>(id)] = std::move(placed);
-  epoch_[static_cast<std::size_t>(id)] = ++epochCounter_;
-  ++numPlaced_;
+  std::vector<std::vector<std::int64_t>> starts;
+  if (!placeFrames(s, &starts)) return false;
+  placeAt(id, std::move(starts));
   return true;
 }
 
 void Placement::placeAt(StreamId id,
-                        const std::vector<std::vector<std::int64_t>>& startsTu) {
+                        std::vector<std::vector<std::int64_t>> startsTu) {
   const ExpandedStream& s = (*streams_)[static_cast<std::size_t>(id)];
   ETSN_CHECK(!isPlaced(id) && s.hops() > 0);
   ETSN_CHECK_MSG(startsTu.size() == static_cast<std::size_t>(s.hops()),
@@ -426,39 +356,23 @@ void Placement::placeAt(StreamId id,
     const net::LinkId link = s.path[static_cast<std::size_t>(hop)];
     const net::Link& l = topo_.link(link);
     LinkState& ls = links_[static_cast<std::size_t>(link)];
+    const auto& mine = startsTu[static_cast<std::size_t>(hop)];
     const int frames = s.framesOnLink[static_cast<std::size_t>(hop)];
-    ETSN_CHECK_MSG(startsTu[static_cast<std::size_t>(hop)].size() ==
-                       static_cast<std::size_t>(frames),
+    ETSN_CHECK_MSG(mine.size() == static_cast<std::size_t>(frames),
                    "placeAt: frame count does not match framesOnLink");
-    const int nUp =
-        hop > 0 ? s.framesOnLink[static_cast<std::size_t>(hop - 1)] : 0;
-    const int o = hop > 0 ? std::max(nUp - frames, 0) : 0;
-    const std::int64_t hopDelay =
-        hop > 0 ? ceilDiv(topo_.link(s.path[static_cast<std::size_t>(hop - 1)])
-                                  .propagationDelay +
-                              config_.switchProcessingDelay +
-                              config_.syncErrorMargin,
-                          tu_)
-                : 0;
     for (int j = 0; j < frames; ++j) {
-      const std::int64_t start =
-          startsTu[static_cast<std::size_t>(hop)][static_cast<std::size_t>(j)];
+      const std::int64_t start = mine[static_cast<std::size_t>(j)];
       const std::int64_t len = ceilDiv(frameTxTimeOf(s, j, l), tu_);
-      std::int64_t arrival = start;
-      if (hop > 0) {
-        const int upIdx = std::min(j + o, nUp - 1);
-        const net::Link& upLink =
-            topo_.link(s.path[static_cast<std::size_t>(hop - 1)]);
-        arrival = startsTu[static_cast<std::size_t>(hop - 1)]
-                          [static_cast<std::size_t>(upIdx)] +
-                  ceilDiv(frameTxTimeOf(s, upIdx, upLink), tu_) + hopDelay;
-      }
-      ls.placed.push_back({s.id, hop, j, start, len, period, arrival,
-                           s.priority, s.kind == StreamKind::Det});
+      const std::int64_t arrival =
+          hop == 0 ? start
+                   : arrivalAt(s, hop, j,
+                               startsTu[static_cast<std::size_t>(hop - 1)]);
+      ls.placed.push_back({start, len, period, arrival, s.id, s.priority,
+                           s.kind == StreamKind::Det});
       mark(s, ls, start, len, period, /*place=*/true);
     }
   }
-  starts_[static_cast<std::size_t>(id)] = startsTu;
+  starts_[static_cast<std::size_t>(id)] = std::move(startsTu);
   epoch_[static_cast<std::size_t>(id)] = ++epochCounter_;
   ++numPlaced_;
 }
@@ -519,8 +433,7 @@ std::vector<StreamId> Placement::conflictCandidates(StreamId id,
   const ExpandedStream& s = (*streams_)[static_cast<std::size_t>(id)];
   std::vector<StreamId> out;
   for (const Placed& p : links_[static_cast<std::size_t>(link)].placed) {
-    if (p.stream == id) continue;
-    if (canOverlapWith(s, p) && !needsIsolation(s, p)) continue;
+    if (p.stream == id || canOverlapWith(s, p)) continue;
     out.push_back(p.stream);
   }
   std::sort(out.begin(), out.end());

@@ -1,18 +1,22 @@
-// Incremental slot placement: the substrate under the heuristic scheduling
-// engines (sched/portfolio.h).
+// Incremental slot placement: the one substrate under every incomplete
+// scheduling engine — first-fit, greedy, tabu and dnc (sched/portfolio.h)
+// and the admission engine (sched/admission.h).
 //
 // A Placement holds a partial schedule — some streams placed, some not —
-// and supports placing a stream at its earliest feasible offsets and
-// ripping a placed stream back out, which is what bounded backtracking and
-// tabu search need and the one-shot first-fit placer (sched/heuristic.h)
-// does not provide.  The constraint semantics are identical to the SMT
-// formulation and the first-fit placer: time bounds (1)-(2), sequencing
-// (3), latency (4), periodic non-overlap (5) with the probabilistic-stream
-// exceptions, adjacent-link ordering (7), and FIFO-order frame isolation.
+// and supports placing a stream at its earliest feasible offsets, pinning
+// one at known offsets, and ripping a placed stream back out, which is
+// what bounded backtracking, tabu search and admission rollback need.
+// First-fit is greedy with no rip-ups.  The constraint semantics are the
+// SMT formulation's: time bounds (1)-(2), sequencing (3), latency (4),
+// periodic non-overlap (5) with the probabilistic-stream exceptions,
+// adjacent-link ordering (7), and FIFO-order frame isolation
+// (fifoRequired).
 //
-// Two conflict-search paths produce bit-identical placements:
+// findStart alternates two pushes to a fixed point: past every frame the
+// candidate overlaps, then past the FIFO requirement.  The overlap push
+// has two implementations that give identical starts:
 //  * pairwise — scan the link's placed frames with gcd-periodic overlap
-//    tests (the first-fit placer's method; always available);
+//    tests (always available);
 //  * bitmap — per-link occupancy arrays over the hyperperiod, split by
 //    overlap category (Det, non-shared Det, Prob per ECT spec), giving
 //    O(window) earliest-fit search instead of O(placed²).  Used when the
@@ -30,7 +34,7 @@ namespace etsn::sched {
 
 /// Do the periodic intervals (a, la, ta) and (b, lb, tb) ever intersect?
 /// (Intervals repeat forever with their period; the test is exact via
-/// gcd(ta, tb).)  Shared by the placers and the validator.
+/// gcd(ta, tb).)  Shared by the placement search and the validator.
 bool periodicIntervalsOverlap(std::int64_t a, std::int64_t la,
                               std::int64_t ta, std::int64_t b,
                               std::int64_t lb, std::int64_t tb);
@@ -56,11 +60,10 @@ class Placement {
   /// without searching: the shape must match the stream's framesOnLink
   /// grid, and the offsets are trusted to be feasible (they come from a
   /// previously validated placement — delta-solve pins untouched streams
-  /// bit-for-bit and rollback restores ripped victims exactly).  Arrivals
-  /// are derived the same way tryPlace derives them, so FIFO-isolation
-  /// state is identical to a search-placed stream.
-  void placeAt(StreamId id,
-               const std::vector<std::vector<std::int64_t>>& startsTu);
+  /// bit-for-bit and rollback restores ripped victims exactly).  tryPlace
+  /// commits through here too, so FIFO-isolation state is identical for a
+  /// pinned and a search-placed stream.
+  void placeAt(StreamId id, std::vector<std::vector<std::int64_t>> startsTu);
 
   /// Current start offsets of a placed stream, starts[hop][frame] in tu
   /// (snapshot source for delta-solve rollback).  Empty if not placed.
@@ -120,13 +123,11 @@ class Placement {
 
  private:
   struct Placed {
-    StreamId stream;
-    int hop;
-    int frameIndex;
     std::int64_t start;    // tu
     std::int64_t len;      // tu
     std::int64_t period;   // tu
     std::int64_t arrival;  // tu (hop 0: == start)
+    StreamId stream;
     int priority;
     bool det;
   };
@@ -142,25 +143,35 @@ class Placement {
   };
 
   bool placeFrames(const ExpandedStream& s,
-                   std::vector<std::vector<std::int64_t>>* starts,
-                   std::vector<std::vector<std::int64_t>>* arrivals);
+                   std::vector<std::vector<std::int64_t>>* starts);
+  /// When frame j of `s` reaches hop `hop` > 0, in tu: the end of its
+  /// upstream partner's slot (constraint (7)'s index offset picks the
+  /// partner in `upStarts`, the hop-1 starts) plus propagation, switch
+  /// processing and the sync margin.
+  std::int64_t arrivalAt(const ExpandedStream& s, int hop, int j,
+                         const std::vector<std::int64_t>& upStarts) const;
+  /// Earliest start in [lb, hi] free of overlap (5) and FIFO-consistent;
+  /// -1 if none.  `arrival` is the frame's arrival, or -1 at hop 0, where
+  /// the talker paces the frame into the queue at its own slot.
   std::int64_t findStart(const ExpandedStream& s, net::LinkId link,
                          std::int64_t lb, std::int64_t hi, std::int64_t len,
                          std::int64_t arrival);
-  std::int64_t findStartPairwise(const ExpandedStream& s, net::LinkId link,
-                                 std::int64_t lb, std::int64_t hi,
-                                 std::int64_t len, std::int64_t arrival);
-  std::int64_t findStartBitmap(const ExpandedStream& s, net::LinkId link,
-                               std::int64_t lb, std::int64_t hi,
-                               std::int64_t len, std::int64_t arrival);
-  /// FIFO-order isolation: smallest start >= a consistent with every
-  /// same-queue Det frame already on the link (see heuristic.h for the
-  /// resolvable-direction semantics).  Returns a when none binds.
+  /// FIFO-order isolation, the only isolation rule the search enforces:
+  /// the smallest start >= a that leaves the link after every same-queue
+  /// Det frame of another stream that arrived no later (see the .cpp).
+  /// Returns a when none binds.
   std::int64_t fifoRequired(const ExpandedStream& s, net::LinkId link,
                             std::int64_t a, std::int64_t arrival) const;
-  /// First conflicting repetition of candidate [a, a+len) per the stream's
-  /// category masks; returns the minimal pushed start, or a if free.
-  std::int64_t bitmapPush(const ExpandedStream& s, LinkState& ls,
+  /// Overlap push, pairwise path: the candidate [a, a+len) moved past the
+  /// colliding repetition of each conflicting placed frame in turn; a if
+  /// none collides.
+  std::int64_t pairwisePush(const ExpandedStream& s, const LinkState& ls,
+                            std::int64_t a, std::int64_t len,
+                            std::int64_t periodTu) const;
+  /// Overlap push, bitmap path: the candidate moved past the occupied run
+  /// of its first conflicting repetition per the stream's category masks;
+  /// a if free, -1 if no start fits at all.
+  std::int64_t bitmapPush(const ExpandedStream& s, const LinkState& ls,
                           std::int64_t a, std::int64_t len,
                           std::int64_t periodTu) const;
   void mark(const ExpandedStream& s, LinkState& ls, std::int64_t start,
@@ -169,7 +180,6 @@ class Placement {
                                              std::int32_t specId);
 
   bool canOverlapWith(const ExpandedStream& s, const Placed& p) const;
-  bool needsIsolation(const ExpandedStream& s, const Placed& p) const;
 
   const net::Topology& topo_;
   const std::vector<ExpandedStream>* streams_;

@@ -18,9 +18,10 @@ namespace etsn::sched {
 
 namespace {
 
-/// The first-fit placer's ordering: deterministic streams first, tightest
-/// laxity first; then probabilistic streams in (spec, occurrence) order so
-/// early possibilities grab the early shared slots.
+/// The placement order of first-fit, greedy and tabu's seed: deterministic
+/// streams first, tightest laxity first; then probabilistic streams in
+/// (spec, occurrence) order so early possibilities grab the early shared
+/// slots.
 std::vector<StreamId> laxityOrder(const std::vector<ExpandedStream>& streams) {
   std::vector<StreamId> order;
   for (const ExpandedStream& s : streams) order.push_back(s.id);
@@ -82,6 +83,14 @@ void finish(EngineResult* out, const Placement& p, QueueStatus status) {
 
 }  // namespace
 
+EngineResult runFirstFit(const net::Topology& topo,
+                         const std::vector<ExpandedStream>& streams,
+                         const SchedulerConfig& config) {
+  PortfolioOptions opts;
+  opts.greedyBacktrack = 0;
+  return runGreedy(topo, streams, config, opts);
+}
+
 EngineResult runGreedy(const net::Topology& topo,
                        const std::vector<ExpandedStream>& streams,
                        const SchedulerConfig& config,
@@ -103,7 +112,7 @@ EngineResult runTabu(const net::Topology& topo,
   EngineResult out;
   Placement p(topo, streams, config);
 
-  // Greedy seed, no backtracking: collect the conflicted remainder.
+  // First-fit seed: collect the conflicted remainder.
   std::deque<StreamId> unplaced;
   for (const StreamId id : laxityOrder(streams)) {
     if (cancel.cancelled()) {

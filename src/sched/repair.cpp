@@ -9,7 +9,7 @@
 #include "common/log.h"
 #include "common/math.h"
 #include "sched/expand.h"
-#include "sched/heuristic.h"
+#include "sched/portfolio.h"
 #include "sched/smt_builder.h"
 
 namespace etsn::sched {
@@ -60,31 +60,80 @@ LinkDownRepair repairLinksDown(const net::Topology& topo,
   out.schedule.specs = base.specs;
   out.schedule.specToStreams.assign(base.specs.size(), {});
 
-  // Reroute per spec: all streams of one spec share a path, so decide on
-  // the first one.  Endpoints come from the routed path itself, which also
-  // covers specs with explicit paths and method-transformed streams.
+  // Reroute per FRER member: the streams of one member share a path, and
+  // an unprotected spec is the one-member case.  A member that avoids the
+  // cut keeps its path.  One that crosses it takes the shortest path that
+  // avoids the cut and every cable of the spec's other surviving members
+  // (so the copies stay disjoint), or is dropped when none exists; the
+  // survivors are renumbered from 0.  Endpoints come from the routed path
+  // itself, which also covers specs with explicit paths and
+  // method-transformed streams.
   std::vector<char> keep(base.streams.size(), 1);
   std::vector<char> rerouted(base.streams.size(), 0);
+  std::vector<std::int32_t> memberOf;
+  for (const ExpandedStream& s : base.streams) memberOf.push_back(s.member);
   std::vector<std::vector<net::LinkId>> pathOf(base.streams.size());
   for (std::size_t i = 0; i < base.specs.size(); ++i) {
     const auto& ids = base.specToStreams[i];
     if (ids.empty()) continue;  // e.g. AVB's unscheduled ECT specs
-    const ExpandedStream& first =
-        base.streams[static_cast<std::size_t>(ids[0])];
-    if (!usesFailed(first.path)) continue;
-    const net::NodeId src = topo.link(first.path.front()).from;
-    const net::NodeId dst = topo.link(first.path.back()).to;
-    std::vector<net::LinkId> np =
-        topo.shortestPathAvoiding(src, dst, std::span<const net::LinkId>(cut));
-    if (np.empty()) {
-      out.droppedSpecs.push_back(static_cast<std::int32_t>(i));
-      for (const StreamId id : ids) keep[static_cast<std::size_t>(id)] = 0;
-    } else {
-      out.reroutedSpecs.push_back(static_cast<std::int32_t>(i));
-      for (const StreamId id : ids) {
-        rerouted[static_cast<std::size_t>(id)] = 1;
-        pathOf[static_cast<std::size_t>(id)] = np;
+    // Member groups: paths[g] is group g's path, groupOf[k] the group of
+    // ids[k] (ids are member-major).
+    std::vector<std::vector<net::LinkId>> paths;
+    std::vector<char> crosses;
+    std::vector<std::size_t> groupOf;
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      const ExpandedStream& s = base.streams[static_cast<std::size_t>(ids[k])];
+      if (k == 0 ||
+          base.streams[static_cast<std::size_t>(ids[k - 1])].member !=
+              s.member) {
+        paths.push_back(s.path);
+        crosses.push_back(usesFailed(s.path) ? 1 : 0);
       }
+      groupOf.push_back(paths.size() - 1);
+    }
+    if (std::find(crosses.begin(), crosses.end(), 1) == crosses.end()) {
+      continue;
+    }
+    const net::NodeId src = topo.link(paths[0].front()).from;
+    const net::NodeId dst = topo.link(paths[0].back()).to;
+    for (std::size_t g = 0; g < paths.size(); ++g) {
+      if (!crosses[g]) continue;
+      // Survivors so far: members off the cut, and crossing members
+      // already rerouted (a dropped member's path is empty).
+      std::vector<net::LinkId> avoid = cut;
+      for (std::size_t h = 0; h < paths.size(); ++h) {
+        if (h == g || (h > g && crosses[h])) continue;
+        avoid.insert(avoid.end(), paths[h].begin(), paths[h].end());
+      }
+      paths[g] = topo.shortestPathAvoiding(src, dst,
+                                           std::span<const net::LinkId>(avoid));
+    }
+    std::vector<std::int32_t> renumbered;
+    std::int32_t survivors = 0;
+    bool anyRerouted = false;
+    for (std::size_t g = 0; g < paths.size(); ++g) {
+      renumbered.push_back(survivors);
+      if (paths[g].empty()) continue;
+      ++survivors;
+      anyRerouted = anyRerouted || crosses[g];
+    }
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      const std::size_t g = groupOf[k];
+      const auto id = static_cast<std::size_t>(ids[k]);
+      keep[id] = !paths[g].empty();
+      rerouted[id] = crosses[g];
+      memberOf[id] = renumbered[g];
+      pathOf[id] = paths[g];
+    }
+    const auto spec = static_cast<std::int32_t>(i);
+    if (survivors == 0) {
+      out.droppedSpecs.push_back(spec);
+      continue;
+    }
+    if (anyRerouted) out.reroutedSpecs.push_back(spec);
+    if (survivors < static_cast<std::int32_t>(paths.size())) {
+      out.lostMemberSpecs.push_back(spec);
+      out.schedule.specs[i].redundancy = survivors;
     }
   }
 
@@ -96,6 +145,7 @@ LinkDownRepair repairLinksDown(const net::Topology& topo,
     if (!keep[static_cast<std::size_t>(s.id)]) continue;
     ExpandedStream ns = s;
     ns.id = static_cast<StreamId>(streams.size());
+    ns.member = memberOf[static_cast<std::size_t>(s.id)];
     if (rerouted[static_cast<std::size_t>(s.id)]) {
       ns.path = pathOf[static_cast<std::size_t>(s.id)];
     }
@@ -151,17 +201,16 @@ LinkDownRepair repairLinksDown(const net::Topology& topo,
     sched.info.feasible = true;
     sched.info.engine = "smt-repair";
   } else {
-    // Graceful degradation: drop the zero-disruption guarantee and let the
-    // first-fit heuristic re-place everything that survives the failure.
+    // Graceful degradation: drop the zero-disruption guarantee and let
+    // first-fit re-place everything that survives the failure.
     ETSN_LOG(Warn) << "pinned SMT repair failed ("
                    << (r == smt::Result::Unknown ? "budget" : "unsat")
-                   << "); degrading to full heuristic re-placement";
-    HeuristicPlacer placer(topo, streams, base.config);
-    const bool ok = placer.place();
+                   << "); degrading to full first-fit re-placement";
+    EngineResult ff = runFirstFit(topo, streams, base.config);
     sched.streams = streams;
-    sched.info.feasible = ok;
+    sched.info.feasible = ff.feasible;
     sched.info.engine = "heuristic-repair";
-    if (ok) sched.slots = placer.slots();
+    if (ff.feasible) sched.slots = std::move(ff.slots);
     out.degraded = true;
     sched.info.degraded = true;
   }

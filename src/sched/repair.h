@@ -16,31 +16,38 @@ namespace etsn::sched {
 /// repairLinkDown below).
 struct LinkDownRepair {
   /// The repaired schedule.  info.feasible is false when even the
-  /// heuristic fallback could not place the affected streams.
+  /// first-fit fallback could not place the affected streams.
   Schedule schedule;
-  /// Spec indices that were given a new path around the failed link.
+  /// Spec indices with at least one FRER member given a new path around
+  /// the failed links.
   std::vector<std::int32_t> reroutedSpecs;
   /// Spec indices left unreachable by the failure; they carry no streams
   /// in the repaired schedule (specToStreams entry is empty).
   std::vector<std::int32_t> droppedSpecs;
+  /// Spec indices that lost some but not all FRER members (no disjoint
+  /// path around the cut).  The survivors are renumbered from 0, and the
+  /// repaired schedule's copy of the spec carries their count as
+  /// `redundancy`.
+  std::vector<std::int32_t> lostMemberSpecs;
   /// Streams preserved bit-for-bit (pinned to their base slots) vs.
   /// streams that were re-placed (rerouted, or shared streams whose
   /// prudent reservation changed with an ECT reroute).
   int untouchedStreams = 0;
   int repairedStreams = 0;
   /// True when the SMT repair failed (unsat under pinning, or conflict
-  /// budget exhausted) and the whole schedule was re-placed by the
-  /// heuristic instead — running streams may have moved.
+  /// budget exhausted) and the whole schedule was re-placed by first-fit
+  /// instead — running streams may have moved.
   bool degraded = false;
 };
 
 /// Repair a feasible base schedule after one or more link (cable)
-/// failures: reroute every stream whose path uses a failed link or its
-/// reverse, recompute prudent reservations against the new ECT paths, and
+/// failures: reroute every FRER member whose path uses a failed link or
+/// its reverse onto a path disjoint from the spec's other surviving
+/// members, recompute prudent reservations against the new ECT paths, and
 /// re-solve with every unaffected stream pinned to its existing slots
-/// (zero disruption for them).  Unreachable specs are dropped.  If the
-/// pinned SMT repair fails, falls back to a full heuristic re-placement
-/// with `degraded` set.
+/// (zero disruption for them).  Members with no such path are dropped, and
+/// a spec with no member left is dropped whole.  If the pinned SMT repair
+/// fails, falls back to a full first-fit re-placement with `degraded` set.
 ///
 /// Contract: `topo` must be the topology the base schedule was solved
 /// against — every link id a base stream references must still exist in

@@ -149,7 +149,7 @@ struct SolveInfo {
   std::string engine;  // "smt", "heuristic", "greedy", "portfolio", ...
   /// Graceful degradation: the primary (SMT) engine gave up — conflict
   /// budget exhausted or repair infeasible under pinning — and the result
-  /// comes from the heuristic fallback instead.
+  /// comes from the first-fit fallback instead.
   bool degraded = false;
   /// Portfolio runs: the engine whose schedule was adopted (deterministic
   /// lowest-rank winner) and the wall-clock until the first feasible

@@ -7,7 +7,6 @@
 #include "common/log.h"
 #include "common/math.h"
 #include "sched/expand.h"
-#include "sched/heuristic.h"
 #include "sched/smt_builder.h"
 
 namespace etsn::sched {
@@ -124,17 +123,13 @@ MethodSchedule buildSchedule(const net::Topology& topo,
 
   const auto t0 = std::chrono::steady_clock::now();
   const Engine engine = options.engine;
-  if (engine == Engine::Heuristic) {
-    HeuristicPlacer placer(topo, exp.streams, options.config);
-    const bool ok = placer.place();
-    sched.streams = exp.streams;
-    sched.info.feasible = ok;
-    sched.info.engine = "heuristic";
-    if (ok) sched.slots = placer.slots();
-  } else if (engine == Engine::Greedy || engine == Engine::Tabu ||
-             engine == Engine::Dnc) {
+  if (engine == Engine::Heuristic || engine == Engine::Greedy ||
+      engine == Engine::Tabu || engine == Engine::Dnc) {
     EngineResult r;
     switch (engine) {
+      case Engine::Heuristic:
+        r = runFirstFit(topo, exp.streams, options.config);
+        break;
       case Engine::Greedy:
         r = runGreedy(topo, exp.streams, options.config, options.portfolio);
         break;
@@ -174,18 +169,15 @@ MethodSchedule buildSchedule(const net::Topology& topo,
     if (sched.info.feasible) sched.slots = smt.extractSlots();
     if (r == smt::Result::Unknown) {
       // Graceful degradation: the conflict budget ran out before a verdict.
-      // Fall back to the first-fit heuristic rather than reporting nothing
-      // — the result is marked so callers can tell it apart from a clean
-      // SMT solution.
-      ETSN_LOG(Warn)
-          << "SMT budget exhausted; degrading to the heuristic placer";
-      HeuristicPlacer placer(topo, exp.streams, options.config);
-      const bool ok = placer.place();
+      // Fall back to first-fit rather than reporting nothing — the result
+      // is marked so callers can tell it apart from a clean SMT solution.
+      ETSN_LOG(Warn) << "SMT budget exhausted; degrading to first-fit";
+      EngineResult ff = runFirstFit(topo, exp.streams, options.config);
       sched.streams = exp.streams;
-      sched.info.feasible = ok;
+      sched.info.feasible = ff.feasible;
       sched.info.engine = "smt+heuristic";
       sched.info.degraded = true;
-      if (ok) sched.slots = placer.slots();
+      if (ff.feasible) sched.slots = std::move(ff.slots);
     }
   }
   const auto t1 = std::chrono::steady_clock::now();

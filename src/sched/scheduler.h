@@ -25,7 +25,7 @@ const char* methodName(Method m);
 /// Which solver produces the slot table (orthogonal to Method, which
 /// transforms the workload):
 ///  * Smt        — the exact QF_IDL formulation (complete, slow at scale);
-///  * Heuristic  — one-shot first-fit placer (sched/heuristic.h);
+///  * Heuristic  — first-fit: greedy with no rip-ups (sched/portfolio.h);
 ///  * Greedy/Tabu/Dnc — the portfolio families (sched/portfolio.h);
 ///  * Portfolio  — all three raced on the thread pool, deterministic
 ///                 lowest-rank winner.

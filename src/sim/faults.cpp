@@ -73,7 +73,7 @@ void FaultPlan::validate(const net::Topology& topo,
       const net::LinkId rev = topo.link(o.link).reverse;
       if (rev != net::kNoLink && rev < cable) cable = rev;
       episodes.push_back(
-          {cable, o.downAt, o.upAt > o.downAt ? o.upAt : kForever});
+          {cable, o.downAt, o.permanent() ? kForever : o.upAt});
     }
     std::sort(episodes.begin(), episodes.end(),
               [](const Episode& a, const Episode& b) {
@@ -252,6 +252,13 @@ std::optional<DropCause> FaultInjector::lossAt(net::LinkId link, TimeNs) {
 bool FaultInjector::linkDown(net::LinkId link, TimeNs t) const {
   for (const LinkOutage& o : outagesOf_[static_cast<std::size_t>(link)]) {
     if (o.covers(t)) return true;
+  }
+  return false;
+}
+
+bool FaultInjector::linkDownForGood(net::LinkId link, TimeNs t) const {
+  for (const LinkOutage& o : outagesOf_[static_cast<std::size_t>(link)]) {
+    if (o.permanent() && o.covers(t)) return true;
   }
   return false;
 }

@@ -47,15 +47,21 @@ struct LossModel {
 
 /// Scheduled outage of a physical cable: both directions of `link` are
 /// dead during [downAt, upAt).  Frames whose transmission completes
-/// inside the window are cut; queued frames wait for the link to return.
+/// inside the window are cut.  The egress ports of both directions stop
+/// selecting frames; what happens to their queues depends on the end:
+///  * finite (upAt > downAt): queued and arriving frames wait, and
+///    transmission resumes at upAt;
+///  * permanent (upAt <= downAt): the frames queued at downAt and every
+///    frame that arrives later are dropped as DropCause::LinkDown.
 struct LinkOutage {
   net::LinkId link = net::kNoLink;
   TimeNs downAt = 0;
   TimeNs upAt = 0;  // upAt <= downAt = down for the rest of the run
 
   bool active() const { return link != net::kNoLink; }
+  bool permanent() const { return upAt <= downAt; }
   bool covers(TimeNs t) const {
-    return active() && t >= downAt && (upAt <= downAt || t < upAt);
+    return active() && t >= downAt && (permanent() || t < upAt);
   }
 };
 
@@ -150,6 +156,9 @@ class FaultInjector {
 
   /// True while `link` (either direction of its cable) is cut at `t`.
   bool linkDown(net::LinkId link, TimeNs t) const;
+
+  /// True when `link` is cut at `t` by an outage that never ends.
+  bool linkDownForGood(net::LinkId link, TimeNs t) const;
 
   /// True when 802.1AS correction on `node` is suppressed at `t`.
   bool syncSuppressed(net::NodeId node, TimeNs t) const;

@@ -108,7 +108,9 @@ Network::Network(const net::Topology& topo,
     port = std::make_unique<EgressPort>(
         sim_, link, gcl, &clocks_[static_cast<std::size_t>(link.from)],
         [this, l](const Frame& f, TimeNs txEnd) { onTxComplete(l, f, txEnd); },
-        faults_.get());
+        faults_.get(), [this](const Frame& f, DropCause cause) {
+          recorder_->onFrameDropped(f, cause);
+        });
     for (const sched::CbsConfig& cbs : program_.cbs) {
       port->configureCbs(cbs.queue, cbs.idleSlopeFraction);
     }
@@ -119,12 +121,7 @@ Network::Network(const net::Topology& topo,
 
   // Bounded egress queues: tail drops are attributed to the owning stream.
   if (config_.queueCapacity > 0) {
-    for (auto& port : ports_) {
-      port->setQueueCapacity(config_.queueCapacity,
-                             [this](const Frame& f, DropCause cause) {
-                               recorder_->onFrameDropped(f, cause);
-                             });
-    }
+    for (auto& port : ports_) port->setQueueCapacity(config_.queueCapacity);
   }
 
   // Ingress policer: wrap the alarm hooks so Recorder bookkeeping happens
@@ -428,21 +425,26 @@ void Network::fireBabble(std::size_t index, TimeNs at) {
 
 void Network::startFaults() {
   if (faults_ == nullptr) return;
+  // Re-run transmission selection on both directions of a cable.
+  auto kickCable = [this](net::LinkId l) {
+    ports_[static_cast<std::size_t>(l)]->kick();
+    const net::LinkId rev = topo_.link(l).reverse;
+    if (rev != net::kNoLink) ports_[static_cast<std::size_t>(rev)]->kick();
+  };
   for (const LinkOutage& o : config_.faults.outages) {
     if (!o.active()) continue;
-    if (o.downAt <= config_.duration && config_.onLinkDown) {
-      sim_.at(o.downAt, EventClass::Control, [this, o]() {
-        config_.onLinkDown(o.link, sim_.now());
+    if (o.downAt <= config_.duration &&
+        (o.permanent() || config_.onLinkDown)) {
+      sim_.at(o.downAt, EventClass::Control, [this, o, kickCable]() {
+        // A cable that never returns drops what its ports hold.
+        if (o.permanent()) kickCable(o.link);
+        if (config_.onLinkDown) config_.onLinkDown(o.link, sim_.now());
       });
     }
-    if (o.upAt > o.downAt && o.upAt <= config_.duration) {
-      sim_.at(o.upAt, EventClass::Control, [this, o]() {
+    if (!o.permanent() && o.upAt <= config_.duration) {
+      sim_.at(o.upAt, EventClass::Control, [this, o, kickCable]() {
         // Carrier back: resume transmission selection on both directions.
-        ports_[static_cast<std::size_t>(o.link)]->kick();
-        const net::LinkId rev = topo_.link(o.link).reverse;
-        if (rev != net::kNoLink) {
-          ports_[static_cast<std::size_t>(rev)]->kick();
-        }
+        kickCable(o.link);
         if (config_.onLinkUp) config_.onLinkUp(o.link, sim_.now());
       });
     }

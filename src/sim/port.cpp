@@ -8,13 +8,15 @@ namespace etsn::sim {
 
 EgressPort::EgressPort(Simulator& sim, const net::Link& link,
                        const net::Gcl* gcl, const Clock* clock,
-                       TxCompleteFn onTxComplete, const FaultInjector* faults)
+                       TxCompleteFn onTxComplete, const FaultInjector* faults,
+                       DropFn onDrop)
     : sim_(sim),
       link_(link),
       gcl_(gcl),
       clock_(clock),
       faults_(faults),
-      onTxComplete_(std::move(onTxComplete)) {
+      onTxComplete_(std::move(onTxComplete)),
+      onDrop_(std::move(onDrop)) {
   serviceTag_ = sim_.registerHandler(&EgressPort::onServiceEvent, this);
   txDoneTag_ = sim_.registerHandler(&EgressPort::onTxDoneEvent, this);
   wakeTag_ = sim_.registerHandler(&EgressPort::onWakeEvent, this);
@@ -33,10 +35,14 @@ TimeNs EgressPort::txTimeFor(const Frame& f) const {
   return net::frameTxTime(f.payloadBytes, link_.bandwidthBps);
 }
 
-void EgressPort::setQueueCapacity(int capacity, DropFn onDrop) {
+void EgressPort::setQueueCapacity(int capacity) {
   ETSN_CHECK(capacity >= 0);
   queueCapacity_ = capacity;
-  onDrop_ = std::move(onDrop);
+}
+
+void EgressPort::drop(FrameHandle h, DropCause cause) {
+  if (onDrop_) onDrop_(sim_.frames()[h], cause);
+  sim_.frames().free(h);
 }
 
 void EgressPort::enqueue(Frame f) {
@@ -51,8 +57,7 @@ void EgressPort::enqueueHandle(FrameHandle h) {
   if (queueCapacity_ > 0 &&
       q.size() >= static_cast<std::size_t>(queueCapacity_)) {
     ++stats_.framesDroppedOverflow;
-    if (onDrop_) onDrop_(f, DropCause::QueueOverflow);
-    sim_.frames().free(h);
+    drop(h, DropCause::QueueOverflow);
     return;
   }
   q.push(h);
@@ -131,8 +136,15 @@ void EgressPort::service() {
     syncCbs(now);
   }
   if (faults_ != nullptr && faults_->linkDown(link_.id, now)) {
-    // Carrier lost: frames wait in their queues; the network layer kicks
-    // the port when the outage ends.
+    // Carrier lost.  Under a finite outage the frames wait in their queues
+    // and the network layer kicks the port when it ends; a link that never
+    // returns drops them (and, through the same-instant service event,
+    // every later arrival).
+    if (faults_->linkDownForGood(link_.id, now)) {
+      for (FrameQueue& q : queues_) {
+        while (!q.empty()) drop(q.pop(), DropCause::LinkDown);
+      }
+    }
     return;
   }
   const TimeNs localNow = clock_->localTime(now);

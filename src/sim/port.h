@@ -83,12 +83,18 @@ class EgressPort {
   /// port recycles the arena slot afterwards) — copy what you keep.
   using TxCompleteFn = std::function<void(const Frame&, TimeNs)>;
 
-  /// `faults` may be null (no fault layer); when set, the port pauses
-  /// transmission selection while its link is cut (frames wait in their
-  /// queues) and relies on kick() at the outage end to resume.
+  /// `onDrop(frame, cause)` (may be empty) reports each frame the port
+  /// drops, for attribution.
+  using DropFn = std::function<void(const Frame&, DropCause)>;
+
+  /// `faults` may be null (no fault layer).  When set, the port pauses
+  /// transmission selection while its link is cut.  Under a finite outage
+  /// the frames wait in their queues, and kick() at the outage end resumes
+  /// them; once the link is down for good, every queued or arriving frame
+  /// is dropped as DropCause::LinkDown (see LinkOutage).
   EgressPort(Simulator& sim, const net::Link& link, const net::Gcl* gcl,
              const Clock* clock, TxCompleteFn onTxComplete,
-             const FaultInjector* faults = nullptr);
+             const FaultInjector* faults = nullptr, DropFn onDrop = {});
 
   EgressPort(const EgressPort&) = delete;
   EgressPort& operator=(const EgressPort&) = delete;
@@ -97,9 +103,7 @@ class EgressPort {
 
   /// Bound every queue of this port to `capacity` frames (0 = unbounded,
   /// the default); an enqueue into a full queue tail-drops the frame.
-  /// `onDrop` (may be empty) reports each tail drop for attribution.
-  using DropFn = std::function<void(const Frame&, DropCause)>;
-  void setQueueCapacity(int capacity, DropFn onDrop);
+  void setQueueCapacity(int capacity);
 
   /// Enqueue a copy of `f` at the current simulation time (allocates the
   /// arena slot on the caller's behalf).
@@ -123,6 +127,7 @@ class EgressPort {
   static void onWakeEvent(void* ctx, std::int32_t, std::int64_t at);
 
   void service();
+  void drop(FrameHandle h, DropCause cause);
   void scheduleWake(TimeNs t);
   void syncCbs(TimeNs now);
   bool queueEligible(int q, std::uint8_t openMask, TimeNs localNow,
@@ -134,7 +139,7 @@ class EgressPort {
   const Clock* clock_;      // owning node's clock
   const FaultInjector* faults_;  // may be null (fault-free run)
   TxCompleteFn onTxComplete_;
-  DropFn onDrop_;           // empty unless bounded queues are enabled
+  DropFn onDrop_;           // may be empty
   int queueCapacity_ = 0;   // frames per queue; 0 = unbounded
   std::array<FrameQueue, net::kNumQueues> queues_;
   std::optional<CbsState> cbs_;

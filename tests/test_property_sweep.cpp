@@ -74,8 +74,8 @@ void checkSweepResults(const std::vector<SweepPoint>& points,
     }
     for (const StreamResult& s : res.streams) {
       EXPECT_GT(s.messagesDelivered, 0) << r.tasks[i].label << " " << s.name;
-      // The SMT engine's schedules must hold at runtime; the heuristic
-      // documents possible same-queue interaction (see heuristic.h).
+      // The SMT engine's schedules must hold at runtime; first-fit
+      // enforces isolation one-sidedly (see Placement::fifoRequired).
       if (s.type == net::TrafficClass::TimeTriggered && !p.heuristic) {
         EXPECT_EQ(s.deadlineMisses, 0)
             << r.tasks[i].label << " " << s.name;

@@ -9,9 +9,10 @@
 //    rejected — the oracle itself is tested against near-miss schedules.
 //  * Determinism: the portfolio result is byte-identical across thread
 //    counts 1/2/8 and across repeated runs with the same seed.
-//  * Substrate equivalence: greedy with a zero rip-up budget reproduces
-//    the first-fit placer's slots bit-for-bit (this is what proves the
-//    hyperperiod-bitmap fast path against the pairwise reference).
+//  * Substrate equivalence: the hyperperiod-bitmap overlap search and the
+//    pairwise one place every corpus instance identically.
+//  * Degradation: an SMT solve that runs out of budget falls back to
+//    first-fit, and says so.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +22,7 @@
 
 #include "common/rng.h"
 #include "sched/expand.h"
-#include "sched/heuristic.h"
+#include "sched/placement.h"
 #include "sched/portfolio.h"
 #include "sched/scheduler.h"
 #include "sched/validate.h"
@@ -107,8 +108,8 @@ std::string fingerprint(const MethodSchedule& ms) {
 }
 
 TEST(SchedPortfolioDifferential, HeuristicsAgreeWithSmtOracle) {
-  const std::vector<std::string> heuristics = {"greedy", "tabu", "dnc",
-                                               "portfolio"};
+  const std::vector<std::string> heuristics = {"heuristic", "greedy", "tabu",
+                                               "dnc", "portfolio"};
   int smtFeasible = 0;
   int smtInfeasible = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
@@ -342,42 +343,94 @@ TEST(SchedPortfolioDeterminism, ByteIdenticalAcrossRepeatedRuns) {
   }
 }
 
-// Greedy with no rip-up budget is definitionally the first-fit placer on
-// the Placement substrate; slot-set equality with HeuristicPlacer proves
-// the substrate (including its bitmap fast path) against the pairwise
-// reference implementation.
-TEST(SchedPortfolioSubstrate, GreedyWithoutBacktrackingMatchesFirstFit) {
-  for (std::uint64_t seed = 100; seed < 120; ++seed) {
+bool sameSlot(const Slot& a, const Slot& b) {
+  return a.stream == b.stream && a.hop == b.hop &&
+         a.frameIndex == b.frameIndex && a.start == b.start &&
+         a.duration == b.duration;
+}
+
+// First-fit places every corpus instance twice: as is, where the small
+// hyperperiod selects the bitmap search, and with one more stream on a
+// cable of its own whose 263-ms period lifts the hyperperiod past
+// kMaxBitmapTu onto the pairwise search.  That stream shares no link, so
+// it moves no other stream: the original streams' slots must match.
+TEST(SchedPortfolioSubstrate, BitmapAndPairwiseSearchesPlaceIdentically) {
+  int compared = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     const Instance inst = makeInstance(seed);
     SchedulerConfig config;
     config.numProbabilistic = 3;
     const Expansion exp = expandStreams(inst.topo, inst.specs, config);
 
-    HeuristicPlacer placer(inst.topo, exp.streams, config);
-    const bool firstFitOk = placer.place();
+    net::Topology wideTopo = inst.topo;
+    net::StreamSpec slow;
+    slow.name = "slow";
+    slow.src = wideTopo.addDevice("slow-talker");
+    slow.dst = wideTopo.addDevice("slow-listener");
+    wideTopo.connect(slow.src, slow.dst);
+    slow.period = milliseconds(263);
+    slow.maxLatency = milliseconds(263);
+    slow.payloadBytes = 100;
+    std::vector<net::StreamSpec> wideSpecs = inst.specs;
+    wideSpecs.push_back(slow);
+    const Expansion wide = expandStreams(wideTopo, wideSpecs, config);
 
-    PortfolioOptions opts;
-    opts.greedyBacktrack = 0;
-    const EngineResult greedy =
-        runGreedy(inst.topo, exp.streams, config, opts);
+    ASSERT_NE(Placement(inst.topo, exp.streams, config).usesBitmap(),
+              Placement(wideTopo, wide.streams, config).usesBitmap())
+        << "instance " << seed;
+    const EngineResult a = runFirstFit(inst.topo, exp.streams, config);
+    const EngineResult b = runFirstFit(wideTopo, wide.streams, config);
+    ASSERT_EQ(a.feasible, b.feasible) << "instance " << seed;
+    if (!a.feasible) continue;
+    // Canonical slot order puts the original streams' slots first.
+    ASSERT_GT(b.slots.size(), a.slots.size()) << "instance " << seed;
+    for (std::size_t i = 0; i < a.slots.size(); ++i) {
+      ASSERT_TRUE(sameSlot(a.slots[i], b.slots[i]))
+          << "instance " << seed << ", slot " << i;
+    }
+    ++compared;
+  }
+  EXPECT_GT(compared, 20);
+}
 
-    ASSERT_EQ(firstFitOk, greedy.feasible) << "instance " << seed;
-    if (!firstFitOk) continue;
-    auto sortSlots = [](std::vector<Slot> v) {
-      std::sort(v.begin(), v.end(), [](const Slot& a, const Slot& b) {
-        return std::tie(a.stream, a.hop, a.frameIndex) <
-               std::tie(b.stream, b.hop, b.frameIndex);
-      });
-      return v;
-    };
-    const auto a = sortSlots(placer.slots());
-    const auto b = sortSlots(greedy.slots);
-    ASSERT_EQ(a.size(), b.size()) << "instance " << seed;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].start, b[i].start) << "instance " << seed;
-      EXPECT_EQ(a[i].duration, b[i].duration) << "instance " << seed;
+// With a one-conflict budget the testbed's SMT solves give up, and every
+// result comes from first-fit: marked degraded, valid whenever feasible,
+// and slot for slot the `heuristic` engine's schedule.
+TEST(SchedPortfolioFallback, SmtOverBudgetDegradesToFirstFit) {
+  const net::Topology topo = net::makeTestbedTopology();
+  int feasible = 0;
+  for (const double load : {0.5, 0.75}) {
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      workload::TctWorkload w;
+      w.numStreams = 10;
+      w.networkLoad = load;
+      w.seed = seed;
+      std::vector<net::StreamSpec> specs = workload::generateTct(topo, w);
+      specs.push_back(
+          workload::makeEct("ect", 1, 3, milliseconds(16), 1500));
+      ScheduleOptions smt;
+      smt.config.conflictBudget = 1;
+      const MethodSchedule degraded = buildSchedule(topo, specs, smt);
+      ScheduleOptions firstFit;
+      firstFit.engine = Engine::Heuristic;
+      const MethodSchedule reference = buildSchedule(topo, specs, firstFit);
+
+      const SolveInfo& info = degraded.schedule.info;
+      EXPECT_TRUE(info.degraded) << "load " << load << ", seed " << seed;
+      EXPECT_EQ(info.engine, "smt+heuristic");
+      ASSERT_EQ(info.feasible, reference.schedule.info.feasible);
+      if (!info.feasible) continue;
+      ++feasible;
+      EXPECT_TRUE(validate(topo, degraded.schedule).empty());
+      const std::vector<Slot>& got = degraded.schedule.slots;
+      const std::vector<Slot>& want = reference.schedule.slots;
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_TRUE(sameSlot(got[i], want[i])) << "slot " << i;
+      }
     }
   }
+  EXPECT_GT(feasible, 0);
 }
 
 // Link-disjoint components place identically whether or not the other

@@ -262,6 +262,7 @@ TEST(RepairLinksDown, UnusedLinkChangesNothing) {
       t.linkBetween(nodeNamed(t, "DA1.1"), nodeNamed(t, "A1"));
   const LinkDownRepair repair = repairLinkDown(t, base.schedule, unused);
   ASSERT_TRUE(repair.schedule.info.feasible);
+  EXPECT_TRUE(validate(t, repair.schedule).empty());
   EXPECT_EQ(repair.repairedStreams, 0);
   EXPECT_TRUE(repair.reroutedSpecs.empty());
   EXPECT_TRUE(repair.droppedSpecs.empty());
@@ -282,6 +283,140 @@ TEST(RepairLinksDown, UnusedLinkChangesNothing) {
     EXPECT_EQ(a.start, b.start) << "slot " << i;
     EXPECT_EQ(a.duration, b.duration) << "slot " << i;
   }
+}
+
+// A pinned repair that runs out of SMT budget re-places every surviving
+// stream with first-fit and says so.
+TEST(RepairLinkDown, PinnedRepairOverBudgetDegradesToFirstFit) {
+  const net::Topology t = ringTopology();
+  std::vector<net::StreamSpec> specs;
+  for (int i = 0; i < 8; ++i) {
+    const net::NodeId src = i % 4;
+    const net::NodeId dst = (i + 1 + i / 4) % 4;
+    specs.push_back(tct("s" + std::to_string(i), src, dst,
+                        milliseconds(4), 300 + 100 * i));
+  }
+  ScheduleOptions options;
+  options.config = config();
+  MethodSchedule base = buildSchedule(t, specs, options);
+  ASSERT_TRUE(base.schedule.info.feasible);
+  base.schedule.config.conflictBudget = 1;
+
+  const LinkDownRepair repair =
+      repairLinkDown(t, base.schedule, t.linkBetween(4, 6));
+  EXPECT_TRUE(repair.degraded);
+  EXPECT_TRUE(repair.schedule.info.degraded);
+  EXPECT_EQ(repair.schedule.info.engine, "heuristic-repair");
+  ASSERT_TRUE(repair.schedule.info.feasible);
+  EXPECT_TRUE(validate(t, repair.schedule).empty());
+  EXPECT_FALSE(repair.reroutedSpecs.empty());
+}
+
+// FRER repair decides per member.  Two spines A and B (plus an optional
+// third, C) join talker T to listener L; `crit` is a 2-member TCT whose
+// members take spines A and B.
+struct FrerCase {
+  net::Topology topo;
+  MethodSchedule base;
+};
+
+FrerCase frerCase(net::Topology topo) {
+  net::StreamSpec crit = tct("crit", nodeNamed(topo, "T"),
+                             nodeNamed(topo, "L"), milliseconds(4), 1000);
+  crit.redundancy = 2;
+  ScheduleOptions options;
+  options.config = config();
+  MethodSchedule base = buildSchedule(topo, {crit}, options);
+  return {std::move(topo), std::move(base)};
+}
+
+/// The repaired schedule is valid and no stream uses a cut cable.
+void expectSoundRepair(const net::Topology& t, const LinkDownRepair& repair,
+                       net::LinkId cut) {
+  ASSERT_TRUE(repair.schedule.info.feasible);
+  const auto violations = validate(t, repair.schedule);
+  EXPECT_TRUE(violations.empty())
+      << violations.front().constraint << " " << violations.front().detail;
+  for (const ExpandedStream& st : repair.schedule.streams) {
+    for (const net::LinkId l : st.path) {
+      EXPECT_NE(l, cut) << st.name;
+      EXPECT_NE(l, t.link(cut).reverse) << st.name;
+    }
+  }
+}
+
+// Cutting member 1's spine leaves no path disjoint from member 2: member 1
+// is dropped, and member 2 keeps its path and slots as the sole member.
+TEST(RepairLinksDown, FrerMemberOneCutIsDroppedNotMergedOntoMemberTwo) {
+  const FrerCase c = frerCase(net::makeRedundantTopology(3, 1));
+  ASSERT_TRUE(c.base.schedule.info.feasible);
+  const net::LinkId cut =
+      c.topo.linkBetween(nodeNamed(c.topo, "A1"), nodeNamed(c.topo, "A2"));
+  const LinkDownRepair repair = repairLinkDown(c.topo, c.base.schedule, cut);
+  expectSoundRepair(c.topo, repair, cut);
+  EXPECT_FALSE(repair.degraded);
+  EXPECT_TRUE(repair.reroutedSpecs.empty());
+  EXPECT_TRUE(repair.droppedSpecs.empty());
+  EXPECT_EQ(repair.lostMemberSpecs, std::vector<std::int32_t>{0});
+  EXPECT_EQ(repair.schedule.specs[0].redundancy, 1);
+  ASSERT_EQ(repair.schedule.specToStreams[0].size(), 1u);
+  const ExpandedStream& survivor = repair.schedule.streams[static_cast<
+      std::size_t>(repair.schedule.specToStreams[0][0])];
+  const ExpandedStream& m2 = c.base.schedule.streams[1];
+  EXPECT_EQ(survivor.member, 0);
+  EXPECT_EQ(survivor.path, m2.path);
+  EXPECT_EQ(repair.untouchedStreams, 1);
+  const auto before = c.base.schedule.slotsOf(m2.id, 0);
+  const auto after = repair.schedule.slotsOf(survivor.id, 0);
+  ASSERT_EQ(before.size(), after.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(before[i].start, after[i].start);
+  }
+}
+
+// Cutting member 2's spine must not leave member 2 on the dead cable.
+TEST(RepairLinksDown, FrerMemberTwoCutLeavesNoStreamOnTheDeadCable) {
+  const FrerCase c = frerCase(net::makeRedundantTopology(3, 1));
+  ASSERT_TRUE(c.base.schedule.info.feasible);
+  const net::LinkId cut =
+      c.topo.linkBetween(nodeNamed(c.topo, "B1"), nodeNamed(c.topo, "B2"));
+  const LinkDownRepair repair = repairLinkDown(c.topo, c.base.schedule, cut);
+  expectSoundRepair(c.topo, repair, cut);
+  EXPECT_EQ(repair.lostMemberSpecs, std::vector<std::int32_t>{0});
+  EXPECT_EQ(repair.schedule.specs[0].redundancy, 1);
+  ASSERT_EQ(repair.schedule.specToStreams[0].size(), 1u);
+  EXPECT_EQ(repair.schedule.streams[0].path, c.base.schedule.streams[0].path);
+}
+
+// With a third disjoint route, the cut member is rerouted onto it and the
+// spec keeps both members.
+TEST(RepairLinksDown, FrerMemberReroutesOntoAThirdDisjointRoute) {
+  net::Topology t;
+  const net::NodeId talker = t.addDevice("T");
+  const net::NodeId listener = t.addDevice("L");
+  for (const char* spine : {"A", "B", "C"}) {
+    const net::NodeId first = t.addSwitch(std::string(spine) + "1");
+    const net::NodeId second = t.addSwitch(std::string(spine) + "2");
+    t.connect(talker, first);
+    t.connect(first, second);
+    t.connect(second, listener);
+  }
+  const FrerCase c = frerCase(std::move(t));
+  ASSERT_TRUE(c.base.schedule.info.feasible);
+  const net::LinkId cut =
+      c.topo.linkBetween(nodeNamed(c.topo, "A1"), nodeNamed(c.topo, "A2"));
+  ASSERT_NE(std::find(c.base.schedule.streams[0].path.begin(),
+                      c.base.schedule.streams[0].path.end(), cut),
+            c.base.schedule.streams[0].path.end());
+  const LinkDownRepair repair = repairLinkDown(c.topo, c.base.schedule, cut);
+  expectSoundRepair(c.topo, repair, cut);
+  EXPECT_EQ(repair.reroutedSpecs, std::vector<std::int32_t>{0});
+  EXPECT_TRUE(repair.lostMemberSpecs.empty());
+  EXPECT_EQ(repair.schedule.specs[0].redundancy, 2);
+  ASSERT_EQ(repair.schedule.specToStreams[0].size(), 2u);
+  EXPECT_EQ(repair.schedule.streams[1].path, c.base.schedule.streams[1].path);
+  const net::NodeId c1 = nodeNamed(c.topo, "C1");
+  EXPECT_EQ(c.topo.link(repair.schedule.streams[0].path.front()).to, c1);
 }
 
 // pinStreamTo contract: stale slots must be rejected with ConfigError —

@@ -494,6 +494,80 @@ TEST(SimFaults, OutageCutsMidFlightFrame) {
                                  r.framesDroppedOutage + r.framesInFlight);
 }
 
+// A finite outage holds its frames: the trunk's ports stop, and the frames
+// that queue there leave once the carrier returns.
+TEST(SimFaults, FiniteOutageDeliversHeldFrames) {
+  Experiment ex = pipelineExperiment();
+  const sched::MethodSchedule ms =
+      sched::buildSchedule(ex.topo, ex.specs, ex.options);
+  ASSERT_TRUE(ms.schedule.info.feasible);
+  const sched::NetworkProgram program = sched::compileProgram(ex.topo, ms);
+
+  const net::LinkId trunk = ex.topo.linkBetween(4, 5);  // SW1 -> SW2
+  const net::LinkId last = ex.topo.linkBetween(5, 2);   // SW2 -> D3
+  const TimeNs down = milliseconds(300);
+  const TimeNs up = milliseconds(320);
+  sim::SimConfig cfg = ex.simConfig;
+  cfg.faults.outages.push_back({trunk, down, up});
+  std::int64_t heldDelivered = 0;
+  cfg.trace = [&](const sim::TraceEvent& e) {
+    if (e.link == last && e.frame.created >= down && e.frame.created < up) {
+      ++heldDelivered;
+    }
+  };
+  sim::Network network(ex.topo, program, cfg);
+  network.run();
+
+  const sim::StreamRecord& r = network.recorder().record(0);
+  EXPECT_EQ(heldDelivered, 5);  // every frame emitted in the 20-ms outage
+  EXPECT_EQ(r.framesDroppedOutage, 0);
+  EXPECT_EQ(r.framesEmitted, r.framesDelivered + r.framesDroppedLoss +
+                                 r.framesDroppedOutage + r.framesInFlight);
+}
+
+// A cable that never returns drops what its ports hold.  A finite outage
+// first leaves a backlog queued on both directions of the trunk (each gate
+// drains one frame per period, as many as arrive); the trunk then dies for
+// good with that backlog queued, and every later frame reaches a dead
+// port.  Both are dropped as outage losses, so nothing is left in flight.
+TEST(SimFaults, PermanentOutageDropsQueuedAndArrivingFrames) {
+  Experiment ex = pipelineExperiment();
+  net::StreamSpec back = ex.specs[0];
+  back.name = "back";
+  back.src = 2;
+  back.dst = 0;
+  ex.specs.push_back(back);
+  // The run ends 1 ms after the last emission, so no frame is still on
+  // its way to the trunk when the books close.
+  ex.simConfig.duration = milliseconds(1001);
+  const sched::MethodSchedule ms =
+      sched::buildSchedule(ex.topo, ex.specs, ex.options);
+  ASSERT_TRUE(ms.schedule.info.feasible);
+  const sched::NetworkProgram program = sched::compileProgram(ex.topo, ms);
+
+  const net::LinkId trunk = ex.topo.linkBetween(4, 5);
+  sim::SimConfig cfg = ex.simConfig;
+  cfg.faults.outages.push_back({trunk, milliseconds(100), milliseconds(200)});
+  sim::Network held(ex.topo, program, cfg);
+  held.run();
+  cfg.faults.outages.push_back({trunk, milliseconds(500), 0});
+  sim::Network cut(ex.topo, program, cfg);
+  cut.run();
+
+  for (const std::int32_t spec : {0, 1}) {
+    // The finite outage's backlog persists; the cut finds it queued.
+    EXPECT_GE(held.recorder().record(spec).framesInFlight, 20);
+    const sim::StreamRecord& r = cut.recorder().record(spec);
+    EXPECT_EQ(r.framesInFlight, 0) << "spec " << spec;
+    // The backlog plus the 126 frames emitted from the cut on.
+    EXPECT_GE(r.framesDroppedOutage, 20 + 126) << "spec " << spec;
+    EXPECT_EQ(r.framesEmitted, r.framesDelivered + r.framesDroppedOutage)
+        << "spec " << spec;
+    EXPECT_EQ(r.messagesSent, r.messagesDelivered + r.messagesLost)
+        << "spec " << spec;
+  }
+}
+
 TEST(SimFaults, BabblingSourceViolatesMinInterevent) {
   Experiment ex = pipelineExperiment();
   ex.specs.push_back(workload::makeEct("e", 1, 3, milliseconds(16), 500));
