@@ -11,7 +11,7 @@
 //
 // Determinism gate: the same trace is replayed across portfolio thread
 // counts 1/2/8 and with the cache disabled; the per-request verdict
-// sequence and the final schedule hash must be byte-identical in all six
+// sequence and the final schedule hash must be byte-identical in all five
 // runs.  Correctness gate: the final state (and every 60th intermediate
 // state) must pass sched::validate.  Perf gate: --p99-ceiling-ms M fails
 // the run if the single-request p99 exceeds M (the check_perf wiring sets
@@ -32,15 +32,6 @@
 namespace {
 
 using namespace etsn;
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 double secondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -183,12 +174,11 @@ double percentile(std::vector<double> v, double q) {
   return v[std::min(i, v.size() - 1)];
 }
 
-/// Drive one engine through the trace.  `batched` issues the whole trace
-/// through requestBatch (decisions must be identical to one-by-one).
+/// Drive one engine through the trace, one request at a time.
 RunRow runTrace(const Plant& p, const sched::SchedulerConfig& config,
                 const sched::AdmissionOptions& opts,
                 const std::vector<sched::AdmissionRequest>& trace,
-                const std::string& mode, bool batched, bool validateSamples) {
+                const std::string& mode, bool validateSamples) {
   RunRow row;
   row.mode = mode;
   row.requests = static_cast<int>(trace.size());
@@ -200,23 +190,16 @@ RunRow runTrace(const Plant& p, const sched::SchedulerConfig& config,
   std::vector<double> latencies;
   std::string verdicts;
   const auto span = std::chrono::steady_clock::now();
-  if (batched) {
-    for (const sched::AdmissionDecision& d : eng.requestBatch(trace)) {
-      latencies.push_back(d.seconds);
-      verdicts += d.admitted ? 'A' : 'r';
-    }
-  } else {
-    int step = 0;
-    for (const sched::AdmissionRequest& req : trace) {
-      const sched::AdmissionDecision d = eng.request(req);
-      latencies.push_back(d.seconds);
-      verdicts += d.admitted ? 'A' : 'r';
-      ++step;
-      if (validateSamples && step % 60 == 0) {
-        ETSN_CHECK_MSG(sched::validate(p.topo, eng.schedule()).empty(),
-                       "intermediate admitted state failed validation at "
-                       "request " << step);
-      }
+  int step = 0;
+  for (const sched::AdmissionRequest& req : trace) {
+    const sched::AdmissionDecision d = eng.request(req);
+    latencies.push_back(d.seconds);
+    verdicts += d.admitted ? 'A' : 'r';
+    ++step;
+    if (validateSamples && step % 60 == 0) {
+      ETSN_CHECK_MSG(sched::validate(p.topo, eng.schedule()).empty(),
+                     "intermediate admitted state failed validation at "
+                     "request " << step);
     }
   }
   const double wall = secondsSince(span);
@@ -230,7 +213,7 @@ RunRow runTrace(const Plant& p, const sched::SchedulerConfig& config,
                                   : 0;
   const sched::Schedule final = eng.schedule();
   row.scheduleHash = sched::scheduleHash(final);
-  row.verdictHash = fnv1a(verdicts);
+  row.verdictHash = bench::fnv1a(verdicts);
   row.valid = sched::validate(p.topo, final).empty();
   return row;
 }
@@ -312,15 +295,11 @@ int main(int argc, char** argv) {
               "p50(ms)", "p95(ms)", "p99(ms)", "max(ms)", "req/s");
 
   const RunRow single = runTrace(plant, config, opts, trace, "single",
-                                 /*batched=*/false, /*validateSamples=*/true);
+                                 /*validateSamples=*/true);
   printRow(single);
-  const RunRow batch = runTrace(plant, config, opts, trace, "batch",
-                                /*batched=*/true, /*validateSamples=*/false);
-  printRow(batch);
   sched::AdmissionOptions noCache = opts;
   noCache.cacheCapacity = 0;
   const RunRow uncached = runTrace(plant, config, noCache, trace, "no-cache",
-                                   /*batched=*/false,
                                    /*validateSamples=*/false);
   printRow(uncached);
 
@@ -357,20 +336,18 @@ int main(int argc, char** argv) {
 
   // Determinism matrix: verdicts and final schedule hash must be
   // byte-identical across portfolio thread counts and cache on/off.
-  bool deterministic = single.scheduleHash == batch.scheduleHash &&
-                       single.verdictHash == batch.verdictHash &&
-                       single.scheduleHash == uncached.scheduleHash &&
+  bool deterministic = single.scheduleHash == uncached.scheduleHash &&
                        single.verdictHash == uncached.verdictHash;
   for (const int threads : {1, 2, 8}) {
     sched::AdmissionOptions o = opts;
     o.portfolio.threads = threads;
     const RunRow r = runTrace(plant, config, o, trace,
                               "t" + std::to_string(threads),
-                              /*batched=*/false, /*validateSamples=*/false);
+                              /*validateSamples=*/false);
     deterministic = deterministic && r.scheduleHash == single.scheduleHash &&
                     r.verdictHash == single.verdictHash && r.valid;
   }
-  std::printf("[determinism across batch/no-cache/threads{1,2,8}: %s]\n",
+  std::printf("[determinism across no-cache/threads{1,2,8}: %s]\n",
               deterministic ? "byte-identical" : "MISMATCH");
   std::printf("[schedule hash %016llx]\n",
               static_cast<unsigned long long>(single.scheduleHash));
@@ -394,7 +371,6 @@ int main(int argc, char** argv) {
       << ",\n  \"trace_requests\": " << trace.size() << ",\n  \"seed\": "
       << args.seed << ",\n  \"rows\": [\n";
   jsonRow(out, single, false);
-  jsonRow(out, batch, false);
   jsonRow(out, uncached, true);
   out << "  ],\n  \"baseline_p50_ms\": " << baselineP50Ms
       << ",\n  \"speedup_p50\": " << speedup << ",\n  \"deterministic\": "
@@ -406,7 +382,7 @@ int main(int argc, char** argv) {
                 path.c_str());
   }
 
-  return (deterministic && single.valid && batch.valid && uncached.valid &&
+  return (deterministic && single.valid && uncached.valid &&
           ceilingOk && speedupOk)
              ? 0
              : 1;

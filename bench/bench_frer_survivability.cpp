@@ -151,15 +151,6 @@ int openBooks(const char* label, const ExperimentResult& r) {
   return open;
 }
 
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -209,18 +200,8 @@ int main(int argc, char** argv) {
 
   // Run the same grid at three pool sizes; the first is the report, the
   // others only feed the determinism gate.
-  bench::Args campaignArgs = args;
-  campaignArgs.jsonPath.clear();  // rows file below, not the raw dump
-  std::uint64_t hashes[3] = {0, 0, 0};
-  CampaignResult r;
-  const int pools[3] = {1, 2, 8};
-  for (int i = 0; i < 3; ++i) {
-    campaignArgs.threads = pools[i];
-    CampaignResult cr = bench::runBenchCampaign(c, campaignArgs);
-    hashes[i] =
-        fnv1a(toJson(cr, /*includeSamples=*/true, /*includeTiming=*/false));
-    if (i == 0) r = std::move(cr);
-  }
+  const bench::ThreadCountGate gate = bench::runAtThreadCounts(c, args);
+  const CampaignResult& r = gate.report;
 
   bench::printHeader(
       "FRER survivability: seamless redundancy vs path-killing faults");
@@ -276,14 +257,14 @@ int main(int argc, char** argv) {
   std::printf("[frame books: %s]\n", open == 0 ? "closed in every cell"
                                                : "OPEN");
   std::printf("[campaign hash %016llx]\n",
-              static_cast<unsigned long long>(hashes[0]));
-  if (hashes[0] != hashes[1] || hashes[0] != hashes[2]) {
+              static_cast<unsigned long long>(gate.hashes[0]));
+  if (!gate.identical()) {
     std::fprintf(stderr,
                  "FAIL: campaign hash differs across thread counts "
                  "(t1=%016llx t2=%016llx t8=%016llx)\n",
-                 static_cast<unsigned long long>(hashes[0]),
-                 static_cast<unsigned long long>(hashes[1]),
-                 static_cast<unsigned long long>(hashes[2]));
+                 static_cast<unsigned long long>(gate.hashes[0]),
+                 static_cast<unsigned long long>(gate.hashes[1]),
+                 static_cast<unsigned long long>(gate.hashes[2]));
     return 1;
   }
   return open == 0 ? 0 : 1;

@@ -125,15 +125,6 @@ std::int64_t psfpFalseBlocks(const ExperimentResult& r) {
   return drops;
 }
 
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 Campaign makeCampaign(const bench::Args& args,
                       const std::vector<Cell>& cells,
                       const std::map<TimeNs,
@@ -191,19 +182,9 @@ int main(int argc, char** argv) {
 
   // Run the same grid at three pool sizes; the first is the report, the
   // others only feed the determinism gate.
-  bench::Args runArgs = args;
-  runArgs.jsonPath.clear();
-  std::uint64_t hashes[3] = {0, 0, 0};
-  CampaignResult r;
-  const int pools[3] = {1, 2, 8};
-  for (int i = 0; i < 3; ++i) {
-    runArgs.threads = pools[i];
-    CampaignResult cr =
-        bench::runBenchCampaign(makeCampaign(runArgs, cells, solved), runArgs);
-    hashes[i] =
-        fnv1a(toJson(cr, /*includeSamples=*/true, /*includeTiming=*/false));
-    if (i == 0) r = std::move(cr);
-  }
+  const bench::ThreadCountGate gate =
+      bench::runAtThreadCounts(makeCampaign(args, cells, solved), args);
+  const CampaignResult& r = gate.report;
 
   bench::printHeader(
       "gPTP grandmaster failover: kill A1, coast on holdover, re-elect B1");
@@ -272,10 +253,10 @@ int main(int argc, char** argv) {
   // Determinism gate: the whole point of a clock subsystem inside a
   // deterministic kernel is that thread count cannot change a byte.
   std::printf("[campaign hashes t1=%016llx t2=%016llx t8=%016llx]\n",
-              static_cast<unsigned long long>(hashes[0]),
-              static_cast<unsigned long long>(hashes[1]),
-              static_cast<unsigned long long>(hashes[2]));
-  if (hashes[0] != hashes[1] || hashes[0] != hashes[2]) {
+              static_cast<unsigned long long>(gate.hashes[0]),
+              static_cast<unsigned long long>(gate.hashes[1]),
+              static_cast<unsigned long long>(gate.hashes[2]));
+  if (!gate.identical()) {
     std::fprintf(stderr,
                  "FAIL: campaign hash differs across thread counts\n");
     return 1;

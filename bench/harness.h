@@ -14,7 +14,9 @@
 // --json PATH dumps the campaign result.
 #pragma once
 
+#include <array>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -164,6 +166,43 @@ inline CampaignResult runBenchCampaign(Campaign c, const Args& args) {
     }
   }
   return r;
+}
+
+/// FNV-1a over the bytes of `s`: the benches' determinism fingerprint.
+inline std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// One campaign run at pool sizes 1, 2 and 8: the determinism gate of the
+/// campaign benches.  `report` is the 1-thread run; `hashes` are the
+/// fnv1a of each run's deterministic dump (samples included, no timing).
+struct ThreadCountGate {
+  CampaignResult report;
+  std::array<std::uint64_t, 3> hashes{};  // t1, t2, t8
+  bool identical() const {
+    return hashes[0] == hashes[1] && hashes[0] == hashes[2];
+  }
+};
+
+/// Run `c` through runBenchCampaign at 1, 2 and 8 threads (`args` minus
+/// its JSON path: the benches write their own rows file).
+inline ThreadCountGate runAtThreadCounts(const Campaign& c, Args args) {
+  args.jsonPath.clear();
+  ThreadCountGate gate;
+  const int pools[3] = {1, 2, 8};
+  for (std::size_t i = 0; i < gate.hashes.size(); ++i) {
+    args.threads = pools[i];
+    CampaignResult r = runBenchCampaign(c, args);
+    gate.hashes[i] =
+        fnv1a(toJson(r, /*includeSamples=*/true, /*includeTiming=*/false));
+    if (i == 0) gate.report = std::move(r);
+  }
+  return gate;
 }
 
 /// §VI-B testbed setting: 2 switches + 4 devices, ten TCT streams with

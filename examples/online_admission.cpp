@@ -10,6 +10,7 @@
 #include <cstdlib>
 
 #include "etsn/etsn.h"
+#include "sched/admission.h"
 #include "sched/validate.h"
 
 int main() {
@@ -23,15 +24,15 @@ int main() {
   };
   auto show = [](const char* verb, const char* name,
                  const sched::AdmissionDecision& d) {
-    std::printf("%-7s %-10s -> %-8s rung=%-7s moved=%d%s%s\n", verb, name,
+    std::printf("%-7s %-10s -> %-8s rung=%-7s moved=%d%s\n", verb, name,
                 d.admitted ? "ADMITTED" : "rejected", d.rung.c_str(),
-                d.movedStreams, d.fromCache ? "  [cache]" : "",
+                d.movedStreams,
                 d.detail.empty() ? "" : ("  (" + d.detail + ")").c_str());
   };
 
   // The plant starts with one shared telemetry stream and one emergency
   // channel (ECT), solved jointly by the portfolio scheduler.
-  net::Topology topo = net::makeTestbedTopology();
+  const net::Topology topo = net::makeTestbedTopology();
   std::vector<net::StreamSpec> base;
   {
     net::StreamSpec s;
@@ -49,10 +50,10 @@ int main() {
 
   sched::SchedulerConfig config;
   config.numProbabilistic = 4;
-  AdmissionService service(std::move(topo), base, config);
-  expect(service.feasible(), "base schedule feasible");
+  sched::AdmissionEngine engine(topo, base, config);
+  expect(engine.feasible(), "base schedule feasible");
   std::printf("base schedule up: %zu specs\n\n",
-              service.schedule().specs.size());
+              engine.schedule().specs.size());
 
   net::StreamSpec vision;
   vision.name = "vision";
@@ -74,48 +75,48 @@ int main() {
   greedy.priority = 1;
 
   // Add: the new stream is delta-placed around the established slots.
-  sched::AdmissionDecision d = service.add(vision);
+  sched::AdmissionDecision d = engine.request(sched::addRequest(vision));
   show("add", "vision", d);
   expect(d.admitted, "vision admitted");
-  const std::uint64_t withVision = service.scheduleHash();
+  const std::uint64_t withVision = sched::scheduleHash(engine.schedule());
 
   // Reject: an impossible request leaves the schedule byte-identical.
-  d = service.add(greedy);
+  d = engine.request(sched::addRequest(greedy));
   show("add", "greedy", d);
   expect(!d.admitted, "greedy rejected");
-  expect(service.scheduleHash() == withVision,
+  expect(sched::scheduleHash(engine.schedule()) == withVision,
          "rejection left the schedule byte-identical");
 
   // Repeating the impossible request rejects again, byte-identically, and
   // the verdict comes from the cache: the state and request are unchanged.
-  d = service.add(greedy);
+  d = engine.request(sched::addRequest(greedy));
   show("add", "greedy", d);
   expect(!d.admitted, "repeat rejection");
-  expect(d.fromCache, "repeat rejection served from cache");
-  expect(service.scheduleHash() == withVision,
+  expect(d.rung == "cache", "repeat rejection served from cache");
+  expect(sched::scheduleHash(engine.schedule()) == withVision,
          "repeat rejection left the schedule byte-identical");
 
   // Remove: the device powers down; its slots are released.
-  d = service.remove("vision");
+  d = engine.request(sched::removeRequest("vision"));
   show("remove", "vision", d);
   expect(d.admitted, "vision removed");
 
   // Re-admit: the plant is back in a configuration the engine has already
   // solved, so the admission replays the cached sub-schedule in O(slots).
-  d = service.add(vision);
+  d = engine.request(sched::addRequest(vision));
   show("add", "vision", d);
-  expect(d.admitted && d.fromCache, "re-admission served from cache");
-  expect(service.scheduleHash() == withVision,
+  expect(d.admitted && d.rung == "cache", "re-admission served from cache");
+  expect(sched::scheduleHash(engine.schedule()) == withVision,
          "re-admitted schedule is byte-identical to the first admission");
 
   // Removing something unknown is an invalid request, not a crash.
-  d = service.remove("phantom");
+  d = engine.request(sched::removeRequest("phantom"));
   show("remove", "phantom", d);
   expect(!d.admitted && d.rung == "invalid", "unknown removal rejected");
 
-  const sched::Schedule final = service.schedule();
-  sched::validateOrThrow(service.topology(), final);
-  const sched::AdmissionCounters& c = service.counters();
+  const sched::Schedule final = engine.schedule();
+  sched::validateOrThrow(topo, final);
+  const sched::AdmissionCounters& c = engine.counters();
   std::printf("\nfinal schedule: %zu specs, %zu reserved slots, all "
               "constraints validated\n",
               final.specs.size(), final.slots.size());

@@ -2,7 +2,7 @@
 //
 // Library-internal invariants use ETSN_CHECK (throws InvariantError so tests
 // can assert on violations); user-input validation throws ConfigError with a
-// descriptive message.
+// descriptive message (ETSN_REQUIRE, or a plain throw).
 #pragma once
 
 #include <sstream>
@@ -48,5 +48,15 @@ namespace detail {
       os_ << msg;                                                     \
       ::etsn::detail::checkFailed(#expr, __FILE__, __LINE__,          \
                                   os_.str());                         \
+    }                                                                 \
+  } while (0)
+
+// Input validation: a ConfigError whose message is exactly `msg`.
+#define ETSN_REQUIRE(expr, msg)                                       \
+  do {                                                                \
+    if (!(expr)) {                                                    \
+      std::ostringstream os_;                                         \
+      os_ << msg;                                                     \
+      throw ::etsn::ConfigError(os_.str());                           \
     }                                                                 \
   } while (0)

@@ -55,32 +55,6 @@ void checkPresolvedMatches(const Experiment& ex,
 
 }  // namespace
 
-AdmissionService::AdmissionService(net::Topology topo,
-                                   std::vector<net::StreamSpec> specs,
-                                   const sched::SchedulerConfig& config,
-                                   const sched::AdmissionOptions& options)
-    : topo_(std::move(topo)),
-      engine_(topo_, std::move(specs), config, options) {}
-
-sched::AdmissionDecision AdmissionService::add(net::StreamSpec spec) {
-  return engine_.request(sched::addRequest(std::move(spec)));
-}
-
-sched::AdmissionDecision AdmissionService::remove(std::string name) {
-  return engine_.request(sched::removeRequest(std::move(name)));
-}
-
-sched::AdmissionDecision AdmissionService::modify(net::StreamSpec spec,
-                                                  std::string name) {
-  return engine_.request(
-      sched::modifyRequest(std::move(spec), std::move(name)));
-}
-
-std::vector<sched::AdmissionDecision> AdmissionService::batch(
-    std::span<const sched::AdmissionRequest> reqs) {
-  return engine_.requestBatch(reqs);
-}
-
 ExperimentResult runExperiment(const Experiment& ex) {
   ExperimentResult out;
   out.method = ex.options.method;
@@ -102,8 +76,8 @@ ExperimentResult runExperiment(const Experiment& ex) {
     simConfig.police.filters = net::compileFilters(ex.topo, ms,
                                                    ex.psfpOptions);
   }
-  // Malformed fault plans are rejected with an InvariantError by the
-  // Network constructor (FaultPlan::validate).
+  // Malformed fault plans are rejected with a ConfigError by the Network
+  // constructor (FaultPlan::validate).
   sim::Network network(ex.topo, program, simConfig);
   network.run();
 

@@ -23,7 +23,6 @@
 #include "net/psfp.h"
 #include "net/stream.h"
 #include "net/topology.h"
-#include "sched/admission.h"
 #include "sched/program.h"
 #include "sched/scheduler.h"
 #include "sim/network.h"
@@ -107,50 +106,5 @@ struct ExperimentResult {
 /// Run the full schedule→simulate pipeline.  If the schedule is
 /// infeasible, `feasible` is false and `streams` is empty.
 ExperimentResult runExperiment(const Experiment& ex);
-
-/// Schedule-as-a-service façade: a long-running admission endpoint over
-/// sched::AdmissionEngine that owns its topology (the engine keeps a
-/// reference for its lifetime) and exposes the add/remove/modify verbs a
-/// plant controller would call as machines start, fault-recover and
-/// reconfigure.  Decisions are deterministic (see sched/admission.h);
-/// schedule() exports the current live schedule for GCL compilation,
-/// validation or simulation like any batch-solved one.
-class AdmissionService {
- public:
-  /// Solves the initial spec set with the portfolio scheduler.  Throws
-  /// ConfigError on invalid specs; check feasible() before issuing
-  /// requests.
-  AdmissionService(net::Topology topo, std::vector<net::StreamSpec> specs,
-                   const sched::SchedulerConfig& config = {},
-                   const sched::AdmissionOptions& options = {});
-
-  bool feasible() const { return engine_.feasible(); }
-
-  sched::AdmissionDecision add(net::StreamSpec spec);
-  sched::AdmissionDecision remove(std::string name);
-  sched::AdmissionDecision modify(net::StreamSpec spec,
-                                  std::string name = "");
-  std::vector<sched::AdmissionDecision> batch(
-      std::span<const sched::AdmissionRequest> reqs);
-
-  /// Canonical export of the live schedule (info.engine == "admission",
-  /// churn counters included) — feed it to sched::validate, compileProgram
-  /// or a Campaign cell.
-  sched::Schedule schedule() const { return engine_.schedule(); }
-  /// Canonical content hash of schedule() (determinism fingerprint).
-  std::uint64_t scheduleHash() const {
-    return sched::scheduleHash(engine_.schedule());
-  }
-
-  const sched::AdmissionCounters& counters() const {
-    return engine_.counters();
-  }
-  const net::Topology& topology() const { return topo_; }
-  sched::AdmissionEngine& engine() { return engine_; }
-
- private:
-  net::Topology topo_;  // must outlive engine_; declaration order matters
-  sched::AdmissionEngine engine_;
-};
 
 }  // namespace etsn

@@ -53,32 +53,30 @@ void sortAndMerge(std::vector<ArrivalWindow>& windows) {
 }
 
 /// `firstHop` holds the stream's hop-0 slots.
-StreamFilter compileGate(const Topology& topo, const sched::ExpandedStream& s,
-                         const std::vector<sched::Slot>& firstHop,
-                         std::int32_t specId, TimeNs guard) {
+GateFilter compileGate(const Topology& topo, const sched::ExpandedStream& s,
+                       const std::vector<sched::Slot>& firstHop,
+                       std::int32_t specId, TimeNs guard) {
   ETSN_CHECK(!s.path.empty());
   const TimeNs prop = topo.link(s.path[0]).propagationDelay;
 
-  StreamFilter f;
-  f.specId = specId;
-  f.kind = StreamFilter::Kind::Gate;
-  f.gate.period = s.period;
+  GateFilter g;
+  g.period = s.period;
   // Every hop-0 slot (base and prudent-reservation extras) is a legitimate
   // arrival opportunity: a frame transmitted inside [start, start+duration]
   // is fully received prop later, so the conformance window is that span
   // shifted by prop and widened by the guard on both sides.
   for (const sched::Slot& slot : firstHop) {
-    addNormalized(f.gate.windows, slot.start + prop - guard,
+    addNormalized(g.windows, slot.start + prop - guard,
                   slot.start + slot.duration + prop + guard, s.period);
-    if (f.gate.windows.size() == 1 && f.gate.windows[0].start == 0 &&
-        f.gate.windows[0].end == s.period) {
+    if (g.windows.size() == 1 && g.windows[0].start == 0 &&
+        g.windows[0].end == s.period) {
       break;  // already accepts the whole period
     }
   }
-  sortAndMerge(f.gate.windows);
-  ETSN_CHECK_MSG(!f.gate.windows.empty(),
+  sortAndMerge(g.windows);
+  ETSN_CHECK_MSG(!g.windows.empty(),
                  "TCT spec " << specId << " has no hop-0 slots");
-  return f;
+  return g;
 }
 
 StreamFilter compileMeter(const net::StreamSpec& spec, std::int32_t specId,
@@ -111,10 +109,6 @@ PsfpConfig compileFilters(const Topology& topo, const sched::MethodSchedule& ms,
   ETSN_CHECK_MSG(guard >= 0, "negative PSFP guard band");
 
   const std::vector<std::vector<sched::Slot>> firstHop = sched.firstHopSlots();
-  auto gateOf = [&](std::int32_t specId, sched::StreamId id) {
-    const auto i = static_cast<std::size_t>(id);
-    return compileGate(topo, sched.streams[i], firstHop[i], specId, guard);
-  };
   PsfpConfig config;
   config.filters.resize(sched.specs.size());
   for (std::size_t i = 0; i < sched.specs.size(); ++i) {
@@ -130,21 +124,17 @@ PsfpConfig compileFilters(const Topology& topo, const sched::MethodSchedule& ms,
           compileMeter(spec, specId, sched.config.numProbabilistic);
       config.filters[i].members = std::max(1, spec.redundancy);
     } else if (!ids.empty()) {
-      if (spec.redundancy > 1) {
-        // One gate per 802.1CB member: each member has its own hop-0
-        // slots and its own first link.  ids are member-major with one
-        // Det stream per member.
-        StreamFilter f;
-        f.specId = specId;
-        f.kind = StreamFilter::Kind::Gate;
-        f.members = static_cast<int>(ids.size());
-        for (const sched::StreamId id : ids) {
-          f.memberGates.push_back(gateOf(specId, id).gate);
-        }
-        f.gate = f.memberGates[0];
-        config.filters[i] = std::move(f);
-      } else {
-        config.filters[i] = gateOf(specId, ids[0]);
+      // One gate per 802.1CB member (one in all when unprotected): each
+      // member has its own hop-0 slots and its own first link.  ids are
+      // member-major with one Det stream per member.
+      StreamFilter& f = config.filters[i];
+      f.specId = specId;
+      f.kind = StreamFilter::Kind::Gate;
+      f.members = static_cast<int>(ids.size());
+      for (const sched::StreamId id : ids) {
+        const auto s = static_cast<std::size_t>(id);
+        f.gates.push_back(
+            compileGate(topo, sched.streams[s], firstHop[s], specId, guard));
       }
     } else {
       // Dropped by a link-failure repair: no talker is installed, nothing

@@ -64,22 +64,16 @@ struct StreamFilter {
   };
   std::int32_t specId = -1;
   Kind kind = Kind::None;
-  GateFilter gate;
+  /// Gate filters: one arrival-window gate per member, indexed by member
+  /// (each member has its own hop-0 slots and first link); empty for the
+  /// other kinds.
+  std::vector<GateFilter> gates;
+  /// Meter filters: one configuration that every member shares.
   MeterFilter meter;
   /// 802.1CB FRER member count (1 = unprotected).  The policer keeps one
   /// runtime state per member; each member copy is judged independently at
   /// its own first switch.
   int members = 1;
-  /// Per-member arrival-window gates for protected TCT specs (each member
-  /// has its own hop-0 slots and first link); empty when members == 1, in
-  /// which case `gate` applies.  Meters share the per-spec configuration.
-  std::vector<GateFilter> memberGates;
-
-  const GateFilter& gateFor(int member) const {
-    return memberGates.empty()
-               ? gate
-               : memberGates[static_cast<std::size_t>(member)];
-  }
 };
 
 /// Per-stream filter table, indexed by specId.

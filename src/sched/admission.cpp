@@ -10,8 +10,8 @@ namespace etsn::sched {
 
 namespace {
 
-// FNV-1a over typed fields; the one hash used for state, topology,
-// request and cache keys so equal content always collides on purpose.
+// FNV-1a over typed fields; the one hash used for state, request and
+// cache keys so equal content always collides on purpose.
 struct Hasher {
   std::uint64_t h = 1469598103934665603ULL;
   void byte(unsigned char b) {
@@ -69,6 +69,23 @@ double secondsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+std::uint64_t requestHashOf(const AdmissionRequest& req) {
+  Hasher h;
+  h.i64(static_cast<int>(req.op));
+  hashSpec(h, req.spec);
+  h.str(req.name);
+  return h.h;
+}
+
+/// The live spec a Remove or Modify retires.
+const std::string& targetOf(const AdmissionRequest& req) {
+  return req.name.empty() ? req.spec.name : req.name;
+}
+
+/// Placement deltas larger than this are not cached (a full re-solve
+/// rewrites every stream; replaying that is no cheaper than solving).
+constexpr std::size_t kCacheMaxDelta = 256;
+
 }  // namespace
 
 std::uint64_t scheduleHash(const Schedule& s) {
@@ -118,26 +135,6 @@ AdmissionEngine::AdmissionEngine(const net::Topology& topo,
     : topo_(topo), config_(config), opts_(options) {
   ETSN_CHECK_MSG(!opts_.ripupBudgets.empty(),
                  "need at least one rip-up budget rung");
-  {
-    Hasher h;
-    h.i64(topo_.numNodes());
-    for (net::NodeId n = 0; n < topo_.numNodes(); ++n) {
-      const net::Node& node = topo_.node(n);
-      h.str(node.name);
-      h.i64(static_cast<int>(node.kind));
-    }
-    h.i64(topo_.numLinks());
-    for (net::LinkId l = 0; l < topo_.numLinks(); ++l) {
-      const net::Link& link = topo_.link(l);
-      h.i64(link.from);
-      h.i64(link.to);
-      h.i64(link.bandwidthBps);
-      h.i64(link.propagationDelay);
-      h.i64(link.timeUnit);
-      h.i64(link.reverse);
-    }
-    topoHash_ = h.h;
-  }
 
   // The cursor carries on from the batch expansion, so later requests get
   // exactly the priorities a batch expansion in admission order would give.
@@ -156,34 +153,12 @@ AdmissionEngine::AdmissionEngine(const net::Topology& topo,
   }
 
   placement_ = std::make_unique<Placement>(topo_, streams_, config_);
-  if (streams_.empty()) {
-    feasible_ = true;
-    return;
-  }
-  const PortfolioResult r = runPortfolio(topo_, streams_, config_,
-                                         opts_.portfolio);
-  feasible_ = r.feasible;
+  const auto solved = solveLive();
+  feasible_ = solved.has_value();
   if (!feasible_) return;
-
-  const TimeNs tu = placement_->tu();
-  std::vector<std::vector<std::vector<std::int64_t>>> starts(streams_.size());
-  for (std::size_t i = 0; i < streams_.size(); ++i) {
-    starts[i].resize(streams_[i].path.size());
-    for (std::size_t hop = 0; hop < streams_[i].path.size(); ++hop) {
-      starts[i][hop].resize(
-          static_cast<std::size_t>(streams_[i].framesOnLink[hop]));
-    }
-  }
-  for (const Slot& sl : r.slots) {
-    starts[static_cast<std::size_t>(sl.stream)][static_cast<std::size_t>(
-        sl.hop)][static_cast<std::size_t>(sl.frameIndex)] = sl.start / tu;
-  }
-  for (std::size_t i = 0; i < streams_.size(); ++i) {
-    placement_->placeAt(static_cast<StreamId>(i), starts[i]);
-  }
-  stateHash_ = 0;
-  for (std::size_t i = 0; i < streams_.size(); ++i) {
-    stateHash_ ^= streamStateHash(static_cast<StreamId>(i));
+  for (const auto& [id, starts] : *solved) {
+    placement_->placeAt(id, starts);
+    toggleHash(id);
   }
 }
 
@@ -207,11 +182,7 @@ std::uint64_t AdmissionEngine::streamStateHash(StreamId id) const {
   return h.h;
 }
 
-void AdmissionEngine::hashOut(StreamId id) {
-  stateHash_ ^= streamStateHash(id);
-}
-
-void AdmissionEngine::hashIn(StreamId id) {
+void AdmissionEngine::toggleHash(StreamId id) {
   stateHash_ ^= streamStateHash(id);
 }
 
@@ -220,14 +191,6 @@ std::uint64_t AdmissionEngine::stateHash() const {
   h.u64(stateHash_);
   h.i64(cursor_.shared);
   h.i64(cursor_.nonShared);
-  return h.h;
-}
-
-std::uint64_t AdmissionEngine::requestHashOf(const AdmissionRequest& req) const {
-  Hasher h;
-  h.i64(static_cast<int>(req.op));
-  hashSpec(h, req.spec);
-  h.str(req.name);
   return h.h;
 }
 
@@ -243,7 +206,7 @@ void AdmissionEngine::doAppend(Txn& txn, std::vector<ExpandedStream> streams) {
     streams_.push_back(std::move(s));
     liveStream_.push_back(1);
     ++liveStreams_;
-    hashIn(streams_.back().id);
+    toggleHash(streams_.back().id);
   }
   txn.ops.push_back(std::move(op));
 }
@@ -253,16 +216,16 @@ void AdmissionEngine::doRip(Txn& txn, StreamId id) {
   op.kind = Op::Kind::Rip;
   op.stream = id;
   op.starts = placement_->startsOf(id);  // copy before removal
-  hashOut(id);
+  toggleHash(id);
   placement_->remove(id);
-  hashIn(id);
+  toggleHash(id);
   txn.ops.push_back(std::move(op));
 }
 
 bool AdmissionEngine::doTryPlace(Txn& txn, StreamId id) {
-  hashOut(id);
+  toggleHash(id);
   const bool ok = placement_->tryPlace(id);
-  hashIn(id);
+  toggleHash(id);
   if (!ok) return false;
   Op op;
   op.kind = Op::Kind::Place;
@@ -271,12 +234,11 @@ bool AdmissionEngine::doTryPlace(Txn& txn, StreamId id) {
   return true;
 }
 
-void AdmissionEngine::doPlaceAt(
-    Txn& txn, StreamId id,
-    const std::vector<std::vector<std::int64_t>>& starts) {
-  hashOut(id);
+void AdmissionEngine::doPlaceAt(Txn& txn, StreamId id,
+                                const Starts& starts) {
+  toggleHash(id);
   placement_->placeAt(id, starts);
-  hashIn(id);
+  toggleHash(id);
   Op op;
   op.kind = Op::Kind::Place;
   op.stream = id;
@@ -291,9 +253,9 @@ void AdmissionEngine::doSetFrames(Txn& txn, StreamId id,
   op.kind = Op::Kind::SetFrames;
   op.stream = id;
   op.frames = streams_[static_cast<std::size_t>(id)].framesOnLink;  // old
-  hashOut(id);
+  toggleHash(id);
   streams_[static_cast<std::size_t>(id)].framesOnLink = std::move(frames);
-  hashIn(id);
+  toggleHash(id);
   txn.ops.push_back(std::move(op));
 }
 
@@ -313,9 +275,8 @@ void AdmissionEngine::doSpecKill(Txn& txn, int specIdx) {
   SpecEntry& e = specs_[static_cast<std::size_t>(specIdx)];
   ETSN_CHECK(e.live);
   for (const StreamId sid : e.streams) {
-    ETSN_CHECK_MSG(!placement_->isPlaced(sid),
-                   "rip a spec's streams before killing it");
-    hashOut(sid);
+    if (placement_->isPlaced(sid)) doRip(txn, sid);
+    toggleHash(sid);
     liveStream_[static_cast<std::size_t>(sid)] = 0;
     --liveStreams_;
   }
@@ -340,7 +301,7 @@ void AdmissionEngine::rollback(Txn& txn, std::size_t mark) {
           const StreamId id = static_cast<StreamId>(i);
           ETSN_CHECK(id >= placement_->trackedStreams() ||
                      !placement_->isPlaced(id));
-          hashOut(id);
+          toggleHash(id);
         }
         streams_.resize(keep);
         liveStream_.resize(keep);
@@ -349,20 +310,20 @@ void AdmissionEngine::rollback(Txn& txn, std::size_t mark) {
         break;
       }
       case Op::Kind::Rip:
-        hashOut(op.stream);
+        toggleHash(op.stream);
         placement_->placeAt(op.stream, op.starts);
-        hashIn(op.stream);
+        toggleHash(op.stream);
         break;
       case Op::Kind::Place:
-        hashOut(op.stream);
+        toggleHash(op.stream);
         placement_->remove(op.stream);
-        hashIn(op.stream);
+        toggleHash(op.stream);
         break;
       case Op::Kind::SetFrames:
-        hashOut(op.stream);
+        toggleHash(op.stream);
         streams_[static_cast<std::size_t>(op.stream)].framesOnLink =
             std::move(op.frames);
-        hashIn(op.stream);
+        toggleHash(op.stream);
         break;
       case Op::Kind::SpecAdd: {
         ETSN_CHECK(op.specIdx == static_cast<int>(specs_.size()) - 1);
@@ -379,7 +340,7 @@ void AdmissionEngine::rollback(Txn& txn, std::size_t mark) {
         for (const StreamId sid : e.streams) {
           liveStream_[static_cast<std::size_t>(sid)] = 1;
           ++liveStreams_;
-          hashIn(sid);
+          toggleHash(sid);
         }
         break;
       }
@@ -506,8 +467,7 @@ std::vector<StreamId> AdmissionEngine::regrid(
 }
 
 void AdmissionEngine::rebuildPlacement() {
-  std::vector<std::pair<StreamId, std::vector<std::vector<std::int64_t>>>>
-      keep;
+  std::vector<std::pair<StreamId, Starts>> keep;
   for (StreamId id = 0; id < placement_->trackedStreams(); ++id) {
     if (placement_->isPlaced(id)) keep.emplace_back(id, placement_->startsOf(id));
   }
@@ -586,11 +546,8 @@ bool AdmissionEngine::placeLadder(Txn& txn, std::vector<StreamId> slice,
   return false;
 }
 
-bool AdmissionEngine::tryFullResolve(Txn& txn) {
-  txn.usedResolve = true;
-  // Canonical compacted instance: live specs in admission order, streams
-  // renumbered contiguously — exactly what a from-scratch solve over the
-  // live specs would see, so the verdict matches the offline oracle.
+std::optional<std::vector<std::pair<StreamId, AdmissionEngine::Starts>>>
+AdmissionEngine::solveLive() const {
   std::vector<ExpandedStream> compact;
   std::vector<StreamId> toEngine;
   std::int32_t outSpec = 0;
@@ -605,24 +562,33 @@ bool AdmissionEngine::tryFullResolve(Txn& txn) {
     }
     ++outSpec;
   }
-  if (compact.empty()) return true;
+  std::vector<std::pair<StreamId, Starts>> out;
+  if (compact.empty()) return out;
   const PortfolioResult r = runPortfolio(topo_, compact, config_,
                                          opts_.portfolio);
-  if (!r.feasible) return false;
+  if (!r.feasible) return std::nullopt;
 
-  const TimeNs tu = placement_->tu();
-  std::vector<std::vector<std::vector<std::int64_t>>> starts(compact.size());
   for (std::size_t i = 0; i < compact.size(); ++i) {
-    starts[i].resize(compact[i].path.size());
-    for (std::size_t hop = 0; hop < compact[i].path.size(); ++hop) {
-      starts[i][hop].resize(
+    Starts starts(compact[i].path.size());
+    for (std::size_t hop = 0; hop < starts.size(); ++hop) {
+      starts[hop].resize(
           static_cast<std::size_t>(compact[i].framesOnLink[hop]));
     }
+    out.emplace_back(toEngine[i], std::move(starts));
   }
+  const TimeNs tu = placement_->tu();
   for (const Slot& sl : r.slots) {
-    starts[static_cast<std::size_t>(sl.stream)][static_cast<std::size_t>(
-        sl.hop)][static_cast<std::size_t>(sl.frameIndex)] = sl.start / tu;
+    out[static_cast<std::size_t>(sl.stream)]
+        .second[static_cast<std::size_t>(sl.hop)]
+               [static_cast<std::size_t>(sl.frameIndex)] = sl.start / tu;
   }
+  return out;
+}
+
+bool AdmissionEngine::tryFullResolve(Txn& txn) {
+  txn.usedResolve = true;
+  const auto solved = solveLive();
+  if (!solved) return false;
   // Wholesale re-place, through the op log: rip every placed stream, then
   // pin every live stream at the solved offsets.  Logging the re-solve
   // keeps two contracts the cheap rungs already have: the caller can roll
@@ -632,9 +598,7 @@ bool AdmissionEngine::tryFullResolve(Txn& txn) {
   for (StreamId id = 0; id < placement_->trackedStreams(); ++id) {
     if (placement_->isPlaced(id)) doRip(txn, id);
   }
-  for (std::size_t i = 0; i < compact.size(); ++i) {
-    doPlaceAt(txn, toEngine[i], starts[i]);
-  }
+  for (const auto& [id, starts] : *solved) doPlaceAt(txn, id, starts);
   return true;
 }
 
@@ -675,9 +639,6 @@ bool AdmissionEngine::processRemove(const std::string& name, Txn& txn,
   }
   const int specIdx = it->second;
   const SpecEntry& e = specs_[static_cast<std::size_t>(specIdx)];
-  for (const StreamId sid : e.streams) {
-    if (placement_->isPlaced(sid)) doRip(txn, sid);
-  }
   doSpecKill(txn, specIdx);
 
   std::vector<StreamId> slice;
@@ -704,19 +665,15 @@ AdmissionDecision AdmissionEngine::decide(const AdmissionRequest& req,
     case AdmissionRequest::Op::Add:
       ok = processAdd(req.spec, txn, &rung, &detail);
       break;
-    case AdmissionRequest::Op::Remove: {
-      const std::string& target = req.name.empty() ? req.spec.name : req.name;
-      ok = processRemove(target, txn, &rung, &detail);
+    case AdmissionRequest::Op::Remove:
+      ok = processRemove(targetOf(req), txn, &rung, &detail);
       break;
-    }
-    case AdmissionRequest::Op::Modify: {
+    case AdmissionRequest::Op::Modify:
       // Atomic remove + add: if the add is rejected, the txn rollback
       // resurrects the removed spec, so a failed modify changes nothing.
-      const std::string target = req.name.empty() ? req.spec.name : req.name;
-      ok = processRemove(target, txn, &rung, &detail);
+      ok = processRemove(targetOf(req), txn, &rung, &detail);
       if (ok) ok = processAdd(req.spec, txn, &rung, &detail);
       break;
-    }
   }
   d.admitted = ok;
   d.rung = rung;
@@ -748,8 +705,7 @@ const AdmissionEngine::CacheEntry* AdmissionEngine::cacheLookup(
   const auto it = cache_.find(key);
   if (it == cache_.end()) return nullptr;
   CacheEntry& e = it->second;
-  if (e.topoHash != topoHash_ || e.stateHash != stateHash() ||
-      e.requestHash != reqHash) {
+  if (e.stateHash != stateHash() || e.requestHash != reqHash) {
     return nullptr;  // 64-bit key collision — treat as a miss
   }
   lru_.splice(lru_.begin(), lru_, e.lruIt);
@@ -793,7 +749,6 @@ bool AdmissionEngine::replay(const AdmissionRequest& req,
                              const CacheEntry& entry,
                              AdmissionDecision* out) {
   AdmissionDecision d;
-  d.fromCache = true;
   d.rung = "cache";
   d.detail = entry.detail;
   d.admitted = entry.admitted;
@@ -804,31 +759,15 @@ bool AdmissionEngine::replay(const AdmissionRequest& req,
   }
 
   // The replay mutates through the same op log as a live decision, so a
-  // divergence (a 64-bit collision that survived cacheLookup's triple
-  // check) unwinds to the pre-request state instead of corrupting the
-  // engine; the caller drops the entry and decides live.
+  // divergence (a 64-bit collision that survived cacheLookup's check of
+  // both hashes) unwinds to the pre-request state instead of corrupting
+  // the engine; the caller drops the entry and decides live.
   Txn txn = beginTxn();
-  auto replayRemove = [&](const std::string& name) {
-    const int specIdx = liveByName_.at(name);
-    const SpecEntry& e = specs_[static_cast<std::size_t>(specIdx)];
-    for (const StreamId sid : e.streams) {
-      if (placement_->isPlaced(sid)) doRip(txn, sid);
-    }
-    doSpecKill(txn, specIdx);
-  };
   try {
-    switch (req.op) {
-      case AdmissionRequest::Op::Add:
-        appendSpec(txn, req.spec);
-        break;
-      case AdmissionRequest::Op::Remove:
-        replayRemove(req.name.empty() ? req.spec.name : req.name);
-        break;
-      case AdmissionRequest::Op::Modify:
-        replayRemove(req.name.empty() ? req.spec.name : req.name);
-        appendSpec(txn, req.spec);
-        break;
+    if (req.op != AdmissionRequest::Op::Add) {
+      doSpecKill(txn, liveByName_.at(targetOf(req)));
     }
+    if (req.op != AdmissionRequest::Op::Remove) appendSpec(txn, req.spec);
     // Apply the recorded placement deltas: rip everything first so no
     // transient state ever has two streams marked over the same slots.
     for (const StreamDelta& delta : entry.deltas) {
@@ -882,14 +821,10 @@ AdmissionDecision AdmissionEngine::request(const AdmissionRequest& req) {
   ++counters_.requests;
   const std::uint64_t reqHash = requestHashOf(req);
   const std::uint64_t preState = stateHash();
-  std::uint64_t key = 0;
-  {
-    Hasher h;
-    h.u64(topoHash_);
-    h.u64(preState);
-    h.u64(reqHash);
-    key = h.h;
-  }
+  Hasher keyHash;
+  keyHash.u64(preState);
+  keyHash.u64(reqHash);
+  const std::uint64_t key = keyHash.h;
 
   AdmissionDecision d;
   bool decided = false;
@@ -936,13 +871,11 @@ AdmissionDecision AdmissionEngine::request(const AdmissionRequest& req) {
     // be worth replaying.
     if (opts_.cacheCapacity > 0) {
       CacheEntry entry;
-      entry.topoHash = topoHash_;
-      // The key triple this entry answers for is the *pre*-state
+      // The key pair this entry answers for is the *pre*-state
       // (stateHash() already moved on for admitted requests).
       entry.stateHash = preState;
       entry.requestHash = reqHash;
       entry.admitted = d.admitted;
-      entry.rung = d.rung;
       entry.detail = d.detail;
       entry.movedStreams = d.movedStreams;
       bool storable = true;
@@ -981,7 +914,7 @@ AdmissionDecision AdmissionEngine::request(const AdmissionRequest& req) {
           delta.starts = placement_->startsOf(sid);
           entry.deltas.push_back(std::move(delta));
         }
-        if (entry.deltas.size() > opts_.cacheMaxDelta) storable = false;
+        if (entry.deltas.size() > kCacheMaxDelta) storable = false;
       }
       if (storable) {
         entry.postStateHash = stateHash();
@@ -999,18 +932,10 @@ AdmissionDecision AdmissionEngine::request(const AdmissionRequest& req) {
   return d;
 }
 
-std::vector<AdmissionDecision> AdmissionEngine::requestBatch(
-    std::span<const AdmissionRequest> reqs) {
-  std::vector<AdmissionDecision> out;
-  out.reserve(reqs.size());
-  for (const AdmissionRequest& r : reqs) out.push_back(request(r));
-  return out;
-}
-
 Schedule AdmissionEngine::schedule() const {
   Schedule out;
   out.config = config_;
-  const TimeNs tu = placement_->tu();
+  std::vector<StreamId> outId(streams_.size(), -1);
   std::vector<std::int64_t> periods;
   for (const SpecEntry& e : specs_) {
     if (!e.live) continue;
@@ -1019,31 +944,19 @@ Schedule AdmissionEngine::schedule() const {
     out.specToStreams.emplace_back();
     for (const StreamId sid : e.streams) {
       ExpandedStream c = streams_[static_cast<std::size_t>(sid)];
-      const StreamId nid = static_cast<StreamId>(out.streams.size());
-      c.id = nid;
+      c.id = static_cast<StreamId>(out.streams.size());
       c.specId = outSpec;
-      out.specToStreams.back().push_back(nid);
+      outId[static_cast<std::size_t>(sid)] = c.id;
+      out.specToStreams.back().push_back(c.id);
       periods.push_back(c.period);
-      if (feasible_ && placement_->isPlaced(sid)) {
-        const auto& st = placement_->startsOf(sid);
-        for (int hop = 0; hop < c.hops(); ++hop) {
-          const net::Link& l =
-              topo_.link(c.path[static_cast<std::size_t>(hop)]);
-          const int frames = c.framesOnLink[static_cast<std::size_t>(hop)];
-          for (int j = 0; j < frames; ++j) {
-            Slot slot;
-            slot.stream = nid;
-            slot.hop = hop;
-            slot.frameIndex = j;
-            slot.start = st[static_cast<std::size_t>(hop)]
-                           [static_cast<std::size_t>(j)] * tu;
-            slot.duration = ceilDiv(frameTxTimeOf(c, j, l), tu) * tu;
-            out.slots.push_back(slot);
-          }
-        }
-      }
       out.streams.push_back(std::move(c));
     }
+  }
+  // Engine ids grow in admission order, so renumbering keeps the slots in
+  // canonical (stream, hop, frame) order.  Only live streams are placed.
+  out.slots = placement_->slots();
+  for (Slot& sl : out.slots) {
+    sl.stream = outId[static_cast<std::size_t>(sl.stream)];
   }
   if (!periods.empty()) out.hyperperiod = lcmAll(periods);
   out.info.feasible = feasible_;

@@ -4,10 +4,10 @@
 //
 // Decision ladder, cheapest rung first (see DESIGN.md "Admission control"):
 //
-//  1. sub-schedule cache — an LRU keyed by (topology hash, canonical
-//     state hash, request hash).  Churn that revisits a prior
-//     configuration replays the recorded name-keyed placement deltas in
-//     O(slots) instead of re-solving.
+//  1. sub-schedule cache — an LRU keyed by (canonical state hash,
+//     request hash).  Churn that revisits a prior configuration replays
+//     the recorded name-keyed placement deltas in O(slots) instead of
+//     re-solving.
 //  2. delta-place — untouched streams stay pinned bit-for-bit in the
 //     Placement substrate (sched/placement.h); only the request's slice
 //     (the new streams, plus shared TCT streams whose prudent-reservation
@@ -34,9 +34,10 @@
 #include <cstdint>
 #include <list>
 #include <memory>
-#include <span>
+#include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/stream.h"
@@ -56,11 +57,8 @@ struct AdmissionOptions {
   std::vector<int> ripupBudgets = {0, 8, 64};
   /// Sub-schedule cache capacity in entries; 0 disables the cache.
   std::size_t cacheCapacity = 1024;
-  /// Placement deltas larger than this are not cached (a full re-solve
-  /// rewrites every stream; replaying that is no cheaper than solving).
-  std::size_t cacheMaxDelta = 256;
-  /// Budgets/seed/threads for the rung-4 portfolio re-solve (and the
-  /// initial solve).  Deterministic by rank for any thread count.
+  /// Seed/threads for the rung-4 portfolio re-solve (and the initial
+  /// solve).  Deterministic by rank for any thread count.
   PortfolioOptions portfolio;
 };
 
@@ -80,10 +78,9 @@ AdmissionRequest modifyRequest(net::StreamSpec spec, std::string name = "");
 
 struct AdmissionDecision {
   bool admitted = false;
-  /// Served from the sub-schedule cache (replayed, not solved).
-  bool fromCache = false;
-  /// Ladder rung that decided: "cache", "delta", "ripup", "resolve", or
-  /// "invalid" (malformed request, state untouched).
+  /// Ladder rung that decided: "cache" (replayed from the sub-schedule
+  /// cache, not solved), "delta", "ripup", "resolve", or "invalid"
+  /// (malformed request, state untouched).
   std::string rung;
   /// Human-readable rejection reason; empty on admission.
   std::string detail;
@@ -100,8 +97,9 @@ std::uint64_t scheduleHash(const Schedule& s);
 
 class AdmissionEngine {
  public:
-  /// Solves the initial spec set with the portfolio scheduler.  Check
-  /// feasible() before issuing requests: an infeasible base (or an
+  /// Solves the initial spec set with the portfolio scheduler.  The engine
+  /// keeps its own copy of `topo`, so the caller's may go out of scope.
+  /// Check feasible() before issuing requests: an infeasible base (or an
   /// invalid spec set, which throws ConfigError) cannot absorb churn.
   AdmissionEngine(const net::Topology& topo,
                   std::vector<net::StreamSpec> initialSpecs,
@@ -119,12 +117,6 @@ class AdmissionEngine {
   /// rung "invalid" instead of throwing — a service stays up.
   AdmissionDecision request(const AdmissionRequest& req);
 
-  /// Batched admission: decisions are identical to issuing the requests
-  /// one by one (same order); the batch form amortizes the caller's
-  /// schedule export, not the decisions.
-  std::vector<AdmissionDecision> requestBatch(
-      std::span<const AdmissionRequest> reqs);
-
   /// The current schedule over the live specs, in admission order, with
   /// contiguous stream ids (canonical export; info.engine = "admission").
   Schedule schedule() const;
@@ -138,6 +130,8 @@ class AdmissionEngine {
   int liveStreams() const { return liveStreams_; }
 
  private:
+  using Starts = std::vector<std::vector<std::int64_t>>;  // [hop][frame], tu
+
   struct SpecEntry {
     net::StreamSpec spec;
     bool live = false;
@@ -157,7 +151,7 @@ class AdmissionEngine {
     int specIdx = -1;
     int count = 0;
     std::vector<int> frames;
-    std::vector<std::vector<std::int64_t>> starts;
+    Starts starts;
   };
   struct Txn {
     std::vector<Op> ops;
@@ -174,13 +168,12 @@ class AdmissionEngine {
     std::string spec;
     int idx = 0;
     std::vector<int> frames;
-    std::vector<std::vector<std::int64_t>> starts;
+    Starts starts;
   };
   struct CacheEntry {
-    std::uint64_t topoHash = 0, stateHash = 0, requestHash = 0;
+    std::uint64_t stateHash = 0, requestHash = 0;
     std::uint64_t postStateHash = 0;
     bool admitted = false;
-    std::string rung;
     std::string detail;
     int movedStreams = 0;
     /// Name-keyed placements to replay: touched existing streams plus the
@@ -194,10 +187,10 @@ class AdmissionEngine {
   void doAppend(Txn& txn, std::vector<ExpandedStream> streams);
   void doRip(Txn& txn, StreamId id);
   bool doTryPlace(Txn& txn, StreamId id);
-  void doPlaceAt(Txn& txn, StreamId id,
-                 const std::vector<std::vector<std::int64_t>>& starts);
+  void doPlaceAt(Txn& txn, StreamId id, const Starts& starts);
   void doSetFrames(Txn& txn, StreamId id, std::vector<int> frames);
   int doSpecAdd(Txn& txn, net::StreamSpec spec);
+  /// Rips the spec's placed streams, then retires it (live -> false).
   void doSpecKill(Txn& txn, int specIdx);
   void rollback(Txn& txn, std::size_t mark = 0);
   Txn beginTxn() const;
@@ -211,6 +204,11 @@ class AdmissionEngine {
   bool placeLadder(Txn& txn, std::vector<StreamId> slice, std::string* rung);
   bool attemptPlace(Txn& txn, const std::vector<StreamId>& slice, int budget);
   bool tryFullResolve(Txn& txn);
+  /// The portfolio solve of the live streams, compacted to contiguous ids
+  /// in admission order — exactly what a from-scratch solve over the live
+  /// specs sees, so its verdict is the offline oracle's.  Each live
+  /// stream's solved starts, by engine id; nullopt if infeasible.
+  std::optional<std::vector<std::pair<StreamId, Starts>>> solveLive() const;
 
   // --- expansion / prudent reservation ---
   /// Adds `spec` and appends its streams (Alg. 1 grids against the live
@@ -227,9 +225,10 @@ class AdmissionEngine {
 
   // --- hashing / cache ---
   std::uint64_t streamStateHash(StreamId id) const;
-  void hashOut(StreamId id);
-  void hashIn(StreamId id);
-  std::uint64_t requestHashOf(const AdmissionRequest& req) const;
+  /// XORs the stream's current state hash into stateHash_: called once
+  /// before and once after a mutation, it swaps the old content for the
+  /// new.
+  void toggleHash(StreamId id);
   const CacheEntry* cacheLookup(std::uint64_t key, std::uint64_t reqHash);
   void cacheStore(std::uint64_t key, CacheEntry entry);
   void cacheDrop(std::uint64_t key);
@@ -241,7 +240,7 @@ class AdmissionEngine {
               AdmissionDecision* out);
   StreamId deltaTarget(const StreamDelta& d) const;
 
-  const net::Topology& topo_;
+  const net::Topology topo_;  // owned copy; placement_ refers to it
   SchedulerConfig config_;
   AdmissionOptions opts_;
   bool feasible_ = false;
@@ -255,7 +254,6 @@ class AdmissionEngine {
   std::unique_ptr<Placement> placement_;
   PriorityCursor cursor_;
 
-  std::uint64_t topoHash_ = 0;
   std::uint64_t stateHash_ = 0;
 
   std::unordered_map<std::uint64_t, CacheEntry> cache_;

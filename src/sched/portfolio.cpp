@@ -18,6 +18,13 @@ namespace etsn::sched {
 
 namespace {
 
+// Search budgets.  greedy: rip-ups before giving up; tabu: force-in moves
+// before giving up, and the eviction tenure; dnc: rip-ups per component.
+constexpr int kGreedyBacktrack = 256;
+constexpr int kTabuIterations = 20000;
+constexpr int kTabuTenure = 16;
+constexpr int kDncBacktrack = 32;
+
 /// The placement order of first-fit, greedy and tabu's seed: deterministic
 /// streams first, tightest laxity first; then probabilistic streams in
 /// (spec, occurrence) order so early possibilities grab the early shared
@@ -81,28 +88,31 @@ void finish(EngineResult* out, const Placement& p, QueueStatus status) {
   }
 }
 
+EngineResult greedy(const net::Topology& topo,
+                    const std::vector<ExpandedStream>& streams,
+                    const SchedulerConfig& config, int budget,
+                    CancelToken cancel) {
+  EngineResult out;
+  Placement p(topo, streams, config);
+  const std::vector<StreamId> order = laxityOrder(streams);
+  const QueueStatus status = placeQueue(p, {order.begin(), order.end()},
+                                        budget, cancel, &out.steps);
+  finish(&out, p, status);
+  return out;
+}
+
 }  // namespace
 
 EngineResult runFirstFit(const net::Topology& topo,
                          const std::vector<ExpandedStream>& streams,
                          const SchedulerConfig& config) {
-  PortfolioOptions opts;
-  opts.greedyBacktrack = 0;
-  return runGreedy(topo, streams, config, opts);
+  return greedy(topo, streams, config, /*budget=*/0, {});
 }
 
 EngineResult runGreedy(const net::Topology& topo,
                        const std::vector<ExpandedStream>& streams,
-                       const SchedulerConfig& config,
-                       const PortfolioOptions& opts, CancelToken cancel) {
-  EngineResult out;
-  Placement p(topo, streams, config);
-  const std::vector<StreamId> order = laxityOrder(streams);
-  const QueueStatus status =
-      placeQueue(p, {order.begin(), order.end()}, opts.greedyBacktrack,
-                 cancel, &out.steps);
-  finish(&out, p, status);
-  return out;
+                       const SchedulerConfig& config, CancelToken cancel) {
+  return greedy(topo, streams, config, kGreedyBacktrack, cancel);
 }
 
 EngineResult runTabu(const net::Topology& topo,
@@ -134,7 +144,7 @@ EngineResult runTabu(const net::Topology& topo,
       out.cancelled = true;
       return out;
     }
-    if (++iter > opts.tabuIterations) return out;  // gave up
+    if (++iter > kTabuIterations) return out;  // gave up
     const StreamId s = unplaced.front();
     ++out.steps;
     if (p.tryPlace(s)) {
@@ -152,7 +162,7 @@ EngineResult runTabu(const net::Topology& topo,
     const StreamId victim = pool[static_cast<std::size_t>(
         rng.uniformInt(0, static_cast<std::int64_t>(pool.size()) - 1))];
     p.remove(victim);
-    tabuUntil[static_cast<std::size_t>(victim)] = iter + opts.tabuTenure;
+    tabuUntil[static_cast<std::size_t>(victim)] = iter + kTabuTenure;
     unplaced.push_back(victim);
   }
   out.feasible = true;
@@ -162,8 +172,7 @@ EngineResult runTabu(const net::Topology& topo,
 
 EngineResult runDnc(const net::Topology& topo,
                     const std::vector<ExpandedStream>& streams,
-                    const SchedulerConfig& config,
-                    const PortfolioOptions& opts, CancelToken cancel) {
+                    const SchedulerConfig& config, CancelToken cancel) {
   EngineResult out;
   if (streams.empty()) {
     out.feasible = true;
@@ -241,8 +250,7 @@ EngineResult runDnc(const net::Topology& topo,
     std::deque<StreamId> queue;
     for (const auto& [key, id] : keyed) queue.push_back(id);
     const QueueStatus status =
-        placeQueue(p, std::move(queue), opts.dncBacktrack, cancel,
-                   &out.steps);
+        placeQueue(p, std::move(queue), kDncBacktrack, cancel, &out.steps);
     if (status != QueueStatus::Done) {
       finish(&out, p, status);
       return out;
@@ -273,9 +281,9 @@ PortfolioResult runPortfolio(const net::Topology& topo,
     const auto s0 = Clock::now();
     EngineResult r;
     switch (i) {
-      case 0: r = runGreedy(topo, streams, config, opts, token); break;
+      case 0: r = runGreedy(topo, streams, config, token); break;
       case 1: r = runTabu(topo, streams, config, opts, token); break;
-      default: r = runDnc(topo, streams, config, opts, token); break;
+      default: r = runDnc(topo, streams, config, token); break;
     }
     const auto now = Clock::now();
     seconds[i] = std::chrono::duration<double>(now - s0).count();

@@ -50,13 +50,6 @@ struct PortfolioOptions {
   std::uint64_t seed = 1;
   /// Portfolio pool width; 0 = one worker per engine.
   int threads = 0;
-  /// greedy: rip-ups before giving up.
-  int greedyBacktrack = 256;
-  /// tabu: total force-in moves before giving up, and the eviction tenure.
-  int tabuIterations = 20000;
-  int tabuTenure = 16;
-  /// dnc: per-component rip-up budget.
-  int dncBacktrack = 32;
 };
 
 /// Cooperative cancellation: an engine aborts once a strictly lower rank
@@ -84,16 +77,14 @@ EngineResult runFirstFit(const net::Topology& topo,
                          const SchedulerConfig& config);
 EngineResult runGreedy(const net::Topology& topo,
                        const std::vector<ExpandedStream>& streams,
-                       const SchedulerConfig& config,
-                       const PortfolioOptions& opts, CancelToken cancel = {});
+                       const SchedulerConfig& config, CancelToken cancel = {});
 EngineResult runTabu(const net::Topology& topo,
                      const std::vector<ExpandedStream>& streams,
                      const SchedulerConfig& config,
                      const PortfolioOptions& opts, CancelToken cancel = {});
 EngineResult runDnc(const net::Topology& topo,
                     const std::vector<ExpandedStream>& streams,
-                    const SchedulerConfig& config,
-                    const PortfolioOptions& opts, CancelToken cancel = {});
+                    const SchedulerConfig& config, CancelToken cancel = {});
 
 struct EngineRun {
   std::string name;

@@ -116,7 +116,6 @@ NetworkProgram compileProgram(const net::Topology& topo,
       }
       const ExpandedStream& s0 =
           sched.streams[static_cast<std::size_t>(ids[0])];
-      t.stream = s0.id;
       t.priority = s0.priority;
       t.period = s0.period;
       t.maxLatency = spec.maxLatency;
@@ -125,8 +124,6 @@ NetworkProgram compileProgram(const net::Topology& topo,
       for (const TalkerMember& m : t.members) {
         t.offset = std::min(t.offset, m.offset);
       }
-      t.frameOffsets = t.members[0].frameOffsets;
-      t.route = t.members[0].route;
       prog.talkers.push_back(std::move(t));
       continue;
     }
@@ -176,7 +173,6 @@ NetworkProgram compileProgram(const net::Topology& topo,
         break;
       }
     }
-    e.route = e.memberRoutes[0];
     prog.ectSources.push_back(std::move(e));
   }
 

@@ -15,7 +15,7 @@ namespace etsn::sched {
 
 /// One 802.1CB FRER member leg of a time-triggered talker: the member's
 /// link-disjoint route and its own hop-0 pacing offsets.  An unprotected
-/// talker has exactly one member, mirrored by the legacy top-level fields.
+/// talker has exactly one member.
 struct TalkerMember {
   StreamId stream = -1;
   TimeNs offset = 0;  // first-slot offset within the period grid
@@ -32,7 +32,6 @@ struct TalkerMember {
 /// sequence number, each paced to its member's slots.
 struct TalkerConfig {
   std::int32_t specId = -1;
-  StreamId stream = -1;  // members[0]'s stream id
   int priority = 0;
   /// Release offset within the period grid: the earliest member's first
   /// slot.  All member copies are stamped with this creation time.
@@ -40,9 +39,6 @@ struct TalkerConfig {
   TimeNs period = 0;
   TimeNs maxLatency = 0;  // deadline, for miss accounting
   std::vector<int> framePayloads;
-  /// Legacy single-path view, mirroring members[0].
-  std::vector<TimeNs> frameOffsets;
-  std::vector<net::LinkId> route;
   /// One entry per 802.1CB member in member-index order; size 1 when the
   /// stream is unprotected.
   std::vector<TalkerMember> members;
@@ -55,8 +51,6 @@ struct EctSourceConfig {
   TimeNs minInterevent = 0;
   TimeNs maxLatency = 0;
   std::vector<int> framePayloads;
-  /// Legacy single-path view, mirroring memberRoutes[0].
-  std::vector<net::LinkId> route;
   /// One link-disjoint route per 802.1CB member (size 1 = unprotected);
   /// an event's frames are replicated onto every route at emission.
   std::vector<std::vector<net::LinkId>> memberRoutes;

@@ -131,13 +131,13 @@ MethodSchedule buildSchedule(const net::Topology& topo,
         r = runFirstFit(topo, exp.streams, options.config);
         break;
       case Engine::Greedy:
-        r = runGreedy(topo, exp.streams, options.config, options.portfolio);
+        r = runGreedy(topo, exp.streams, options.config);
         break;
       case Engine::Tabu:
         r = runTabu(topo, exp.streams, options.config, options.portfolio);
         break;
       default:
-        r = runDnc(topo, exp.streams, options.config, options.portfolio);
+        r = runDnc(topo, exp.streams, options.config);
         break;
     }
     sched.streams = exp.streams;

@@ -39,20 +39,20 @@ void FaultPlan::validate(const net::Topology& topo,
     return l >= 0 && l < topo.numLinks();
   };
   for (const LossModel& m : losses) {
-    ETSN_CHECK_MSG(m.link == net::kNoLink || knownLink(m.link),
-                   "loss model references unknown link " << m.link);
-    ETSN_CHECK_MSG(m.dropProbability >= 0 && m.dropProbability <= 1 &&
-                       m.pGoodToBad >= 0 && m.pGoodToBad <= 1 &&
-                       m.pBadToGood >= 0 && m.pBadToGood <= 1 &&
-                       m.lossGood >= 0 && m.lossGood <= 1 && m.lossBad >= 0 &&
-                       m.lossBad <= 1,
-                   "loss probabilities must lie in [0, 1]");
+    ETSN_REQUIRE(m.link == net::kNoLink || knownLink(m.link),
+                 "loss model references unknown link " << m.link);
+    ETSN_REQUIRE(m.dropProbability >= 0 && m.dropProbability <= 1 &&
+                     m.pGoodToBad >= 0 && m.pGoodToBad <= 1 &&
+                     m.pBadToGood >= 0 && m.pBadToGood <= 1 &&
+                     m.lossGood >= 0 && m.lossGood <= 1 && m.lossBad >= 0 &&
+                     m.lossBad <= 1,
+                 "loss probabilities must lie in [0, 1]");
   }
   for (const LinkOutage& o : outages) {
-    ETSN_CHECK_MSG(o.link == net::kNoLink || knownLink(o.link),
-                   "outage references unknown link " << o.link);
-    ETSN_CHECK_MSG(o.downAt >= 0 && o.upAt >= 0,
-                   "outage times must be non-negative");
+    ETSN_REQUIRE(o.link == net::kNoLink || knownLink(o.link),
+                 "outage references unknown link " << o.link);
+    ETSN_REQUIRE(o.downAt >= 0 && o.upAt >= 0,
+                 "outage times must be non-negative");
   }
   // Overlapping outage episodes on one physical cable are a plan bug (the
   // idiom is one interval per episode); the injector would silently union
@@ -85,25 +85,25 @@ void FaultPlan::validate(const net::Topology& topo,
       const Episode& a = episodes[i - 1];
       const Episode& b = episodes[i];
       if (a.cable != b.cable) continue;
-      ETSN_CHECK_MSG(b.down >= a.up,
-                     "overlapping outages on link "
-                         << a.cable << ": [" << a.down << ", "
-                         << (a.up == kForever ? std::string("end-of-run")
-                                              : std::to_string(a.up))
-                         << ") overlaps [" << b.down << ", "
-                         << (b.up == kForever ? std::string("end-of-run")
-                                              : std::to_string(b.up))
-                         << ")");
+      ETSN_REQUIRE(b.down >= a.up,
+                   "overlapping outages on link "
+                       << a.cable << ": [" << a.down << ", "
+                       << (a.up == kForever ? std::string("end-of-run")
+                                            : std::to_string(a.up))
+                       << ") overlaps [" << b.down << ", "
+                       << (b.up == kForever ? std::string("end-of-run")
+                                            : std::to_string(b.up))
+                       << ")");
     }
   }
   for (const BabblingSource& b : babblers) {
-    ETSN_CHECK_MSG(b.interval >= 0 && b.start >= 0 && b.stop >= 0,
-                   "babbler times must be non-negative");
+    ETSN_REQUIRE(b.interval >= 0 && b.start >= 0 && b.stop >= 0,
+                 "babbler times must be non-negative");
     if (b.interval == 0) continue;  // inactive (default-constructed)
-    ETSN_CHECK_MSG(b.stop > b.start,
-                   "babbler window [" << b.start << ", " << b.stop
-                                      << ") is empty");
-    ETSN_CHECK_MSG(
+    ETSN_REQUIRE(b.stop > b.start,
+                 "babbler window [" << b.start << ", " << b.stop
+                                    << ") is empty");
+    ETSN_REQUIRE(
         b.ectIndex >= 0 &&
             static_cast<std::size_t>(b.ectIndex) < numEctSources,
         "babbler references unknown ECT source " << b.ectIndex);
@@ -112,20 +112,18 @@ void FaultPlan::validate(const net::Topology& topo,
     return m >= 0 && m < topo.numNodes();
   };
   for (const SyncOutage& s : syncOutages) {
-    ETSN_CHECK_MSG(s.node == net::kNoNode || knownNode(s.node),
-                   "sync outage references unknown node " << s.node);
     for (const net::NodeId m : s.nodes) {
-      ETSN_CHECK_MSG(knownNode(m),
-                     "sync outage node set references unknown node " << m);
+      ETSN_REQUIRE(knownNode(m),
+                   "sync outage node set references unknown node " << m);
     }
-    ETSN_CHECK_MSG(s.start >= 0 && s.stop >= 0,
-                   "sync outage times must be non-negative");
+    ETSN_REQUIRE(s.start >= 0 && s.stop >= 0,
+                 "sync outage times must be non-negative");
   }
   // Overlapping sync-outage episodes on the same node are a plan bug for
   // the same reason overlapping link outages are: the injector would
   // silently union them.  Expand every active episode to the per-node
-  // intervals it covers (kNoNode / an empty set = all nodes) and reject
-  // any node whose intervals overlap.
+  // intervals it covers (an empty set = all nodes) and reject any node
+  // whose intervals overlap.
   {
     constexpr TimeNs kForever = std::numeric_limits<TimeNs>::max();
     struct Episode {
@@ -137,12 +135,10 @@ void FaultPlan::validate(const net::Topology& topo,
     for (const SyncOutage& s : syncOutages) {
       if (!s.active()) continue;
       const TimeNs stop = s.stop > s.start ? s.stop : kForever;
-      if (s.nodes.empty() && s.node == net::kNoNode) {
+      if (s.nodes.empty()) {
         for (net::NodeId m = 0; m < topo.numNodes(); ++m) {
           episodes.push_back({m, s.start, stop});
         }
-      } else if (s.nodes.empty()) {
-        episodes.push_back({s.node, s.start, stop});
       } else {
         for (const net::NodeId m : s.nodes) {
           episodes.push_back({m, s.start, stop});
@@ -159,18 +155,18 @@ void FaultPlan::validate(const net::Topology& topo,
       const Episode& a = episodes[i - 1];
       const Episode& b = episodes[i];
       if (a.node != b.node) continue;
-      ETSN_CHECK_MSG(b.start >= a.stop,
-                     "overlapping sync outages on node "
-                         << a.node << ": [" << a.start << ", " << a.stop
-                         << ") overlaps [" << b.start << ", " << b.stop
-                         << ")");
+      ETSN_REQUIRE(b.start >= a.stop,
+                   "overlapping sync outages on node "
+                       << a.node << ": [" << a.start << ", " << a.stop
+                       << ") overlaps [" << b.start << ", " << b.stop
+                       << ")");
     }
   }
   for (const GptpKill& k : gptpKills) {
     if (!k.active()) continue;
-    ETSN_CHECK_MSG(knownNode(k.node),
-                   "gPTP kill references unknown node " << k.node);
-    ETSN_CHECK_MSG(k.at >= 0, "gPTP kill time must be non-negative");
+    ETSN_REQUIRE(knownNode(k.node),
+                 "gPTP kill references unknown node " << k.node);
+    ETSN_REQUIRE(k.at >= 0, "gPTP kill time must be non-negative");
   }
 }
 
@@ -190,24 +186,24 @@ FaultInjector::FaultInjector(const net::Topology& topo, const FaultPlan& plan,
   }
   for (const LossModel& m : plan_.losses) {
     if (m.link == net::kNoLink) continue;
-    ETSN_CHECK_MSG(m.link >= 0 && static_cast<std::size_t>(m.link) < n,
-                   "loss model references unknown link " << m.link);
+    ETSN_REQUIRE(m.link >= 0 && static_cast<std::size_t>(m.link) < n,
+                 "loss model references unknown link " << m.link);
     links_[static_cast<std::size_t>(m.link)].model = m;
   }
   for (const LossModel& m : plan_.losses) {
-    ETSN_CHECK_MSG(m.dropProbability >= 0 && m.dropProbability <= 1 &&
-                       m.pGoodToBad >= 0 && m.pGoodToBad <= 1 &&
-                       m.pBadToGood >= 0 && m.pBadToGood <= 1 &&
-                       m.lossGood >= 0 && m.lossGood <= 1 && m.lossBad >= 0 &&
-                       m.lossBad <= 1,
-                   "loss probabilities must lie in [0, 1]");
+    ETSN_REQUIRE(m.dropProbability >= 0 && m.dropProbability <= 1 &&
+                     m.pGoodToBad >= 0 && m.pGoodToBad <= 1 &&
+                     m.pBadToGood >= 0 && m.pBadToGood <= 1 &&
+                     m.lossGood >= 0 && m.lossGood <= 1 && m.lossBad >= 0 &&
+                     m.lossBad <= 1,
+                 "loss probabilities must lie in [0, 1]");
   }
 
   // An outage cuts the physical cable: register it on both directions.
   for (const LinkOutage& o : plan_.outages) {
     if (!o.active()) continue;
-    ETSN_CHECK_MSG(o.link >= 0 && static_cast<std::size_t>(o.link) < n,
-                   "outage references unknown link " << o.link);
+    ETSN_REQUIRE(o.link >= 0 && static_cast<std::size_t>(o.link) < n,
+                 "outage references unknown link " << o.link);
     outagesOf_[static_cast<std::size_t>(o.link)].push_back(o);
     const net::LinkId rev = topo.link(o.link).reverse;
     if (rev != net::kNoLink) {

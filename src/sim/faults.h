@@ -80,20 +80,17 @@ struct BabblingSource {
 
 /// 802.1AS sync outage: corrections are suppressed on the targeted nodes
 /// during [start, stop), so clock drift accumulates uncorrected until the
-/// next surviving sync.  Targeting: `nodes` names an explicit set (e.g.
-/// just the grandmaster, or one subtree); when it is empty, the legacy
-/// single-node field applies — `node == kNoNode` hits every node,
-/// preserving byte-identical behavior for pre-existing plans.
+/// next surviving sync.  `nodes` names the targets (e.g. just the
+/// grandmaster, or one subtree); an empty set hits every node.
 struct SyncOutage {
-  net::NodeId node = net::kNoNode;
-  std::vector<net::NodeId> nodes;  // explicit node set; empty = use `node`
+  std::vector<net::NodeId> nodes;  // empty = every node
   TimeNs start = 0;
   TimeNs stop = 0;
 
   bool active() const { return stop > start; }
   bool covers(net::NodeId n, TimeNs t) const {
     if (!active() || t < start || t >= stop) return false;
-    if (nodes.empty()) return node == net::kNoNode || node == n;
+    if (nodes.empty()) return true;
     for (const net::NodeId m : nodes) {
       if (m == n) return true;
     }
@@ -128,7 +125,7 @@ struct FaultPlan {
   /// injector entirely, keeping fault-free runs bit-identical).
   bool empty() const;
 
-  /// Throw InvariantError on a malformed plan instead of misbehaving
+  /// Throw ConfigError on a malformed plan instead of misbehaving
   /// mid-run: probabilities outside [0, 1], unknown link / node ids,
   /// negative times, a babbler with a rate but an empty [start, stop)
   /// window, a babbler naming a source index outside [0, numEctSources),

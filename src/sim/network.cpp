@@ -143,22 +143,12 @@ Network::Network(const net::Topology& topo,
   for (const auto& t : program_.talkers) {
     recorder_->setDeadline(t.specId, t.maxLatency);
     auto& routes = memberRoutes_[static_cast<std::size_t>(t.specId)];
-    if (t.members.empty()) {
-      routes.push_back(&t.route);  // hand-built program without members
-    } else {
-      for (const sched::TalkerMember& m : t.members) {
-        routes.push_back(&m.route);
-      }
-    }
+    for (const sched::TalkerMember& m : t.members) routes.push_back(&m.route);
   }
   for (const auto& e : program_.ectSources) {
     recorder_->setDeadline(e.specId, e.maxLatency);
     auto& routes = memberRoutes_[static_cast<std::size_t>(e.specId)];
-    if (e.memberRoutes.empty()) {
-      routes.push_back(&e.route);
-    } else {
-      for (const auto& r : e.memberRoutes) routes.push_back(&r);
-    }
+    for (const auto& r : e.memberRoutes) routes.push_back(&r);
   }
 
   // 802.1CB merge relay: built only when some spec actually carries more
@@ -301,7 +291,8 @@ void Network::scheduleTalkerInstance(std::size_t index, std::int64_t instance) {
   // The talker fires on its own clock (aligned with its port's gates) and
   // paces each frame to its first-link slot (802.1Qbv end station).
   const Clock& clock =
-      clocks_[static_cast<std::size_t>(topo_.link(t.route[0]).from)];
+      clocks_[static_cast<std::size_t>(
+          topo_.link(t.members[0].route[0]).from)];
   const TimeNs globalFire = std::max(
       clock.globalTimeFor(t.offset + instance * t.period), sim_.now());
   if (globalFire > config_.duration) return;
@@ -319,14 +310,11 @@ void Network::fireTalker(std::size_t index, std::int64_t instance) {
   // The talker wakes at the earliest member's release; each member copy is
   // then paced to its own first-link slots (the replication point of
   // 802.1CB sits in the end station, before the pacing queues).
-  const std::size_t k = t.members.empty() ? 1 : t.members.size();
   for (std::size_t j = 0; j < t.framePayloads.size(); ++j) {
     const std::int64_t seq = nextSeq_[static_cast<std::size_t>(t.specId)]++;
-    for (std::size_t m = 0; m < k; ++m) {
-      const std::vector<net::LinkId>& route =
-          t.members.empty() ? t.route : t.members[m].route;
-      const TimeNs frameOffset =
-          t.members.empty() ? t.frameOffsets[j] : t.members[m].frameOffsets[j];
+    for (std::size_t m = 0; m < t.members.size(); ++m) {
+      const std::vector<net::LinkId>& route = t.members[m].route;
+      const TimeNs frameOffset = t.members[m].frameOffsets[j];
       const Clock& clk =
           clocks_[static_cast<std::size_t>(topo_.link(route[0]).from)];
       Frame f;

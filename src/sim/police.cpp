@@ -76,7 +76,8 @@ IngressPolicer::Decision IngressPolicer::admit(const Frame& f, TimeNs now,
 
   bool conformant = true;
   if (filter->kind == net::StreamFilter::Kind::Gate) {
-    conformant = filter->gateFor(f.member).conforms(gateNow);
+    conformant = filter->gates[static_cast<std::size_t>(f.member)].conforms(
+        gateNow);
   } else {
     refillMeter(filter->meter, s, now);
     if (s.tokens > 0) {

@@ -1,8 +1,10 @@
 // The bench harness must reject malformed command lines loudly (a silent
 // strtoull truncation once turned `--seed 10x` into seed 10) — these tests
-// drive Args::tryParse, the exit-free core of Args::parse.
+// drive Args::tryParse, the exit-free core of Args::parse.  The shared
+// determinism helpers (fnv1a, runAtThreadCounts) are tested here too.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -124,6 +126,51 @@ TEST(BenchHarness, StrictParsersRejectJunkAndOverflow) {
   EXPECT_EQ(i, -5);
   EXPECT_FALSE(parseInt64("9223372036854775808", &i));  // overflow
   EXPECT_FALSE(parseInt64("5.0", &i));
+}
+
+TEST(BenchHarness, Fnv1aMatchesTheReferenceVectors) {
+  EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a("foobar"), 0x85944171f73967e8ull);
+}
+
+TEST(BenchHarness, ThreadCountGateHashesOneTwoAndEightThreadRuns) {
+  Campaign c;
+  c.name = "gate";
+  for (int i = 0; i < 3; ++i) {
+    c.add("cell" + std::to_string(i), [](std::uint64_t taskSeed) {
+      Experiment ex;
+      ex.topo = net::makeTestbedTopology();
+      net::StreamSpec tct;
+      tct.name = "tct";
+      tct.src = 0;
+      tct.dst = 2;
+      tct.period = milliseconds(4);
+      tct.maxLatency = milliseconds(4);
+      tct.payloadBytes = 500;
+      ex.specs = {tct, workload::makeEct("ect", 1, 3, milliseconds(16), 200)};
+      ex.options.engine = sched::Engine::Greedy;
+      ex.simConfig.duration = milliseconds(100);
+      ex.simConfig.seed = taskSeed;
+      return ex;
+    });
+  }
+  Args args;
+  args.jsonPath = testing::TempDir() + "thread_count_gate.json";
+  std::filesystem::remove(args.jsonPath);
+  const ThreadCountGate gate = runAtThreadCounts(c, args);
+  EXPECT_TRUE(gate.identical());
+  EXPECT_EQ(gate.report.threads, 1);
+  ASSERT_EQ(gate.report.tasks.size(), 3u);
+  EXPECT_EQ(gate.report.feasibleCount(), 3);
+  EXPECT_EQ(gate.hashes[0], fnv1a(toJson(gate.report, /*includeSamples=*/true,
+                                         /*includeTiming=*/false)));
+  // The benches write their own rows file, never the raw campaign dump.
+  EXPECT_FALSE(std::filesystem::exists(args.jsonPath));
+
+  ThreadCountGate split;
+  split.hashes = {1, 1, 2};
+  EXPECT_FALSE(split.identical());
 }
 
 }  // namespace

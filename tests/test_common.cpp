@@ -42,6 +42,16 @@ TEST(Check, ThrowsOnViolation) {
   EXPECT_THROW(ETSN_CHECK_MSG(false, "ctx " << 42), InvariantError);
 }
 
+TEST(Check, RequireThrowsConfigErrorWithTheMessage) {
+  EXPECT_NO_THROW(ETSN_REQUIRE(1 == 1, "unused"));
+  try {
+    ETSN_REQUIRE(1 == 2, "bad input " << 42);
+    FAIL() << "ETSN_REQUIRE accepted a false condition";
+  } catch (const ConfigError& e) {
+    EXPECT_STREQ(e.what(), "bad input 42");
+  }
+}
+
 TEST(Math, Lcm) {
   EXPECT_EQ(lcm64(4, 6), 12);
   EXPECT_EQ(lcmAll({4, 8, 16}), 16);

@@ -24,6 +24,7 @@
 // oracle-parity and batch-expansion checks need.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -244,7 +245,7 @@ TEST(Admission, ChurnTracesValidateAndMatchOracle) {
       const AdmissionDecision d = eng.request(req);
       ++step;
       (d.admitted ? admits : rejects)++;
-      cacheHits += d.fromCache ? 1 : 0;
+      cacheHits += d.rung == "cache" ? 1 : 0;
       const Schedule now = eng.schedule();
       expectValid(inst.topo, now, seed, step);
       expectMatchesBatchExpansion(inst.topo, now, seed, step);
@@ -253,7 +254,7 @@ TEST(Admission, ChurnTracesValidateAndMatchOracle) {
             << "seed " << seed << " step " << step
             << ": rejection mutated the schedule (rung " << d.rung << ")";
       }
-      if (d.rung == "invalid" || d.fromCache) continue;
+      if (d.rung == "invalid" || d.rung == "cache") continue;
       // Oracle parity on the solved verdict.  For a rejected Add the
       // hypothetical spec list is the live set plus the candidate; for
       // everything else it is the post-request live set.
@@ -299,7 +300,7 @@ TEST(Admission, CacheOnOffTracesAreByteIdentical) {
       EXPECT_EQ(a.admitted, b.admitted)
           << "seed " << seed << " step " << step << " (rungs " << a.rung
           << " vs " << b.rung << ")";
-      EXPECT_FALSE(b.fromCache) << "cache-off engine reported a cache hit";
+      EXPECT_NE(b.rung, "cache") << "cache-off engine reported a cache hit";
       EXPECT_EQ(scheduleHash(on.schedule()), scheduleHash(off.schedule()))
           << "seed " << seed << " step " << step;
       EXPECT_EQ(on.stateHash(), off.stateHash())
@@ -343,7 +344,6 @@ TEST(Admission, RemoveThenReAddIsServedFromCache) {
   ASSERT_TRUE(eng.request(removeRequest("extra")).admitted);
   const AdmissionDecision again = eng.request(addRequest(extra));
   EXPECT_TRUE(again.admitted);
-  EXPECT_TRUE(again.fromCache);
   EXPECT_EQ(again.rung, "cache");
   EXPECT_EQ(scheduleHash(eng.schedule()), withExtra);
   expectValid(inst.topo, eng.schedule(), 3, 3);
@@ -369,7 +369,7 @@ TEST(Admission, RejectionLeavesScheduleByteIdentical) {
   // Same state, same request: the verdict is replayed from the cache.
   const AdmissionDecision again = eng.request(greedy);
   EXPECT_FALSE(again.admitted);
-  EXPECT_TRUE(again.fromCache);
+  EXPECT_EQ(again.rung, "cache");
   EXPECT_EQ(scheduleHash(eng.schedule()), before);
   EXPECT_EQ(eng.counters().rejects, 2);
 }
@@ -515,23 +515,25 @@ TEST(Admission, ModifyReplacesSpecAtomically) {
   }
 }
 
-TEST(Admission, BatchMatchesSequential) {
-  const Instance inst = makeInstance(13);
-  Rng rng(13 * 101);
-  const std::vector<AdmissionRequest> trace = makeTrace(rng, inst, 6);
-  AdmissionEngine seq(inst.topo, inst.base, config());
-  AdmissionEngine bat(inst.topo, inst.base, config());
-  ASSERT_EQ(seq.feasible(), bat.feasible());
-  if (!seq.feasible()) GTEST_SKIP() << "instance 13 base infeasible";
-  std::vector<AdmissionDecision> one;
-  for (const AdmissionRequest& req : trace) one.push_back(seq.request(req));
-  const std::vector<AdmissionDecision> two = bat.requestBatch(trace);
-  ASSERT_EQ(one.size(), two.size());
-  for (std::size_t i = 0; i < one.size(); ++i) {
-    EXPECT_EQ(one[i].admitted, two[i].admitted) << "request " << i;
-    EXPECT_EQ(one[i].rung, two[i].rung) << "request " << i;
+// The engine keeps its own topology: the caller's copy may go out of scope
+// right after construction (asan catches a dangling reference), and the
+// exported schedule still validates against an identical topology.
+TEST(Admission, EngineOwnsItsTopology) {
+  const std::uint64_t seed = 4;
+  const Instance inst = makeInstance(seed);
+  std::unique_ptr<AdmissionEngine> eng;
+  {
+    const net::Topology scoped = makeInstance(seed).topo;
+    eng = std::make_unique<AdmissionEngine>(scoped, inst.base, config());
   }
-  EXPECT_EQ(scheduleHash(seq.schedule()), scheduleHash(bat.schedule()));
+  ASSERT_TRUE(eng->feasible());
+  Rng rng(seed * 61);
+  int admits = 0;
+  for (const AdmissionRequest& req : makeTrace(rng, inst, 50)) {
+    admits += eng->request(req).admitted ? 1 : 0;
+  }
+  EXPECT_GT(admits, 0);
+  expectValid(makeInstance(seed).topo, eng->schedule(), seed, 50);
 }
 
 TEST(Admission, CountersAreConsistent) {

@@ -464,9 +464,8 @@ TEST(SchedPortfolioSubstrate, DncComponentsAreIndependent) {
   both.insert(both.end(), islandB.begin(), islandB.end());
   const Expansion expBoth = expandStreams(topo, both, config);
 
-  PortfolioOptions opts;
-  const EngineResult a = runDnc(topo, expA.streams, config, opts);
-  const EngineResult combined = runDnc(topo, expBoth.streams, config, opts);
+  const EngineResult a = runDnc(topo, expA.streams, config);
+  const EngineResult combined = runDnc(topo, expBoth.streams, config);
   ASSERT_TRUE(a.feasible);
   ASSERT_TRUE(combined.feasible);
 

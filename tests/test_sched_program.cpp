@@ -56,16 +56,19 @@ std::uint64_t programHash(const NetworkProgram& p) {
       f.add(static_cast<std::int64_t>(e.gateMask));
     }
   }
+  // Member 0's stream, offsets and route are fed where the pin was
+  // recorded from single-path copies of them.
   for (const TalkerConfig& t : p.talkers) {
+    const TalkerMember& m0 = t.members.at(0);
     f.add(static_cast<std::int64_t>(t.specId));
-    f.add(static_cast<std::int64_t>(t.stream));
+    f.add(static_cast<std::int64_t>(m0.stream));
     f.add(static_cast<std::int64_t>(t.priority));
     f.add(t.offset);
     f.add(t.period);
     f.add(t.maxLatency);
     f.addAll(t.framePayloads);
-    f.addAll(t.frameOffsets);
-    f.addAll(t.route);
+    f.addAll(m0.frameOffsets);
+    f.addAll(m0.route);
     f.add(static_cast<std::int64_t>(t.members.size()));
     for (const TalkerMember& m : t.members) {
       f.add(static_cast<std::int64_t>(m.stream));
@@ -80,7 +83,7 @@ std::uint64_t programHash(const NetworkProgram& p) {
     f.add(e.minInterevent);
     f.add(e.maxLatency);
     f.addAll(e.framePayloads);
-    f.addAll(e.route);
+    f.addAll(e.memberRoutes.at(0));
     f.add(static_cast<std::int64_t>(e.memberRoutes.size()));
     for (const auto& r : e.memberRoutes) f.addAll(r);
   }
@@ -105,9 +108,13 @@ std::uint64_t filtersHash(const net::PsfpConfig& c) {
     f.add(static_cast<std::int64_t>(s.specId));
     f.add(static_cast<std::int64_t>(s.kind));
     f.add(static_cast<std::int64_t>(s.members));
-    addGate(s.gate);
-    f.add(static_cast<std::int64_t>(s.memberGates.size()));
-    for (const net::GateFilter& g : s.memberGates) addGate(g);
+    // The pins were recorded from a single gate field (member 0's gate,
+    // empty for meters) plus a per-member list filled only for two or
+    // more members; feed the same bytes from the one gate list.
+    addGate(s.gates.empty() ? net::GateFilter{} : s.gates[0]);
+    const std::size_t perMember = s.gates.size() > 1 ? s.gates.size() : 0;
+    f.add(static_cast<std::int64_t>(perMember));
+    for (std::size_t m = 0; m < perMember; ++m) addGate(s.gates[m]);
     f.add(s.meter.tokensPerInterval);
     f.add(s.meter.interval);
     f.add(s.meter.bucketCapacity);
@@ -247,7 +254,7 @@ TEST(DeployPin, FrerTwoMembers) {
   EXPECT_EQ(d.program.talkers[0].members.size(), 2u);
   ASSERT_EQ(d.program.ectSources.size(), 1u);
   EXPECT_EQ(d.program.ectSources[0].memberRoutes.size(), 2u);
-  EXPECT_EQ(d.filters.filters[0].memberGates.size(), 2u);
+  EXPECT_EQ(d.filters.filters[0].gates.size(), 2u);
   expectPinned(d, "78aa01a0e34acc94", "1a94d07858e0c5f8", "2464d694e8429d6c");
 }
 

@@ -202,7 +202,7 @@ TEST(SmtSchedule, ProgramCompilation) {
   // The talker's first-link GCL must open its queue at its offset.
   const TalkerConfig& talker = prog.talkers[0];
   const net::Gcl& gcl =
-      prog.linkGcl[static_cast<std::size_t>(talker.route[0])];
+      prog.linkGcl[static_cast<std::size_t>(talker.members[0].route[0])];
   ASSERT_TRUE(gcl.installed());
   EXPECT_TRUE(gcl.gateOpen(talker.priority, talker.offset));
   // Every probabilistic slot opens the EP gate on its link.
@@ -234,7 +234,8 @@ TEST(SmtSchedule, AvbProgramHasCbsAndUnallocatedGates) {
   // On a scheduled link, the AVB queue must be closed during a TCT slot
   // and open outside it.
   const auto& talker = prog.talkers[0];
-  const net::Gcl& g = prog.linkGcl[static_cast<std::size_t>(talker.route[0])];
+  const net::Gcl& g =
+      prog.linkGcl[static_cast<std::size_t>(talker.members[0].route[0])];
   ASSERT_TRUE(g.installed());
   EXPECT_FALSE(g.gateOpen(prog.cbs[0].queue, talker.offset));
   EXPECT_TRUE(g.gateOpen(talker.priority, talker.offset));

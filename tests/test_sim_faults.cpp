@@ -78,7 +78,7 @@ TEST(FaultPlan, EmptySemantics) {
 TEST(FaultPlan, ValidateRejectsMalformedComponents) {
   const net::Topology topo = net::makeTestbedTopology();
   const auto expectRejected = [&](const sim::FaultPlan& p) {
-    EXPECT_THROW(p.validate(topo, 1), InvariantError);
+    EXPECT_THROW(p.validate(topo, 1), ConfigError);
   };
 
   sim::FaultPlan negLoss;
@@ -116,7 +116,7 @@ TEST(FaultPlan, ValidateRejectsMalformedComponents) {
 
   sim::FaultPlan badSyncNode;
   badSyncNode.syncOutages.push_back({});
-  badSyncNode.syncOutages.back().node = topo.numNodes();
+  badSyncNode.syncOutages.back().nodes = {topo.numNodes()};
   expectRejected(badSyncNode);
 }
 
@@ -145,7 +145,7 @@ TEST(FaultPlan, ValidateRejectsOverlappingOutagesOnOneCable) {
   try {
     overlap.validate(topo, 0);
     FAIL() << "overlapping outages were accepted";
-  } catch (const InvariantError& e) {
+  } catch (const ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("overlapping outages on link"),
               std::string::npos)
         << e.what();
@@ -157,13 +157,13 @@ TEST(FaultPlan, ValidateRejectsOverlappingOutagesOnOneCable) {
   sim::FaultPlan bothDirections;
   bothDirections.outages.push_back({8, milliseconds(10), milliseconds(30)});
   bothDirections.outages.push_back({rev, milliseconds(20), milliseconds(40)});
-  EXPECT_THROW(bothDirections.validate(topo, 0), InvariantError);
+  EXPECT_THROW(bothDirections.validate(topo, 0), ConfigError);
 
   // An open-ended outage overlaps everything after its start.
   sim::FaultPlan forever;
   forever.outages.push_back({8, milliseconds(10), 0});  // down for good
   forever.outages.push_back({8, milliseconds(50), milliseconds(60)});
-  EXPECT_THROW(forever.validate(topo, 0), InvariantError);
+  EXPECT_THROW(forever.validate(topo, 0), ConfigError);
 
   // Back-to-back episodes (shared endpoint) and distinct cables are fine.
   sim::FaultPlan ok;
@@ -219,7 +219,7 @@ TEST(FaultInjector, RejectsProbabilitiesOutsideUnitInterval) {
   sim::LossModel m;
   m.dropProbability = 1.5;
   plan.losses.push_back(m);
-  EXPECT_THROW(sim::FaultInjector(topo, plan, 1), InvariantError);
+  EXPECT_THROW(sim::FaultInjector(topo, plan, 1), ConfigError);
 }
 
 TEST(FaultInjector, SyncOutageTargetsNodeOrEveryone) {
@@ -230,15 +230,13 @@ TEST(FaultInjector, SyncOutageTargetsNodeOrEveryone) {
   EXPECT_FALSE(all.covers(3, 20));
 
   sim::SyncOutage one;
-  one.node = 2;
+  one.nodes = {2};
   one.start = 10;
   one.stop = 20;
   EXPECT_TRUE(one.covers(2, 15));
   EXPECT_FALSE(one.covers(3, 15));
 
-  // An explicit node set overrides the legacy single-node field.
   sim::SyncOutage set;
-  set.node = 7;            // ignored once `nodes` is non-empty
   set.nodes = {1, 4};
   set.start = 10;
   set.stop = 20;
@@ -258,7 +256,7 @@ TEST(FaultPlan, ValidateRejectsBadSyncOutageNodeSets) {
   so.start = 0;
   so.stop = milliseconds(10);
   unknown.syncOutages.push_back(so);
-  EXPECT_THROW(unknown.validate(topo, 0), InvariantError);
+  EXPECT_THROW(unknown.validate(topo, 0), ConfigError);
 
   // Two episodes overlapping on the same node would silently union.
   sim::FaultPlan overlap;
@@ -274,7 +272,7 @@ TEST(FaultPlan, ValidateRejectsBadSyncOutageNodeSets) {
   try {
     overlap.validate(topo, 0);
     FAIL() << "overlapping per-node sync outages were accepted";
-  } catch (const InvariantError& e) {
+  } catch (const ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("overlapping sync outages"),
               std::string::npos)
         << e.what();
@@ -290,7 +288,7 @@ TEST(FaultPlan, ValidateRejectsBadSyncOutageNodeSets) {
   one.start = milliseconds(25);
   one.stop = milliseconds(35);
   wildcard.syncOutages = {all, one};
-  EXPECT_THROW(wildcard.validate(topo, 0), InvariantError);
+  EXPECT_THROW(wildcard.validate(topo, 0), ConfigError);
 
   // Disjoint node sets and back-to-back episodes are fine.
   sim::FaultPlan ok;
@@ -314,14 +312,14 @@ TEST(FaultPlan, ValidateRejectsBadGptpKills) {
   sim::GptpKill k;
   k.node = topo.numNodes();
   unknown.gptpKills.push_back(k);
-  EXPECT_THROW(unknown.validate(topo, 0), InvariantError);
+  EXPECT_THROW(unknown.validate(topo, 0), ConfigError);
 
   sim::FaultPlan negative;
   sim::GptpKill neg;
   neg.node = 0;
   neg.at = -1;
   negative.gptpKills.push_back(neg);
-  EXPECT_THROW(negative.validate(topo, 0), InvariantError);
+  EXPECT_THROW(negative.validate(topo, 0), ConfigError);
 
   sim::FaultPlan ok;
   sim::GptpKill fine;
@@ -333,22 +331,22 @@ TEST(FaultPlan, ValidateRejectsBadGptpKills) {
 }
 
 TEST(SimFaults, SyncOutageExplicitAllNodesMatchesLegacyWildcard) {
-  Experiment legacy = pipelineExperiment();
-  legacy.simConfig.clockDriftPpbMax = 10'000;
-  legacy.simConfig.syncInterval = milliseconds(50);
-  legacy.options.config.syncErrorMargin = microseconds(2);
-  sim::SyncOutage so;  // node == kNoNode: everyone
+  Experiment wildcard = pipelineExperiment();
+  wildcard.simConfig.clockDriftPpbMax = 10'000;
+  wildcard.simConfig.syncInterval = milliseconds(50);
+  wildcard.options.config.syncErrorMargin = microseconds(2);
+  sim::SyncOutage so;  // empty node set: everyone
   so.start = milliseconds(200);
   so.stop = milliseconds(800);
-  legacy.simConfig.faults.syncOutages.push_back(so);
+  wildcard.simConfig.faults.syncOutages.push_back(so);
 
-  Experiment explicitSet = legacy;
+  Experiment explicitSet = wildcard;
   auto& es = explicitSet.simConfig.faults.syncOutages.back();
   for (net::NodeId n = 0; n < explicitSet.topo.numNodes(); ++n) {
     es.nodes.push_back(n);
   }
 
-  expectIdentical(runExperiment(legacy), runExperiment(explicitSet));
+  expectIdentical(runExperiment(wildcard), runExperiment(explicitSet));
 }
 
 TEST(SimFaults, ZeroPlanByteIdenticalToFaultFree) {
@@ -597,7 +595,7 @@ TEST(SimFaults, BabblerWithUnknownSourceIsRejected) {
   b.stop = milliseconds(10);
   b.interval = milliseconds(1);
   ex.simConfig.faults.babblers.push_back(b);
-  EXPECT_THROW(runExperiment(ex), InvariantError);
+  EXPECT_THROW(runExperiment(ex), ConfigError);
 }
 
 TEST(SimFaults, SyncOutageLetsDriftAccumulate) {

@@ -103,14 +103,16 @@ TEST(Psfp, CompileGateWindowsFromSchedule) {
   for (std::size_t i = 0; i < 2; ++i) {  // the two TCT specs
     const net::StreamFilter& f = filters.filters[i];
     ASSERT_EQ(f.kind, net::StreamFilter::Kind::Gate) << i;
-    EXPECT_EQ(f.gate.period, milliseconds(4));
-    ASSERT_FALSE(f.gate.windows.empty());
+    ASSERT_EQ(f.gates.size(), 1u) << i;
+    const net::GateFilter& gate = f.gates[0];
+    EXPECT_EQ(gate.period, milliseconds(4));
+    ASSERT_FALSE(gate.windows.empty());
     // Windows are sorted, disjoint and inside [0, period).
     TimeNs prevEnd = 0;
-    for (const net::ArrivalWindow& w : f.gate.windows) {
+    for (const net::ArrivalWindow& w : gate.windows) {
       EXPECT_GE(w.start, prevEnd);
       EXPECT_LT(w.start, w.end);
-      EXPECT_LE(w.end, f.gate.period);
+      EXPECT_LE(w.end, gate.period);
       prevEnd = w.end;
     }
     // Every hop-0 slot maps into a conformant window around
@@ -121,14 +123,14 @@ TEST(Psfp, CompileGateWindowsFromSchedule) {
     const TimeNs prop = ex.topo.link(s.path[0]).propagationDelay;
     for (const sched::Slot& slot : ms.schedule.slots) {
       if (slot.stream != sid || slot.hop != 0) continue;
-      EXPECT_TRUE(f.gate.conforms(slot.start + prop));
-      EXPECT_TRUE(f.gate.conforms(slot.start + slot.duration + prop));
+      EXPECT_TRUE(gate.conforms(slot.start + prop));
+      EXPECT_TRUE(gate.conforms(slot.start + slot.duration + prop));
     }
   }
 
   // The schedule does not fill the whole period for a single 1500 B frame,
   // so some phase must be non-conformant (the filter has teeth).
-  const net::GateFilter& gate = filters.filters[0].gate;
+  const net::GateFilter& gate = filters.filters[0].gates.at(0);
   bool anyClosed = false;
   for (TimeNs t = 0; t < gate.period; t += microseconds(10)) {
     anyClosed = anyClosed || !gate.conforms(t);
