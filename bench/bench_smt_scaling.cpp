@@ -19,6 +19,7 @@ struct Row {
   std::string engine;
   double solveSeconds = 0;
   long long conflicts = 0;
+  long long decisions = 0;
   long long clauses = 0;
   long long intvars = 0;
   bool feasible = false;
@@ -33,8 +34,9 @@ int main(int argc, char** argv) {
   Args args = Args::parse(argc, argv);
 
   printHeader("Ablation: scheduler scaling (simulation topology, 50% load)");
-  std::printf("%-8s %-10s %10s %12s %12s %10s %8s\n", "streams", "engine",
-              "solve(s)", "conflicts", "clauses", "intvars", "valid");
+  std::printf("%-8s %-10s %10s %12s %12s %12s %10s %8s\n", "streams",
+              "engine", "solve(s)", "conflicts", "decisions", "clauses",
+              "intvars", "valid");
 
   const std::vector<int> sizes = args.full
                                      ? std::vector<int>{5, 10, 20, 30, 40}
@@ -62,14 +64,15 @@ int main(int argc, char** argv) {
       row.engine = ms.schedule.info.engine;
       row.solveSeconds = ms.schedule.info.solveSeconds;
       row.conflicts = ms.schedule.info.smtConflicts;
+      row.decisions = ms.schedule.info.smtDecisions;
       row.clauses = ms.schedule.info.smtClauses;
       row.intvars = ms.schedule.info.smtIntVars;
       row.feasible = ms.schedule.info.feasible;
       row.valid = row.feasible && sched::validate(topo, ms.schedule).empty();
       rows.push_back(row);
-      std::printf("%-8d %-10s %10.2f %12lld %12lld %10lld %8s\n", n,
+      std::printf("%-8d %-10s %10.2f %12lld %12lld %12lld %10lld %8s\n", n,
                   row.engine.c_str(), row.solveSeconds, row.conflicts,
-                  row.clauses, row.intvars,
+                  row.decisions, row.clauses, row.intvars,
                   row.feasible ? (row.valid ? "yes" : "NO!") : "infeas");
     }
   }
@@ -82,7 +85,8 @@ int main(int argc, char** argv) {
     const Row& r = rows[i];
     out << "    {\"streams\": " << r.streams << ", \"engine\": \""
         << r.engine << "\", \"solve_seconds\": " << r.solveSeconds
-        << ", \"conflicts\": " << r.conflicts << ", \"clauses\": "
+        << ", \"conflicts\": " << r.conflicts << ", \"decisions\": "
+        << r.decisions << ", \"clauses\": "
         << r.clauses << ", \"intvars\": " << r.intvars
         << ", \"feasible\": " << (r.feasible ? "true" : "false")
         << ", \"valid\": " << (r.valid ? "true" : "false") << "}"

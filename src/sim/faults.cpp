@@ -12,6 +12,30 @@ namespace {
 /// the simulator's main stream so enabling a zero-rate plan cannot
 /// perturb traffic generation.
 constexpr std::uint64_t kFaultSeedTag = 0xFA171E57ull;
+
+/// The link and probability checks FaultPlan::validate and FaultInjector
+/// share: each loss model and outage names no link (the wildcard) or one
+/// of the topology's, and every loss probability lies in [0, 1].
+void requireKnownLinksAndProbabilities(const FaultPlan& plan,
+                                       net::LinkId numLinks) {
+  const auto knownOrNone = [&](net::LinkId l) {
+    return l == net::kNoLink || (l >= 0 && l < numLinks);
+  };
+  for (const LossModel& m : plan.losses) {
+    ETSN_REQUIRE(knownOrNone(m.link),
+                 "loss model references unknown link " << m.link);
+    ETSN_REQUIRE(m.dropProbability >= 0 && m.dropProbability <= 1 &&
+                     m.pGoodToBad >= 0 && m.pGoodToBad <= 1 &&
+                     m.pBadToGood >= 0 && m.pBadToGood <= 1 &&
+                     m.lossGood >= 0 && m.lossGood <= 1 && m.lossBad >= 0 &&
+                     m.lossBad <= 1,
+                 "loss probabilities must lie in [0, 1]");
+  }
+  for (const LinkOutage& o : plan.outages) {
+    ETSN_REQUIRE(knownOrNone(o.link),
+                 "outage references unknown link " << o.link);
+  }
+}
 }  // namespace
 
 bool FaultPlan::empty() const {
@@ -35,22 +59,8 @@ bool FaultPlan::empty() const {
 
 void FaultPlan::validate(const net::Topology& topo,
                          std::size_t numEctSources) const {
-  const auto knownLink = [&](net::LinkId l) {
-    return l >= 0 && l < topo.numLinks();
-  };
-  for (const LossModel& m : losses) {
-    ETSN_REQUIRE(m.link == net::kNoLink || knownLink(m.link),
-                 "loss model references unknown link " << m.link);
-    ETSN_REQUIRE(m.dropProbability >= 0 && m.dropProbability <= 1 &&
-                     m.pGoodToBad >= 0 && m.pGoodToBad <= 1 &&
-                     m.pBadToGood >= 0 && m.pBadToGood <= 1 &&
-                     m.lossGood >= 0 && m.lossGood <= 1 && m.lossBad >= 0 &&
-                     m.lossBad <= 1,
-                 "loss probabilities must lie in [0, 1]");
-  }
+  requireKnownLinksAndProbabilities(*this, topo.numLinks());
   for (const LinkOutage& o : outages) {
-    ETSN_REQUIRE(o.link == net::kNoLink || knownLink(o.link),
-                 "outage references unknown link " << o.link);
     ETSN_REQUIRE(o.downAt >= 0 && o.upAt >= 0,
                  "outage times must be non-negative");
   }
@@ -173,6 +183,9 @@ void FaultPlan::validate(const net::Topology& topo,
 FaultInjector::FaultInjector(const net::Topology& topo, const FaultPlan& plan,
                              std::uint64_t seed)
     : plan_(plan) {
+  // Callers may build an injector without validating the plan, and the
+  // links index links_ and outagesOf_ below.
+  requireKnownLinksAndProbabilities(plan_, topo.numLinks());
   const std::size_t n = static_cast<std::size_t>(topo.numLinks());
   links_.resize(n);
   outagesOf_.resize(n);
@@ -186,24 +199,12 @@ FaultInjector::FaultInjector(const net::Topology& topo, const FaultPlan& plan,
   }
   for (const LossModel& m : plan_.losses) {
     if (m.link == net::kNoLink) continue;
-    ETSN_REQUIRE(m.link >= 0 && static_cast<std::size_t>(m.link) < n,
-                 "loss model references unknown link " << m.link);
     links_[static_cast<std::size_t>(m.link)].model = m;
-  }
-  for (const LossModel& m : plan_.losses) {
-    ETSN_REQUIRE(m.dropProbability >= 0 && m.dropProbability <= 1 &&
-                     m.pGoodToBad >= 0 && m.pGoodToBad <= 1 &&
-                     m.pBadToGood >= 0 && m.pBadToGood <= 1 &&
-                     m.lossGood >= 0 && m.lossGood <= 1 && m.lossBad >= 0 &&
-                     m.lossBad <= 1,
-                 "loss probabilities must lie in [0, 1]");
   }
 
   // An outage cuts the physical cable: register it on both directions.
   for (const LinkOutage& o : plan_.outages) {
     if (!o.active()) continue;
-    ETSN_REQUIRE(o.link >= 0 && static_cast<std::size_t>(o.link) < n,
-                 "outage references unknown link " << o.link);
     outagesOf_[static_cast<std::size_t>(o.link)].push_back(o);
     const net::LinkId rev = topo.link(o.link).reverse;
     if (rev != net::kNoLink) {

@@ -50,6 +50,13 @@ bool IdlTheory::assertLit(Lit l, std::vector<Lit>& explanation) {
   return addEdge(a.x, a.y, -a.c - 1, l, explanation);
 }
 
+bool IdlTheory::refutes(Lit l, std::vector<Lit>& explanation) {
+  // A trial assertion, retracted whatever the answer (see the header).
+  const bool fits = assertLit(l, explanation);
+  undo(l);
+  return !fits;
+}
+
 void IdlTheory::undo(Lit l) {
   ETSN_CHECK(!edges_.empty());
   const Edge& e = edges_.back();

@@ -10,6 +10,9 @@
 // cycle, whose edges form the conflict explanation.
 //
 // Retracting edges never invalidates pi, so backtracking only pops edges.
+// The same fact makes refutation cheap: refutes() adds the candidate edge,
+// repairs pi, and pops the edge again.  A refuted candidate rolls pi back;
+// one that fits leaves pi repaired for it, so its real assertion is O(1).
 #pragma once
 
 #include <cstdint>
@@ -38,6 +41,7 @@ class IdlTheory final : public Theory {
 
   bool isTheoryVar(BVar v) const override;
   bool assertLit(Lit l, std::vector<Lit>& explanation) override;
+  bool refutes(Lit l, std::vector<Lit>& explanation) override;
   void undo(Lit l) override;
 
   /// Value of `v` in the current feasible potential, normalized so the zero

@@ -179,29 +179,45 @@ CRef SatSolver::theoryPropagate() {
                  // cancelUntil after conflict analysis
     if (okAssert) continue;
     ++stats_.theoryConflicts;
-    // Learn the theory lemma: at least one explanation atom must be false.
-    std::vector<Lit> lemma;
-    lemma.reserve(theoryExplanation_.size());
-    for (Lit e : theoryExplanation_) {
-      ETSN_CHECK_MSG(value(e) == LBool::True,
-                     "theory explanation literal must be asserted");
-      lemma.push_back(~e);
-    }
-    std::sort(lemma.begin(), lemma.end());
-    lemma.erase(std::unique(lemma.begin(), lemma.end()), lemma.end());
-    ETSN_CHECK_MSG(lemma.size() >= 2, "degenerate theory conflict");
-    // Watch the two most recently assigned literals so the clause behaves
-    // like a regular learnt clause after backjumping.
-    std::stable_sort(lemma.begin(), lemma.end(), [&](Lit a, Lit b) {
-      return varData_[var(a)].level > varData_[var(b)].level;
-    });
-    const CRef cref = arena_.alloc(lemma, /*learnt=*/true);
-    learnts_.push_back(cref);
-    ++stats_.learnt;
-    attachClause(cref);
-    return cref;
+    return learnTheoryLemma();
   }
   return kCRefUndef;
+}
+
+CRef SatSolver::learnTheoryLemma(Lit implied) {
+  // At least one explanation literal must be false.
+  std::vector<Lit> lemma;
+  lemma.reserve(theoryExplanation_.size());
+  for (Lit e : theoryExplanation_) {
+    ETSN_CHECK_MSG(value(e) == LBool::True || ~e == implied,
+                   "theory explanation literal must be asserted");
+    lemma.push_back(~e);
+  }
+  std::sort(lemma.begin(), lemma.end());
+  lemma.erase(std::unique(lemma.begin(), lemma.end()), lemma.end());
+  ETSN_CHECK_MSG(lemma.size() >= 2, "degenerate theory lemma");
+  const auto levelBelow = [&](Lit a, Lit b) {
+    return varData_[var(a)].level < varData_[var(b)].level;
+  };
+  if (implied == kLitUndef) {
+    // Conflicting: watch the two most recently assigned literals so the
+    // clause behaves like a regular learnt clause after backjumping.
+    std::stable_sort(lemma.begin(), lemma.end(),
+                     [&](Lit a, Lit b) { return levelBelow(b, a); });
+  } else {
+    // Asserting, laid out as analyze() lays out a learnt clause: the
+    // implied literal at index 0, the highest-level one of the rest at 1.
+    const auto it = std::find(lemma.begin(), lemma.end(), implied);
+    ETSN_CHECK_MSG(it != lemma.end(), "refutation must explain its literal");
+    std::swap(lemma[0], *it);
+    std::swap(lemma[1],
+              *std::max_element(lemma.begin() + 1, lemma.end(), levelBelow));
+  }
+  const CRef cref = arena_.alloc(lemma, /*learnt=*/true);
+  learnts_.push_back(cref);
+  ++stats_.learnt;
+  attachClause(cref);
+  return cref;
 }
 
 void SatSolver::varBumpActivity(BVar v) {
@@ -460,7 +476,8 @@ Result SatSolver::solve(std::span<const Lit> assumptions) {
           break;
         }
       }
-      if (next == kLitUndef) {
+      const bool branching = next == kLitUndef;
+      if (branching) {
         next = pickBranchLit();
         if (next == kLitUndef) {
           // Full assignment, theory-consistent: extract the model.
@@ -474,8 +491,19 @@ Result SatSolver::solve(std::span<const Lit> assumptions) {
           // next solve() releases it.
           return Result::Sat;
         }
-        ++stats_.decisions;
       }
+      // An atom the asserted atoms already refute is implied false here,
+      // not decided only to conflict and backjump.  The implied literal
+      // sits at the level where the refutation was found.
+      if (theory_ != nullptr && theory_->isTheoryVar(var(next))) {
+        theoryExplanation_.clear();
+        if (theory_->refutes(next, theoryExplanation_)) {
+          if (branching) ++stats_.refutedPicks;
+          uncheckedEnqueue(~next, learnTheoryLemma(~next));
+          continue;
+        }
+      }
+      if (branching) ++stats_.decisions;
       newDecisionLevel();
       stats_.maxDecisionLevel =
           std::max<std::int64_t>(stats_.maxDecisionLevel, decisionLevel());

@@ -4,7 +4,10 @@
 // conflict analysis with clause minimization, VSIDS decision heuristic with
 // phase saving, Luby restarts, activity-based learnt-clause reduction, and
 // solving under assumptions.  A Theory (smt/theory.h) is asserted lazily at
-// each propagation fixpoint; theory conflicts are learned as clauses.
+// each propagation fixpoint; theory conflicts are learned as clauses.  Before
+// a theory literal is decided, the theory is asked whether the asserted atoms
+// already refute it; if so its negation is implied at the current level,
+// with the refutation lemma as its reason, and no level is opened.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +23,8 @@ namespace etsn::smt {
 enum class Result { Sat, Unsat, Unknown };
 
 struct SatStats {
-  std::int64_t decisions = 0;
+  std::int64_t decisions = 0;  // decision levels opened by branching
+  std::int64_t refutedPicks = 0;  // branching picks the theory implied false
   std::int64_t propagations = 0;
   std::int64_t conflicts = 0;
   std::int64_t theoryConflicts = 0;
@@ -90,6 +94,10 @@ class SatSolver {
   /// Assert pending trail literals to the theory.  On conflict, allocates a
   /// theory lemma clause and returns its CRef; kCRefUndef otherwise.
   CRef theoryPropagate();
+  /// Learn and attach the lemma "not all of theoryExplanation_".  With
+  /// `implied` (the lemma's one unassigned literal) it is the reason of
+  /// that literal, which sits at index 0; otherwise it is a conflict.
+  CRef learnTheoryLemma(Lit implied = kLitUndef);
   void analyze(CRef confl, std::vector<Lit>& outLearnt, int& outBtLevel);
   bool litRedundant(Lit l, std::uint32_t abstractLevels);
   void attachClause(CRef cref);

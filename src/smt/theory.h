@@ -12,6 +12,9 @@ namespace etsn::smt {
 /// The SAT core asserts trail literals in order; the theory must detect
 /// inconsistency eagerly on each assertion and explain conflicts with the
 /// set of previously asserted atom literals that are jointly infeasible.
+/// Before the core decides an atom it asks the theory whether the asserted
+/// atoms already refute it; a refuted atom is implied false instead of
+/// decided, with the explanation as its reason.
 class Theory {
  public:
   virtual ~Theory() = default;
@@ -23,6 +26,11 @@ class Theory {
   /// inconsistency and fills `explanation` with true literals (including
   /// `l`) whose conjunction is theory-infeasible.
   virtual bool assertLit(Lit l, std::vector<Lit>& explanation) = 0;
+
+  /// Would asserting the unassigned literal `l` now be inconsistent?  If
+  /// so, returns true and fills `explanation` as assertLit would (`l` plus
+  /// asserted literals).  Either way the asserted set is left unchanged.
+  virtual bool refutes(Lit l, std::vector<Lit>& explanation) = 0;
 
   /// Undo the assertion of `l`; called in reverse assertion order.
   virtual void undo(Lit l) = 0;

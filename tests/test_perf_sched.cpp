@@ -1,5 +1,6 @@
 // Scheduling performance smoke tests (ctest label "perf"): generous
-// time-to-feasible ceilings for the small portfolio sizes.  Like
+// time-to-feasible ceilings for the small portfolio sizes, and a SAT-count
+// ceiling on the exact engine (counts repeat exactly on any host).  Like
 // test_perf_smoke, the limits sit far above any healthy machine's numbers
 // (a loaded single-core CI box clears them several times over) so only a
 // structural regression fails — the Placement substrate falling off its
@@ -73,6 +74,34 @@ TEST(PerfSched, ValidatorMidMeshCeiling) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   EXPECT_LE(elapsed, 30.0) << "validator fell off the per-link grouping";
+}
+
+// Fig. 11's 75%-load testbed instance on the exact engine with no budget:
+// 10 TCT plus the 1 -> 3 ECT stream (16 ms, 1500 B), workload seed 7,
+// N = 8.  Deciding every atom the asserted difference constraints already
+// refute, only to conflict and backjump, took 133 185 928 decisions and
+// 37 719 conflicts here; implying those atoms at decision time takes
+// 4 773 126 and 3 978.  The ceilings sit at a quarter of the former, so
+// the decide-then-conflict path cannot come back unnoticed.  The counts
+// follow one search trajectory: a semantically equal change to the lemma
+// layout or the heuristics moves them, so re-derive rather than raise.
+TEST(PerfSched, SmtTestbed75CountCeiling) {
+  const net::Topology topo = net::makeTestbedTopology();
+  workload::TctWorkload w;
+  w.numStreams = 10;
+  w.periods = {milliseconds(4), milliseconds(8), milliseconds(16)};
+  w.networkLoad = 0.75;
+  w.seed = 7;
+  auto specs = workload::generateTct(topo, w);
+  specs.push_back(workload::makeEct("ect", 1, 3, milliseconds(16), 1500));
+  ScheduleOptions opt;
+  opt.engine = Engine::Smt;
+  opt.config.numProbabilistic = 8;
+  const auto ms = buildSchedule(topo, specs, opt);
+  ASSERT_TRUE(ms.schedule.info.feasible);
+  EXPECT_TRUE(validate(topo, ms.schedule).empty());
+  EXPECT_LE(ms.schedule.info.smtDecisions, 133'185'928 / 4);
+  EXPECT_LE(ms.schedule.info.smtConflicts, 37'719 / 4);
 }
 
 }  // namespace

@@ -110,14 +110,16 @@ std::string fingerprint(const MethodSchedule& ms) {
 TEST(SchedPortfolioDifferential, HeuristicsAgreeWithSmtOracle) {
   const std::vector<std::string> heuristics = {"heuristic", "greedy", "tabu",
                                                "dnc", "portfolio"};
-  int smtFeasible = 0;
-  int smtInfeasible = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     const Instance inst = makeInstance(seed);
     const auto smt = buildSchedule(inst.topo, inst.specs, optionsFor("smt"));
     ASSERT_FALSE(smt.schedule.info.degraded)
         << "corpus instance " << seed << " exceeded the SMT budget";
-    (smt.schedule.info.feasible ? smtFeasible : smtInfeasible)++;
+    // Pinned verdicts: the squeezed slice is UNSAT by construction and
+    // every other instance is SAT, so an unsound theory implication (which
+    // turns a SAT instance UNSAT) fails here, and so does a missed conflict.
+    EXPECT_EQ(smt.schedule.info.feasible, seed % 3 != 0)
+        << "SMT verdict changed on corpus instance " << seed;
     if (smt.schedule.info.feasible) {
       EXPECT_TRUE(validate(inst.topo, smt.schedule).empty())
           << "SMT schedule invalid on instance " << seed;
@@ -139,9 +141,6 @@ TEST(SchedPortfolioDifferential, HeuristicsAgreeWithSmtOracle) {
       // the heuristics are incomplete by contract.
     }
   }
-  // The corpus must exercise both verdicts or the differential is vacuous.
-  EXPECT_GT(smtFeasible, 20);
-  EXPECT_GT(smtInfeasible, 20);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 // façade (atoms, conflicts, explanations, model soundness).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <vector>
 
@@ -344,6 +345,143 @@ TEST(IdlSolver, StatsExposed) {
   EXPECT_GE(st.atoms, 2);
   EXPECT_GE(st.intVars, 3);  // zero + x + y
   EXPECT_GE(st.sat.theoryAssertions, 1);
+
+  // The default phase picks the atom's negation first, which the asserted
+  // bound refutes: the atom is implied instead of decided.
+  Solver t;
+  const IntVar u = t.intVar(), v = t.intVar();
+  t.require(t.leq(u, v, -1));
+  const Lit entailed = t.leq(u, v, 0);
+  ASSERT_EQ(t.solve(), Result::Sat);
+  EXPECT_TRUE(t.boolValue(entailed));
+  EXPECT_GE(t.stats().sat.refutedPicks, 1);
+  EXPECT_EQ(t.stats().sat.conflicts, 0);
+}
+
+// Property: IdlTheory::refutes, driven directly.  Over random consistent
+// asserted sets and unassigned candidate literals, the answer matches
+// Bellman-Ford on the asserted edges plus the candidate's; a refutation
+// explains itself with the candidate and asserted literals only, which are
+// infeasible on their own; and either answer leaves no trace: the next
+// assertion is accepted or rejected exactly as by a fresh theory holding
+// the same asserted set, and value() satisfies every asserted edge.
+TEST(IdlTheoryProperty, RefutesMatchesBellmanFordAndLeavesNoTrace) {
+  struct Atom {
+    IntVar x, y;
+    std::int64_t c;
+  };
+  struct Edge {
+    IntVar from, to;
+    std::int64_t w;
+  };
+  // Literal l as the edge assertLit adds: x - y <= c is y -> x weight c,
+  // its negation x -> y weight -c - 1.
+  const auto edgeOf = [](const std::vector<Atom>& atoms, Lit l) {
+    const Atom& a = atoms[static_cast<std::size_t>(var(l))];
+    return sign(l) ? Edge{a.x, a.y, -a.c - 1} : Edge{a.y, a.x, a.c};
+  };
+  const auto feasible = [](int n, const std::vector<Edge>& edges) {
+    std::vector<std::int64_t> dist(static_cast<std::size_t>(n), 0);
+    for (int it = 0; it <= n; ++it) {
+      bool changed = false;
+      for (const Edge& e : edges) {
+        const auto fd = dist[static_cast<std::size_t>(e.from)];
+        auto& td = dist[static_cast<std::size_t>(e.to)];
+        if (fd + e.w < td) {
+          td = fd + e.w;
+          changed = true;
+        }
+      }
+      if (!changed) return true;
+    }
+    return false;
+  };
+
+  std::mt19937 rng(2024);
+  int refuted = 0, fitted = 0;
+  for (int round = 0; round < 150; ++round) {
+    const int n = 4 + static_cast<int>(rng() % 4);  // zero included
+    const int numAtoms = 12 + static_cast<int>(rng() % 12);
+    std::vector<Atom> atoms;
+    IdlTheory th;
+    for (int i = 1; i < n; ++i) th.newIntVar();
+    for (int b = 0; b < numAtoms; ++b) {
+      const auto x = static_cast<IntVar>(rng() % static_cast<unsigned>(n));
+      auto y = static_cast<IntVar>(rng() % static_cast<unsigned>(n));
+      if (x == y) y = (y + 1) % n;
+      atoms.push_back({x, y, static_cast<std::int64_t>(rng() % 13) - 6});
+      th.registerAtom(b, x, y, atoms.back().c);
+    }
+    std::vector<Lit> asserted;
+    std::vector<char> assigned(static_cast<std::size_t>(numAtoms), 0);
+    std::vector<Lit> scratch;
+    const auto randomUnassigned = [&]() {
+      Lit l = kLitUndef;
+      while (l == kLitUndef) {
+        const auto b = static_cast<BVar>(rng() % static_cast<unsigned>(numAtoms));
+        if (!assigned[static_cast<std::size_t>(b)]) l = mkLit(b, rng() & 1);
+      }
+      return l;
+    };
+    for (int step = 0; step < numAtoms - 1; ++step) {
+      std::vector<Edge> edges;
+      for (const Lit a : asserted) edges.push_back(edgeOf(atoms, a));
+
+      // Ask about a candidate.
+      const Lit cand = randomUnassigned();
+      edges.push_back(edgeOf(atoms, cand));
+      const bool candFeasible = feasible(n, edges);
+      edges.pop_back();
+      std::vector<Lit> expl;
+      const bool refutes = th.refutes(cand, expl);
+      ASSERT_EQ(refutes, !candFeasible) << "round " << round;
+      if (refutes) {
+        ++refuted;
+        EXPECT_NE(std::find(expl.begin(), expl.end(), cand), expl.end());
+        std::vector<Edge> cycle;
+        for (const Lit e : expl) {
+          EXPECT_TRUE(e == cand || std::find(asserted.begin(), asserted.end(),
+                                             e) != asserted.end())
+              << "explanation holds an unasserted literal, round " << round;
+          cycle.push_back(edgeOf(atoms, e));
+        }
+        EXPECT_FALSE(feasible(n, cycle))
+            << "explanation is feasible on its own, round " << round;
+      } else {
+        ++fitted;
+      }
+      for (const Lit a : asserted) {
+        const Edge e = edgeOf(atoms, a);
+        EXPECT_LE(th.value(e.to) - th.value(e.from), e.w)
+            << "value() violates an asserted edge, round " << round;
+      }
+
+      // The next assertion behaves as on a fresh theory.
+      IdlTheory fresh;
+      for (int i = 1; i < n; ++i) fresh.newIntVar();
+      for (int b = 0; b < numAtoms; ++b) {
+        const Atom& a = atoms[static_cast<std::size_t>(b)];
+        fresh.registerAtom(b, a.x, a.y, a.c);
+      }
+      for (const Lit a : asserted) ASSERT_TRUE(fresh.assertLit(a, scratch));
+      const Lit next = randomUnassigned();
+      const bool ok = th.assertLit(next, scratch);
+      ASSERT_EQ(ok, fresh.assertLit(next, scratch)) << "round " << round;
+      if (ok) {
+        asserted.push_back(next);
+        assigned[static_cast<std::size_t>(var(next))] = 1;
+      } else {
+        th.undo(next);
+      }
+    }
+    // Retraction order is still the assertion order.
+    for (auto it = asserted.rbegin(); it != asserted.rend(); ++it) {
+      th.undo(*it);
+    }
+  }
+  // Both answers must be exercised or the property is vacuous.
+  EXPECT_GT(refuted, 100);
+  EXPECT_GT(fitted, 100);
 }
 
 }  // namespace
