@@ -23,11 +23,11 @@ etsn::Campaign makeGrid(const etsn::bench::Args& args) {
   const int replicates = args.full ? 8 : 4;
   for (int rep = 0; rep < replicates; ++rep) {
     for (const double load : loads) {
-      for (const bool heuristic : {false, true}) {
+      for (const bool greedy : {false, true}) {
         char label[64];
         std::snprintf(label, sizeof label, "rep%d/load%.0f/%s", rep,
-                      load * 100, heuristic ? "firstfit" : "smt");
-        c.add(label, [args, load, heuristic](std::uint64_t taskSeed) {
+                      load * 100, greedy ? "greedy" : "smt");
+        c.add(label, [args, load, greedy](std::uint64_t taskSeed) {
           Experiment ex;
           ex.topo = net::makeTestbedTopology();
           workload::TctWorkload w;
@@ -38,7 +38,7 @@ etsn::Campaign makeGrid(const etsn::bench::Args& args) {
           ex.specs.push_back(
               workload::makeEct("ect", 1, 3, milliseconds(16), 1500));
           ex.options.engine =
-              heuristic ? sched::Engine::Heuristic : sched::Engine::Smt;
+              greedy ? sched::Engine::Greedy : sched::Engine::Smt;
           ex.options.config.numProbabilistic = 4;
           ex.simConfig.duration = args.duration;
           ex.simConfig.seed = taskSeed;

@@ -7,7 +7,7 @@
 // paper's complete grid ({25, 50, 75}% and 1..5 MTU).  Both grids run as
 // one campaign (--threads N fans the independent solves+simulations out);
 // in quick mode each solve is conflict-bounded, and a cell whose SMT
-// budget runs out is placed by the (validated) first-fit fallback and
+// budget runs out is placed by the (validated) greedy fallback and
 // labelled.
 #include "harness.h"
 
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
       const CampaignTaskResult& t = cr.tasks[task++];
       printEctRow(sched::methodName(method), t.result);
       if (t.result.solve.degraded) {
-        std::printf("  (first-fit engine; SMT over budget)\n");
+        std::printf("  (greedy engine; SMT over budget)\n");
       }
     }
   }
@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
       const CampaignTaskResult& t = cr.tasks[task++];
       printEctRow(sched::methodName(method), t.result);
       if (t.result.solve.degraded) {
-        std::printf("  (first-fit engine; SMT over budget)\n");
+        std::printf("  (greedy engine; SMT over budget)\n");
       }
     }
   }

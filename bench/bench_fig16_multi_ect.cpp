@@ -34,12 +34,12 @@ int main(int argc, char** argv) {
     Experiment ex = build(method);
     if (!args.full) {
       // Bound the quick pass; on budget exhaustion buildSchedule falls
-      // back to the (validated) first-fit engine, and the row says so.
+      // back to the (validated) greedy engine, and the row says so.
       ex.options.config.conflictBudget = 60'000;
     }
     const ExperimentResult r = runExperiment(ex);
     if (r.solve.degraded) {
-      std::printf("  (first-fit engine; SMT over budget)\n");
+      std::printf("  (greedy engine; SMT over budget)\n");
     }
     if (!r.feasible) {
       std::printf("  schedule infeasible (solve %.1fs, engine %s)\n",

@@ -1,6 +1,6 @@
 // Portfolio scheduler scaling: feasibility rate, schedule quality
 // (flowspan, TCT slot slack), and time-to-first-feasible for the heuristic
-// engine families (greedy / tabu / dnc / portfolio) across the scaled
+// engine families (greedy / tabu / portfolio) across the scaled
 // line/ring/tree/mesh plant topologies, against the exact SMT engine where
 // it is still tractable.
 //
@@ -123,8 +123,7 @@ int main(int argc, char** argv) {
 
   // Grid: every shape at a mid scale, every engine; SMT joins only at the
   // small scale (it is the point of the heuristics that it cannot follow).
-  const std::vector<std::string> engines = {"greedy", "tabu", "dnc",
-                                            "portfolio"};
+  const std::vector<std::string> engines = {"greedy", "tabu", "portfolio"};
   struct Scale {
     int switches;
     int devicesPerSwitch;

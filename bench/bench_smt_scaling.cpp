@@ -1,7 +1,7 @@
 // Ablation C — scheduler engine scaling: schedule synthesis cost as the
 // TCT stream count grows on the simulation topology, comparing the exact
-// SMT engine with the first-fit heuristic and the portfolio families
-// (§VII-C's speed/completeness trade-off).
+// SMT engine with the greedy heuristic and the portfolio of incomplete
+// engines (§VII-C's speed/completeness trade-off).
 //
 // Besides the table, emits machine-readable BENCH_sched.json (one row per
 // size x engine) so the perf trajectory of scheduling is tracked across
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   const std::vector<int> sizes = args.full
                                      ? std::vector<int>{5, 10, 20, 30, 40}
                                      : std::vector<int>{5, 10, 20};
-  const std::vector<std::string> engines = {"smt", "heuristic", "portfolio"};
+  const std::vector<std::string> engines = {"smt", "greedy", "portfolio"};
   std::vector<Row> rows;
   for (const int n : sizes) {
     for (const std::string& engine : engines) {

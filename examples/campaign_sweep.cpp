@@ -31,7 +31,7 @@ int main() {
         ex.specs = workload::generateTct(ex.topo, w);
         ex.specs.push_back(
             workload::makeEct("ect", 1, 3, milliseconds(16), 1500));
-        ex.options.engine = sched::Engine::Heuristic;  // fast for the example
+        ex.options.engine = sched::Engine::Greedy;  // fast for the example
         ex.simConfig.duration = seconds(1);
         ex.simConfig.seed = taskSeed;
         return ex;

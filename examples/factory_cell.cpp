@@ -37,11 +37,11 @@ int main() {
 
     ex.options.method = method;
     ex.options.config.numProbabilistic = 8;
-    // The 40-stream instance is large; the first-fit engine places it in
+    // The 40-stream instance is large; the greedy engine places it in
     // milliseconds and its schedules pass the same validator.  Switch to
     // engine = Engine::Smt to reproduce with the complete SMT engine.
     ex.options.engine = method != sched::Method::PERIOD
-                            ? sched::Engine::Heuristic
+                            ? sched::Engine::Greedy
                             : sched::Engine::Smt;
     ex.simConfig.duration = seconds(20);
     ex.simConfig.seed = 99;

@@ -136,7 +136,7 @@ int main() {
       repair.reroutedSpecs.size(), repair.droppedSpecs.size(),
       repair.repairedStreams, repair.untouchedStreams,
       repair.schedule.info.engine.c_str(),
-      repair.degraded ? ", DEGRADED" : "");
+      repair.schedule.info.degraded ? ", DEGRADED" : "");
 
   {
     sched::MethodSchedule repaired;

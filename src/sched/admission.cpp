@@ -10,6 +10,10 @@ namespace etsn::sched {
 
 namespace {
 
+// Rip-up victims one placement pass may take before the request
+// escalates to the full re-solve.
+constexpr int kRipupBudget = 64;
+
 // FNV-1a over typed fields; the one hash used for state, request and
 // cache keys so equal content always collides on purpose.
 struct Hasher {
@@ -133,9 +137,6 @@ AdmissionEngine::AdmissionEngine(const net::Topology& topo,
                                  const SchedulerConfig& config,
                                  const AdmissionOptions& options)
     : topo_(topo), config_(config), opts_(options) {
-  ETSN_CHECK_MSG(!opts_.ripupBudgets.empty(),
-                 "need at least one rip-up budget rung");
-
   // The cursor carries on from the batch expansion, so later requests get
   // exactly the priorities a batch expansion in admission order would give.
   Expansion exp = expandStreams(topo_, initialSpecs, config_, cursor_);
@@ -477,17 +478,16 @@ void AdmissionEngine::rebuildPlacement() {
 
 // --- ladder ----------------------------------------------------------------
 
-bool AdmissionEngine::attemptPlace(Txn& txn,
-                                   const std::vector<StreamId>& slice,
-                                   int budget) {
+bool AdmissionEngine::placeSlice(Txn& txn, std::vector<StreamId> queue,
+                                 std::string* rung) {
   const std::size_t mark = txn.ops.size();
   auto byName = [&](StreamId a, StreamId b) {
     return streams_[static_cast<std::size_t>(a)].name <
            streams_[static_cast<std::size_t>(b)].name;
   };
-  std::vector<StreamId> queue = slice;
   std::sort(queue.begin(), queue.end(), byName);
-  int budgetLeft = budget;
+  int budgetLeft = kRipupBudget;
+  bool ripped = false;
   while (!queue.empty()) {
     const StreamId s = queue.front();
     queue.erase(queue.begin());
@@ -504,6 +504,7 @@ bool AdmissionEngine::attemptPlace(Txn& txn,
       const StreamId victim =
           *std::min_element(cands.begin(), cands.end(), byName);
       doRip(txn, victim);
+      ripped = true;
       --budgetLeft;
       queue.insert(
           std::upper_bound(queue.begin(), queue.end(), victim, byName),
@@ -518,32 +519,9 @@ bool AdmissionEngine::attemptPlace(Txn& txn,
       return false;
     }
   }
+  *rung = ripped ? "ripup" : "delta";
+  txn.usedDelta = true;
   return true;
-}
-
-bool AdmissionEngine::placeLadder(Txn& txn, std::vector<StreamId> slice,
-                                  std::string* rung) {
-  if (slice.empty()) {
-    *rung = "delta";
-    txn.usedDelta = true;
-    return true;
-  }
-  for (const int budget : opts_.ripupBudgets) {
-    const std::size_t mark = txn.ops.size();
-    if (attemptPlace(txn, slice, budget)) {
-      bool ripped = false;
-      for (std::size_t i = mark; i < txn.ops.size(); ++i) {
-        if (txn.ops[i].kind == Op::Kind::Rip) {
-          ripped = true;
-          break;
-        }
-      }
-      *rung = ripped ? "ripup" : "delta";
-      txn.usedDelta = true;
-      return true;
-    }
-  }
-  return false;
 }
 
 std::optional<std::vector<std::pair<StreamId, AdmissionEngine::Starts>>>
@@ -621,7 +599,7 @@ bool AdmissionEngine::processAdd(const net::StreamSpec& spec, Txn& txn,
     for (const StreamId sid : regrid(txn, newIds)) slice.push_back(sid);
   }
 
-  if (placeLadder(txn, std::move(slice), rung)) return true;
+  if (placeSlice(txn, std::move(slice), rung)) return true;
   *rung = "resolve";
   if (tryFullResolve(txn)) return true;
   *detail = "no feasible schedule admits stream '" + spec.name +
@@ -647,7 +625,7 @@ bool AdmissionEngine::processRemove(const std::string& name, Txn& txn,
     // for; the affected shared streams re-place on their tighter grids.
     slice = regrid(txn, e.streams);
   }
-  if (placeLadder(txn, std::move(slice), rung)) return true;
+  if (placeSlice(txn, std::move(slice), rung)) return true;
   *rung = "resolve";
   if (tryFullResolve(txn)) return true;
   *detail = "could not re-place shrunken reservations after removing '" +

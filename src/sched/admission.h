@@ -12,10 +12,10 @@
 //     Placement substrate (sched/placement.h); only the request's slice
 //     (the new streams, plus shared TCT streams whose prudent-reservation
 //     grid changed with an ECT add/remove) is re-placed.
-//  3. escalating rip-up — when a slice stream finds no feasible offsets,
-//     rip conflicting streams off the blocking link (canonical
-//     name-ordered victims, budgeted, escalating budgets per attempt) and
-//     re-place them too.
+//  3. rip-up — when a slice stream finds no feasible offsets, rip
+//     conflicting streams off the blocking link (canonical name-ordered
+//     victims, at most 64 per pass) and re-place them too.  Rungs 2 and
+//     3 are one pass: a pass that rips nothing decides on rung 2.
 //  4. full re-solve — the portfolio scheduler on the canonical live
 //     stream set; the verdict authority for rejections (identical to a
 //     from-scratch solve over the same specs), at baseline cost.  Commits
@@ -50,11 +50,6 @@
 namespace etsn::sched {
 
 struct AdmissionOptions {
-  /// Rip-up budgets per ladder attempt; the first entry is the pure
-  /// delta-place pass (0 = pin everything untouched, place only the
-  /// slice).  Each later attempt restarts from the pre-attempt state with
-  /// a larger victim budget.
-  std::vector<int> ripupBudgets = {0, 8, 64};
   /// Sub-schedule cache capacity in entries; 0 disables the cache.
   std::size_t cacheCapacity = 1024;
   /// Seed/threads for the rung-4 portfolio re-solve (and the initial
@@ -201,8 +196,10 @@ class AdmissionEngine {
                   std::string* detail);
   bool processRemove(const std::string& name, Txn& txn, std::string* rung,
                      std::string* detail);
-  bool placeLadder(Txn& txn, std::vector<StreamId> slice, std::string* rung);
-  bool attemptPlace(Txn& txn, const std::vector<StreamId>& slice, int budget);
+  /// Rungs 2 and 3 in one pass: place `queue` in name order, ripping up
+  /// to a fixed budget of name-ordered victims (re-queued in name order);
+  /// rolls back and returns false if a stream still finds no offsets.
+  bool placeSlice(Txn& txn, std::vector<StreamId> queue, std::string* rung);
   bool tryFullResolve(Txn& txn);
   /// The portfolio solve of the live streams, compacted to contiguous ids
   /// in admission order — exactly what a from-scratch solve over the live

@@ -56,6 +56,24 @@ int prudentExtraFrames(int tctFrames, TimeNs tctFrameTxTime, int ectFrames,
   return ectFrames * static_cast<int>(ceilDiv(burst, minInterevent));
 }
 
+std::vector<std::vector<net::LinkId>> memberPaths(const net::Topology& topo,
+                                                  const net::StreamSpec& spec) {
+  if (spec.redundancy <= 1) {
+    return {spec.path.empty() ? topo.shortestPath(spec.src, spec.dst)
+                              : spec.path};
+  }
+  std::vector<std::vector<net::LinkId>> paths =
+      topo.disjointPaths(spec.src, spec.dst, spec.redundancy);
+  if (static_cast<int>(paths.size()) < spec.redundancy) {
+    throw ConfigError("stream '" + spec.name + "': redundancy " +
+                      std::to_string(spec.redundancy) +
+                      " needs that many link-disjoint paths but the "
+                      "topology supplies only " +
+                      std::to_string(paths.size()));
+  }
+  return paths;
+}
+
 std::vector<ExpandedStream> expandSpec(const net::Topology& topo,
                                        const net::StreamSpec& spec,
                                        std::int32_t specId, StreamId firstId,
@@ -65,21 +83,8 @@ std::vector<ExpandedStream> expandSpec(const net::Topology& topo,
   ETSN_CHECK_MSG(config.numProbabilistic >= 1, "need at least one possibility");
   net::validateSpec(topo, spec);
   // FRER (802.1CB): a protected spec becomes `redundancy` member groups,
-  // one per link-disjoint path.  Unprotected specs are the 1-member case.
-  std::vector<std::vector<net::LinkId>> paths;
-  if (spec.redundancy > 1) {
-    paths = topo.disjointPaths(spec.src, spec.dst, spec.redundancy);
-    if (static_cast<int>(paths.size()) < spec.redundancy) {
-      throw ConfigError(
-          "stream '" + spec.name + "': redundancy " +
-          std::to_string(spec.redundancy) + " needs that many link-" +
-          "disjoint paths but the topology supplies only " +
-          std::to_string(paths.size()));
-    }
-  } else {
-    paths.push_back(spec.path.empty() ? topo.shortestPath(spec.src, spec.dst)
-                                      : spec.path);
-  }
+  // one per member path.  Unprotected specs are the 1-member case.
+  const std::vector<std::vector<net::LinkId>> paths = memberPaths(topo, spec);
   // Slots sit on each link's time-unit grid and repeat with the period,
   // so the period must be a whole number of every crossed link's tu (for
   // PERIOD this is the converted ECT period).

@@ -1,10 +1,11 @@
 // Stream expansion: routing, probabilistic-stream derivation (§III-B),
 // priority assignment (constraint (6)), and prudent reservation (Alg. 1).
 //
-// Two rules, one owner each: expandSpec turns one spec into its streams,
-// prudentFrames sizes one shared stream's per-hop grid against the ECT
-// member groups in force.  The batch expansion, the admission engine and
-// the link-failure repair all build on these two.
+// Three rules, one owner each: memberPaths routes a spec's FRER members,
+// expandSpec turns one spec into its streams, prudentFrames sizes one
+// shared stream's per-hop grid against the ECT member groups in force.
+// The batch expansion, the admission engine, the link-failure repair and
+// the AVB event sources (which are never expanded) all build on these.
 #pragma once
 
 #include <span>
@@ -28,6 +29,13 @@ struct PriorityCursor {
   int shared = 0;
   int nonShared = 0;
 };
+
+/// The paths of a spec's FRER (802.1CB) members: an unprotected spec is
+/// one member on its explicit path or the shortest path; `redundancy` > 1
+/// members take that many link-disjoint paths.  Throws ConfigError when
+/// the topology supplies fewer.
+std::vector<std::vector<net::LinkId>> memberPaths(const net::Topology& topo,
+                                                  const net::StreamSpec& spec);
 
 /// Expand one spec into its streams, numbered firstId, firstId + 1, ...
 /// and tagged with `specId`:

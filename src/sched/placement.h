@@ -1,16 +1,15 @@
 // Incremental slot placement: the one substrate under every incomplete
-// scheduling engine — first-fit, greedy, tabu and dnc (sched/portfolio.h)
-// and the admission engine (sched/admission.h).
+// scheduling engine — greedy and tabu (sched/portfolio.h) and the
+// admission engine (sched/admission.h).
 //
 // A Placement holds a partial schedule — some streams placed, some not —
 // and supports placing a stream at its earliest feasible offsets, pinning
 // one at known offsets, and ripping a placed stream back out, which is
 // what bounded backtracking, tabu search and admission rollback need.
-// First-fit is greedy with no rip-ups.  The constraint semantics are the
-// SMT formulation's: time bounds (1)-(2), sequencing (3), latency (4),
-// periodic non-overlap (5) with the probabilistic-stream exceptions,
-// adjacent-link ordering (7), and FIFO-order frame isolation
-// (fifoRequired).
+// The constraint semantics are the SMT formulation's: time bounds
+// (1)-(2), sequencing (3), latency (4), periodic non-overlap (5) with the
+// probabilistic-stream exceptions, adjacent-link ordering (7), and
+// FIFO-order frame isolation (fifoRequired).
 //
 // findStart alternates two pushes to a fixed point: past every frame the
 // candidate overlaps, then past the FIFO requirement.  The overlap push

@@ -1,32 +1,26 @@
 // Incomplete scheduling engines and the portfolio runner.
 //
 // The from-scratch QF_IDL solver is exact but is the wall-clock bottleneck
-// at scale (bench_smt_scaling); these are the heuristic families the TAS
-// survey catalogues (Stüber et al., PAPERS.md), all built on the one
+// at scale (bench_smt_scaling); these are heuristic families the TAS
+// survey catalogues (Stüber et al., PAPERS.md), both built on the one
 // incremental Placement substrate (sched/placement.h):
 //
-//  * first-fit — greedy with no rip-ups: each stream once, in laxity
-//    order, at its earliest feasible offsets.  The `heuristic` engine, and
-//    the fallback when the SMT budget runs out or a pinned repair fails.
 //  * greedy — earliest-slot assignment in laxity order with bounded
 //    backtracking: when a stream finds no feasible offsets, rip out the
 //    most recently placed conflicting stream on the blocking link, retry,
-//    and re-queue the victim (budgeted).
-//  * tabu — local search repairing conflicts from a first-fit seed:
+//    and re-queue the victim (budgeted).  Also the fallback when the SMT
+//    budget runs out or a pinned repair fails.
+//  * tabu — local search repairing conflicts from a no-rip-up seed:
 //    unplaced streams force themselves in by evicting a seeded-random
 //    non-tabu victim from the blocking link; evicted streams become tabu
 //    for a tenure so the search cannot cycle.
-//  * dnc — divide-and-conquer: split streams into link-disjoint components
-//    (solved independently — their slots cannot interact), and inside a
-//    component order work by bottleneck-link contention (most-loaded link
-//    first) so the contested resources are packed before the easy ones.
 //
-// All are incomplete: failure means "engine gave up", never "the instance
+// Both are incomplete: failure means "engine gave up", never "the instance
 // is UNSAT" — the differential corpus (tests/test_sched_portfolio) holds
 // them to the oracle contract that every schedule they emit passes
 // sched::validate and that they never "solve" an SMT-infeasible instance.
 //
-// runPortfolio races greedy, tabu and dnc on the common ThreadPool.  The
+// runPortfolio races greedy and tabu on the common ThreadPool.  The
 // winner is the *lowest-ranked* feasible engine (ranked in that order),
 // never the first to finish, so the result is byte-identical for any
 // thread count; an engine is cancelled only once a strictly lower rank has
@@ -71,10 +65,6 @@ struct EngineResult {
   std::int64_t steps = 0;
 };
 
-/// First-fit: runGreedy with a zero rip-up budget.
-EngineResult runFirstFit(const net::Topology& topo,
-                         const std::vector<ExpandedStream>& streams,
-                         const SchedulerConfig& config);
 EngineResult runGreedy(const net::Topology& topo,
                        const std::vector<ExpandedStream>& streams,
                        const SchedulerConfig& config, CancelToken cancel = {});
@@ -82,9 +72,6 @@ EngineResult runTabu(const net::Topology& topo,
                      const std::vector<ExpandedStream>& streams,
                      const SchedulerConfig& config,
                      const PortfolioOptions& opts, CancelToken cancel = {});
-EngineResult runDnc(const net::Topology& topo,
-                    const std::vector<ExpandedStream>& streams,
-                    const SchedulerConfig& config, CancelToken cancel = {});
 
 struct EngineRun {
   std::string name;
@@ -100,7 +87,7 @@ struct PortfolioResult {
   std::string winner;  // engine that provided `slots` ("" if none)
   /// Earliest feasible completion across engines (timing only).
   double timeToFeasible = 0;
-  std::vector<EngineRun> runs;  // rank order: greedy, tabu, dnc
+  std::vector<EngineRun> runs;  // rank order: greedy, tabu
 };
 
 PortfolioResult runPortfolio(const net::Topology& topo,

@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "common/check.h"
-
 #include "net/ethernet.h"
+#include "sched/expand.h"
 
 namespace etsn::sched {
 
@@ -156,20 +156,7 @@ NetworkProgram compileProgram(const net::Topology& topo,
       case Method::AVB: {
         ETSN_CHECK(ids.empty());  // unscheduled; CBS queue at runtime
         e.priority = sched.config.ectPriority;
-        if (spec.redundancy > 1) {
-          e.memberRoutes =
-              topo.disjointPaths(spec.src, spec.dst, spec.redundancy);
-          if (static_cast<int>(e.memberRoutes.size()) < spec.redundancy) {
-            throw ConfigError("stream '" + spec.name +
-                              "': topology cannot supply " +
-                              std::to_string(spec.redundancy) +
-                              " disjoint paths for AVB replication");
-          }
-        } else {
-          e.memberRoutes.push_back(spec.path.empty()
-                                       ? topo.shortestPath(spec.src, spec.dst)
-                                       : spec.path);
-        }
+        e.memberRoutes = memberPaths(topo, spec);
         break;
       }
     }

@@ -202,16 +202,15 @@ LinkDownRepair repairLinksDown(const net::Topology& topo,
     sched.info.engine = "smt-repair";
   } else {
     // Graceful degradation: drop the zero-disruption guarantee and let
-    // first-fit re-place everything that survives the failure.
+    // greedy re-place everything that survives the failure.
     ETSN_LOG(Warn) << "pinned SMT repair failed ("
                    << (r == smt::Result::Unknown ? "budget" : "unsat")
-                   << "); degrading to full first-fit re-placement";
-    EngineResult ff = runFirstFit(topo, streams, base.config);
+                   << "); degrading to full greedy re-placement";
+    EngineResult g = runGreedy(topo, streams, base.config);
     sched.streams = streams;
-    sched.info.feasible = ff.feasible;
-    sched.info.engine = "heuristic-repair";
-    if (ff.feasible) sched.slots = std::move(ff.slots);
-    out.degraded = true;
+    sched.info.feasible = g.feasible;
+    sched.info.engine = "greedy-repair";
+    if (g.feasible) sched.slots = std::move(g.slots);
     sched.info.degraded = true;
   }
   const auto t1 = std::chrono::steady_clock::now();

@@ -15,8 +15,11 @@ namespace etsn::sched {
 /// Result of a link-failure repair (graceful degradation, see
 /// repairLinkDown below).
 struct LinkDownRepair {
-  /// The repaired schedule.  info.feasible is false when even the
-  /// first-fit fallback could not place the affected streams.
+  /// The repaired schedule.  info.feasible is false when even the greedy
+  /// fallback could not place the affected streams.  info.degraded is set
+  /// when the SMT repair failed (unsat under pinning, or conflict budget
+  /// exhausted) and greedy re-placed the whole schedule instead — running
+  /// streams may have moved.
   Schedule schedule;
   /// Spec indices with at least one FRER member given a new path around
   /// the failed links.
@@ -34,10 +37,6 @@ struct LinkDownRepair {
   /// prudent reservation changed with an ECT reroute).
   int untouchedStreams = 0;
   int repairedStreams = 0;
-  /// True when the SMT repair failed (unsat under pinning, or conflict
-  /// budget exhausted) and the whole schedule was re-placed by first-fit
-  /// instead — running streams may have moved.
-  bool degraded = false;
 };
 
 /// Repair a feasible base schedule after one or more link (cable)
@@ -47,7 +46,8 @@ struct LinkDownRepair {
 /// re-solve with every unaffected stream pinned to its existing slots
 /// (zero disruption for them).  Members with no such path are dropped, and
 /// a spec with no member left is dropped whole.  If the pinned SMT repair
-/// fails, falls back to a full first-fit re-placement with `degraded` set.
+/// fails, falls back to a full greedy re-placement with
+/// `schedule.info.degraded` set.
 ///
 /// Contract: `topo` must be the topology the base schedule was solved
 /// against — every link id a base stream references must still exist in

@@ -146,10 +146,10 @@ struct SolveInfo {
   std::int64_t smtConflicts = 0;
   std::int64_t smtDecisions = 0;
   std::int64_t smtIntVars = 0;
-  std::string engine;  // "smt", "heuristic", "greedy", "portfolio", ...
+  std::string engine;  // "smt", "greedy", "portfolio", "smt+greedy", ...
   /// Graceful degradation: the primary (SMT) engine gave up — conflict
   /// budget exhausted or repair infeasible under pinning — and the result
-  /// comes from the first-fit fallback instead.
+  /// comes from the greedy fallback instead.
   bool degraded = false;
   /// Portfolio runs: the engine whose schedule was adopted (deterministic
   /// lowest-rank winner) and the wall-clock until the first feasible

@@ -23,22 +23,20 @@ const char* methodName(Method m) {
 const char* engineName(Engine e) {
   switch (e) {
     case Engine::Smt: return "smt";
-    case Engine::Heuristic: return "heuristic";
     case Engine::Greedy: return "greedy";
     case Engine::Tabu: return "tabu";
-    case Engine::Dnc: return "dnc";
     case Engine::Portfolio: return "portfolio";
   }
   return "?";
 }
 
 Engine engineFromString(const std::string& name) {
-  for (const Engine e : {Engine::Smt, Engine::Heuristic, Engine::Greedy,
-                         Engine::Tabu, Engine::Dnc, Engine::Portfolio}) {
+  for (const Engine e :
+       {Engine::Smt, Engine::Greedy, Engine::Tabu, Engine::Portfolio}) {
     if (name == engineName(e)) return e;
   }
   throw ConfigError("unknown scheduling engine '" + name +
-                    "' (expected smt|heuristic|greedy|tabu|dnc|portfolio)");
+                    "' (expected smt|greedy|tabu|portfolio)");
 }
 
 namespace {
@@ -123,23 +121,11 @@ MethodSchedule buildSchedule(const net::Topology& topo,
 
   const auto t0 = std::chrono::steady_clock::now();
   const Engine engine = options.engine;
-  if (engine == Engine::Heuristic || engine == Engine::Greedy ||
-      engine == Engine::Tabu || engine == Engine::Dnc) {
-    EngineResult r;
-    switch (engine) {
-      case Engine::Heuristic:
-        r = runFirstFit(topo, exp.streams, options.config);
-        break;
-      case Engine::Greedy:
-        r = runGreedy(topo, exp.streams, options.config);
-        break;
-      case Engine::Tabu:
-        r = runTabu(topo, exp.streams, options.config, options.portfolio);
-        break;
-      default:
-        r = runDnc(topo, exp.streams, options.config);
-        break;
-    }
+  if (engine == Engine::Greedy || engine == Engine::Tabu) {
+    EngineResult r =
+        engine == Engine::Greedy
+            ? runGreedy(topo, exp.streams, options.config)
+            : runTabu(topo, exp.streams, options.config, options.portfolio);
     sched.streams = exp.streams;
     sched.info.feasible = r.feasible;
     sched.info.engine = engineName(engine);
@@ -169,15 +155,15 @@ MethodSchedule buildSchedule(const net::Topology& topo,
     if (sched.info.feasible) sched.slots = smt.extractSlots();
     if (r == smt::Result::Unknown) {
       // Graceful degradation: the conflict budget ran out before a verdict.
-      // Fall back to first-fit rather than reporting nothing — the result
-      // is marked so callers can tell it apart from a clean SMT solution.
-      ETSN_LOG(Warn) << "SMT budget exhausted; degrading to first-fit";
-      EngineResult ff = runFirstFit(topo, exp.streams, options.config);
+      // Fall back to greedy rather than reporting nothing — the result is
+      // marked so callers can tell it apart from a clean SMT solution.
+      ETSN_LOG(Warn) << "SMT budget exhausted; degrading to greedy";
+      EngineResult g = runGreedy(topo, exp.streams, options.config);
       sched.streams = exp.streams;
-      sched.info.feasible = ff.feasible;
-      sched.info.engine = "smt+heuristic";
+      sched.info.feasible = g.feasible;
+      sched.info.engine = "smt+greedy";
       sched.info.degraded = true;
-      if (ff.feasible) sched.slots = std::move(ff.slots);
+      if (g.feasible) sched.slots = std::move(g.slots);
     }
   }
   const auto t1 = std::chrono::steady_clock::now();
@@ -207,10 +193,11 @@ MethodSchedule buildSchedule(const net::Topology& topo,
       sched.info.flowspanLowerBoundTu = probe.lowerBoundTu;
       sched.info.gapPercent = probe.gapPercent;
       if (probe.infeasible) {
-        // A heuristic schedule for an SMT-infeasible instance means the
-        // engines disagree on the constraint semantics — loudly visible.
-        ETSN_LOG(Error) << "gap probe: instance is SMT-infeasible but a "
-                           "heuristic engine produced a schedule";
+        // An incomplete engine's schedule for an SMT-infeasible instance
+        // means the engines disagree on the constraint semantics — loudly
+        // visible.
+        ETSN_LOG(Error) << "gap probe: instance is SMT-infeasible but an "
+                           "incomplete engine produced a schedule";
       }
     }
   }

@@ -25,15 +25,16 @@ const char* methodName(Method m);
 /// Which solver produces the slot table (orthogonal to Method, which
 /// transforms the workload):
 ///  * Smt        — the exact QF_IDL formulation (complete, slow at scale);
-///  * Heuristic  — first-fit: greedy with no rip-ups (sched/portfolio.h);
-///  * Greedy/Tabu/Dnc — the portfolio families (sched/portfolio.h);
-///  * Portfolio  — all three raced on the thread pool, deterministic
+///                 greedy places the instance when its conflict budget
+///                 runs out;
+///  * Greedy/Tabu — the incomplete families (sched/portfolio.h);
+///  * Portfolio  — both raced on the thread pool, deterministic
 ///                 lowest-rank winner.
-enum class Engine { Smt, Heuristic, Greedy, Tabu, Dnc, Portfolio };
+enum class Engine { Smt, Greedy, Tabu, Portfolio };
 
 const char* engineName(Engine e);
-/// Parse "smt" | "heuristic" | "greedy" | "tabu" | "dnc" | "portfolio"
-/// (the facade/bench engine strings).  Throws ConfigError on anything else.
+/// Parse "smt" | "greedy" | "tabu" | "portfolio" (the facade/bench engine
+/// strings).  Throws ConfigError on anything else.
 Engine engineFromString(const std::string& name);
 
 struct ScheduleOptions {
@@ -46,9 +47,9 @@ struct ScheduleOptions {
   /// AVB baseline: class-A idle slope as a fraction of link bandwidth.
   double avbIdleSlopeFraction = 0.75;
   Engine engine = Engine::Smt;
-  /// Budgets/seed for the Greedy/Tabu/Dnc/Portfolio engines.
+  /// Seed and pool width for the Tabu/Portfolio engines.
   PortfolioOptions portfolio;
-  /// After a heuristic-family engine returns feasible, run the SMT gap
+  /// After an incomplete engine returns feasible, run the SMT gap
   /// probe (bounded conflicts per solve) to certify feasibility and report
   /// the flowspan optimality gap in Schedule::info.  Intended for sampled
   /// subsets — the probe costs an SMT encode + O(log flowspan) solves.
@@ -65,7 +66,7 @@ struct MethodSchedule {
 
 /// Compute a schedule for the given method.  Throws ConfigError on invalid
 /// input; returns schedule.info.feasible == false if the SMT instance is
-/// UNSAT or the budget was exhausted.
+/// UNSAT, or the budget was exhausted and the greedy fallback gave up.
 MethodSchedule buildSchedule(const net::Topology& topo,
                              const std::vector<net::StreamSpec>& specs,
                              const ScheduleOptions& options);

@@ -39,7 +39,7 @@ Network::Network(const net::Topology& topo,
             static_cast<FrameHandle>(b), a);
       },
       this);
-  fwdTag_ = sim_.registerHandler(
+  enqueueTag_ = sim_.registerHandler(
       [](void* ctx, std::int32_t a, std::int64_t b) {
         auto* self = static_cast<Network*>(ctx);
         self->ports_[static_cast<std::size_t>(a)]->enqueueHandle(
@@ -49,13 +49,6 @@ Network::Network(const net::Topology& topo,
   talkerTag_ = sim_.registerHandler(
       [](void* ctx, std::int32_t a, std::int64_t b) {
         static_cast<Network*>(ctx)->fireTalker(static_cast<std::size_t>(a), b);
-      },
-      this);
-  talkerFrameTag_ = sim_.registerHandler(
-      [](void* ctx, std::int32_t a, std::int64_t b) {
-        auto* self = static_cast<Network*>(ctx);
-        self->ports_[static_cast<std::size_t>(a)]->enqueueHandle(
-            static_cast<FrameHandle>(b));
       },
       this);
   ectTag_ = sim_.registerHandler(
@@ -282,8 +275,8 @@ void Network::onFrameReceived(FrameHandle h, net::LinkId link) {
   // The frame mutates in place in the arena; only the handle travels.
   f.hop += 1;
   const net::LinkId next = route[static_cast<std::size_t>(f.hop)];
-  sim_.postAfter(program_.switchProcessingDelay, EventClass::Enqueue, fwdTag_,
-                 next, h);
+  sim_.postAfter(program_.switchProcessingDelay, EventClass::Enqueue,
+                 enqueueTag_, next, h);
 }
 
 void Network::scheduleTalkerInstance(std::size_t index, std::int64_t instance) {
@@ -334,7 +327,7 @@ void Network::fireTalker(std::size_t index, std::int64_t instance) {
       if (fireAt <= sim_.now()) {
         ports_[static_cast<std::size_t>(route[0])]->enqueueHandle(h);
       } else {
-        sim_.post(fireAt, EventClass::Enqueue, talkerFrameTag_, route[0], h);
+        sim_.post(fireAt, EventClass::Enqueue, enqueueTag_, route[0], h);
       }
     }
   }

@@ -137,9 +137,8 @@ class Network {
   // records carry (tag, link-or-index, frame-handle-or-time) instead of
   // heap-allocated closures).
   int rxTag_ = 0;          // a = link, b = frame handle
-  int fwdTag_ = 0;         // a = next link, b = frame handle
+  int enqueueTag_ = 0;     // a = egress link, b = frame handle
   int talkerTag_ = 0;      // a = talker index, b = instance
-  int talkerFrameTag_ = 0; // a = first-hop link, b = frame handle
   int ectTag_ = 0;         // a = source index, b = fire time
   int babbleTag_ = 0;      // a = babbler index, b = fire time
   int ptpTag_ = 0;         // a = node

@@ -20,8 +20,7 @@ Experiment smallExperiment(std::uint64_t seed, double load, bool heuristic) {
   w.seed = seed;
   ex.specs = workload::generateTct(ex.topo, w);
   ex.specs.push_back(workload::makeEct("ect", 1, 3, milliseconds(16), 1500));
-  ex.options.engine =
-      heuristic ? sched::Engine::Heuristic : sched::Engine::Smt;
+  ex.options.engine = heuristic ? sched::Engine::Greedy : sched::Engine::Smt;
   ex.options.config.numProbabilistic = 3;
   ex.simConfig.duration = milliseconds(500);
   ex.simConfig.seed = seed;
@@ -37,7 +36,7 @@ Campaign smallCampaign(int threads) {
   for (const double load : {0.3, 0.5}) {
     for (const bool heuristic : {false, true}) {
       c.add("load" + std::to_string(static_cast<int>(load * 100)) +
-                (heuristic ? "/ff" : "/smt"),
+                (heuristic ? "/greedy" : "/smt"),
             [load, heuristic](std::uint64_t taskSeed) {
               return smallExperiment(taskSeed, load, heuristic);
             });

@@ -115,7 +115,7 @@ TEST(EndToEnd, DeterministicAcrossRuns) {
 
 TEST(EndToEnd, HeuristicEngineRunsTheSamePipeline) {
   auto ex = testbedExperiment(sched::Method::ETSN, 0.5);
-  ex.options.engine = sched::Engine::Heuristic;
+  ex.options.engine = sched::Engine::Greedy;
   const auto result = runExperiment(ex);
   ASSERT_TRUE(result.feasible);
   const StreamResult& ect = result.byName("ect");

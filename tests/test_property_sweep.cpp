@@ -39,8 +39,7 @@ Experiment makeExperiment(const SweepPoint& p) {
   ex.specs = workload::generateTct(ex.topo, w);
   ex.specs.push_back(workload::makeEct("ect", 1, 3, milliseconds(16), 1500));
   ex.options.method = p.method;
-  ex.options.engine =
-      p.heuristic ? sched::Engine::Heuristic : sched::Engine::Smt;
+  ex.options.engine = p.heuristic ? sched::Engine::Greedy : sched::Engine::Smt;
   ex.options.config.numProbabilistic = 4;
   ex.simConfig.duration = seconds(2);
   ex.simConfig.seed = p.seed;
@@ -74,8 +73,8 @@ void checkSweepResults(const std::vector<SweepPoint>& points,
     }
     for (const StreamResult& s : res.streams) {
       EXPECT_GT(s.messagesDelivered, 0) << r.tasks[i].label << " " << s.name;
-      // The SMT engine's schedules must hold at runtime; first-fit
-      // enforces isolation one-sidedly (see Placement::fifoRequired).
+      // The SMT engine's schedules must hold at runtime; greedy enforces
+      // isolation one-sidedly (see Placement::fifoRequired).
       if (s.type == net::TrafficClass::TimeTriggered && !p.heuristic) {
         EXPECT_EQ(s.deadlineMisses, 0)
             << r.tasks[i].label << " " << s.name;

@@ -428,23 +428,20 @@ TEST(Admission, EctPeriodTooSmallForNRejectsInvalid) {
   expectValid(inst.topo, eng.schedule(), 9, 2);
 }
 
-// Regression: with the rip-up ladder weakened to a single zero-budget
-// attempt, non-trivial decisions escalate into the full re-solve rung,
-// which commits through the op log.  Rejections
+// Regression: decisions the rip-up pass cannot place escalate into the
+// full re-solve rung, which commits through the op log.  Rejections
 // (including Modifies whose remove phase already re-solved) must unwind
 // to the byte-identical pre-request state, and cached re-solve
 // transitions must replay to the exact recorded post-state (parity with
 // a cache-off engine at every step).
-TEST(Admission, WeakLadderEscalationStaysTransactional) {
+TEST(Admission, ResolveEscalationStaysTransactional) {
   std::int64_t resolves = 0;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     const Instance inst = makeInstance(seed);
-    AdmissionOptions weak;
-    weak.ripupBudgets = {0};
-    AdmissionOptions weakOff = weak;
-    weakOff.cacheCapacity = 0;
-    AdmissionEngine on(inst.topo, inst.base, config(), weak);
-    AdmissionEngine off(inst.topo, inst.base, config(), weakOff);
+    AdmissionOptions cacheOff;
+    cacheOff.cacheCapacity = 0;
+    AdmissionEngine on(inst.topo, inst.base, config());
+    AdmissionEngine off(inst.topo, inst.base, config(), cacheOff);
     ASSERT_EQ(on.feasible(), off.feasible()) << "seed " << seed;
     if (!on.feasible()) continue;
     Rng rng(seed * 7919);
@@ -472,7 +469,7 @@ TEST(Admission, WeakLadderEscalationStaysTransactional) {
 }
 
 // Regression: rung-usage counters move at most once per request — a
-// Modify runs the placement ladder for both of its phases but is still
+// Modify runs the placement pass for both of its phases but is still
 // one delta-solved request.
 TEST(Admission, RungCountersIncrementOncePerRequest) {
   const Instance inst = makeInstance(7);

@@ -144,8 +144,7 @@ TEST(Expand, OffGridPeriodIsConfigErrorForEveryEngine) {
       tct(topo, "off", 1, 3, milliseconds(4) + 1, 200, false);
   // PERIOD with 3 slots per 16 ms interevent time: a 16/3 ms period.
   const net::StreamSpec stop = ect("stop", 1, 3, milliseconds(16), 200);
-  for (const char* engine :
-       {"smt", "heuristic", "greedy", "tabu", "dnc", "portfolio"}) {
+  for (const char* engine : {"smt", "greedy", "tabu", "portfolio"}) {
     ScheduleOptions opt;
     opt.engine = engineFromString(engine);
     EXPECT_THROW(buildSchedule(topo, {onGrid, offGrid}, opt), ConfigError)

@@ -12,7 +12,7 @@
 //  * Substrate equivalence: the hyperperiod-bitmap overlap search and the
 //    pairwise one place every corpus instance identically.
 //  * Degradation: an SMT solve that runs out of budget falls back to
-//    first-fit, and says so.
+//    greedy, and says so.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -108,8 +108,7 @@ std::string fingerprint(const MethodSchedule& ms) {
 }
 
 TEST(SchedPortfolioDifferential, HeuristicsAgreeWithSmtOracle) {
-  const std::vector<std::string> heuristics = {"heuristic", "greedy", "tabu",
-                                               "dnc", "portfolio"};
+  const std::vector<std::string> heuristics = {"greedy", "tabu", "portfolio"};
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     const Instance inst = makeInstance(seed);
     const auto smt = buildSchedule(inst.topo, inst.specs, optionsFor("smt"));
@@ -348,11 +347,12 @@ bool sameSlot(const Slot& a, const Slot& b) {
          a.duration == b.duration;
 }
 
-// First-fit places every corpus instance twice: as is, where the small
+// Greedy places every corpus instance twice: as is, where the small
 // hyperperiod selects the bitmap search, and with one more stream on a
 // cable of its own whose 263-ms period lifts the hyperperiod past
 // kMaxBitmapTu onto the pairwise search.  That stream shares no link, so
-// it moves no other stream: the original streams' slots must match.
+// it neither moves nor rips any other stream: the original streams' slots
+// must match.
 TEST(SchedPortfolioSubstrate, BitmapAndPairwiseSearchesPlaceIdentically) {
   int compared = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
@@ -377,8 +377,8 @@ TEST(SchedPortfolioSubstrate, BitmapAndPairwiseSearchesPlaceIdentically) {
     ASSERT_NE(Placement(inst.topo, exp.streams, config).usesBitmap(),
               Placement(wideTopo, wide.streams, config).usesBitmap())
         << "instance " << seed;
-    const EngineResult a = runFirstFit(inst.topo, exp.streams, config);
-    const EngineResult b = runFirstFit(wideTopo, wide.streams, config);
+    const EngineResult a = runGreedy(inst.topo, exp.streams, config);
+    const EngineResult b = runGreedy(wideTopo, wide.streams, config);
     ASSERT_EQ(a.feasible, b.feasible) << "instance " << seed;
     if (!a.feasible) continue;
     // Canonical slot order puts the original streams' slots first.
@@ -393,9 +393,9 @@ TEST(SchedPortfolioSubstrate, BitmapAndPairwiseSearchesPlaceIdentically) {
 }
 
 // With a one-conflict budget the testbed's SMT solves give up, and every
-// result comes from first-fit: marked degraded, valid whenever feasible,
-// and slot for slot the `heuristic` engine's schedule.
-TEST(SchedPortfolioFallback, SmtOverBudgetDegradesToFirstFit) {
+// result comes from greedy: marked degraded, valid whenever feasible, and
+// slot for slot the `greedy` engine's schedule.
+TEST(SchedPortfolioFallback, SmtOverBudgetDegradesToGreedy) {
   const net::Topology topo = net::makeTestbedTopology();
   int feasible = 0;
   for (const double load : {0.5, 0.75}) {
@@ -410,13 +410,13 @@ TEST(SchedPortfolioFallback, SmtOverBudgetDegradesToFirstFit) {
       ScheduleOptions smt;
       smt.config.conflictBudget = 1;
       const MethodSchedule degraded = buildSchedule(topo, specs, smt);
-      ScheduleOptions firstFit;
-      firstFit.engine = Engine::Heuristic;
-      const MethodSchedule reference = buildSchedule(topo, specs, firstFit);
+      ScheduleOptions greedy;
+      greedy.engine = Engine::Greedy;
+      const MethodSchedule reference = buildSchedule(topo, specs, greedy);
 
       const SolveInfo& info = degraded.schedule.info;
       EXPECT_TRUE(info.degraded) << "load " << load << ", seed " << seed;
-      EXPECT_EQ(info.engine, "smt+heuristic");
+      EXPECT_EQ(info.engine, "smt+greedy");
       ASSERT_EQ(info.feasible, reference.schedule.info.feasible);
       if (!info.feasible) continue;
       ++feasible;
@@ -432,63 +432,40 @@ TEST(SchedPortfolioFallback, SmtOverBudgetDegradesToFirstFit) {
   EXPECT_GT(feasible, 0);
 }
 
-// Link-disjoint components place identically whether or not the other
-// component is present: the divide step genuinely decomposes the problem.
-TEST(SchedPortfolioSubstrate, DncComponentsAreIndependent) {
-  // Two switch islands of one line topology; streams never cross the
-  // middle, so the stream sets of sw0 and sw3 are link-disjoint.
-  const net::Topology topo =
-      workload::makeScaledTopology(workload::TopologyKind::Line, 4, 3);
-  const auto devs = topo.devices();  // grouped by switch, 3 per switch
-  auto tct = [&](const std::string& name, net::NodeId src, net::NodeId dst) {
-    net::StreamSpec s;
-    s.name = name;
-    s.src = src;
-    s.dst = dst;
-    s.period = milliseconds(4);
-    s.maxLatency = milliseconds(4);
-    s.payloadBytes = 400;
-    s.type = net::TrafficClass::TimeTriggered;
-    return s;
-  };
-  std::vector<net::StreamSpec> islandA = {tct("a1", devs[0], devs[1]),
-                                          tct("a2", devs[1], devs[2]),
-                                          tct("a3", devs[2], devs[0])};
-  std::vector<net::StreamSpec> islandB = {tct("b1", devs[9], devs[10]),
-                                          tct("b2", devs[10], devs[11])};
-
-  SchedulerConfig config;
-  const Expansion expA = expandStreams(topo, islandA, config);
-  std::vector<net::StreamSpec> both = islandA;
-  both.insert(both.end(), islandB.begin(), islandB.end());
-  const Expansion expBoth = expandStreams(topo, both, config);
-
-  const EngineResult a = runDnc(topo, expA.streams, config);
-  const EngineResult combined = runDnc(topo, expBoth.streams, config);
-  ASSERT_TRUE(a.feasible);
-  ASSERT_TRUE(combined.feasible);
-
-  // Island A's expanded ids are identical in both runs (specs come first),
-  // so its slots must be bit-identical.
-  auto slotsOf = [&](const std::vector<Slot>& slots, StreamId maxId) {
-    std::vector<Slot> out;
-    for (const Slot& s : slots) {
-      if (s.stream <= maxId) out.push_back(s);
+// The fallback rips up: on these dense PERIOD instances (ten TCT streams,
+// five sharing, two ECT streams converted to dedicated slots) placing each
+// stream once in laxity order leaves a stream with no offsets, and the
+// fallback still returns a schedule the validator accepts.
+TEST(SchedPortfolioFallback, OverBudgetDensePeriodInstancesArePlaced) {
+  const net::Topology topo = net::makeTestbedTopology();
+  const std::vector<std::pair<double, std::uint64_t>> cells = {
+      {0.75, 2}, {0.9, 1}, {0.9, 2}};
+  for (const auto& [load, seed] : cells) {
+    workload::TctWorkload w;
+    w.numStreams = 10;
+    w.numSharing = 5;
+    w.networkLoad = load;
+    w.seed = seed;
+    std::vector<net::StreamSpec> specs = workload::generateTct(topo, w);
+    workload::EctWorkload e;
+    e.seed = seed + 1;
+    for (net::StreamSpec& s : workload::generateEct(topo, e)) {
+      specs.push_back(std::move(s));
     }
-    std::sort(out.begin(), out.end(), [](const Slot& x, const Slot& y) {
-      return std::tie(x.stream, x.hop, x.frameIndex) <
-             std::tie(y.stream, y.hop, y.frameIndex);
-    });
-    return out;
-  };
-  const StreamId maxA =
-      static_cast<StreamId>(expA.streams.size()) - 1;
-  const auto sa = slotsOf(a.slots, maxA);
-  const auto sb = slotsOf(combined.slots, maxA);
-  ASSERT_EQ(sa.size(), sb.size());
-  for (std::size_t i = 0; i < sa.size(); ++i) {
-    EXPECT_EQ(sa[i].start, sb[i].start);
-    EXPECT_EQ(sa[i].duration, sb[i].duration);
+    ScheduleOptions opt;
+    opt.method = Method::PERIOD;
+    opt.config.numProbabilistic = 4;
+    opt.config.conflictBudget = 1;
+    const MethodSchedule ms = buildSchedule(topo, specs, opt);
+    const SolveInfo& info = ms.schedule.info;
+    EXPECT_TRUE(info.degraded) << "load " << load << ", seed " << seed;
+    EXPECT_EQ(info.engine, "smt+greedy");
+    ASSERT_TRUE(info.feasible) << "load " << load << ", seed " << seed;
+    const auto violations = validate(topo, ms.schedule);
+    EXPECT_TRUE(violations.empty())
+        << "load " << load << ", seed " << seed << ": "
+        << violations.front().constraint << " "
+        << violations.front().detail;
   }
 }
 

@@ -233,10 +233,10 @@ TEST(DeployPin, Avb) {
   expectPinned(d, "47735d136771eb8c", "1a85a27eb3d39f69", "54fb2d215590ec5b");
 }
 
-TEST(DeployPin, FrerTwoMembers) {
-  // Nodes: T=0, L=1, A1=2, A2=3, B1=4, B2=5, one background device per
-  // spine switch.
-  const net::Topology topo = net::makeRedundantTopology(2, 1);
+/// Dual-spine cell (nodes T=0, L=1, A1=2, A2=3, B1=4, B2=5, one
+/// background device per spine switch): a two-member sharing TCT spec and
+/// a two-member ECT spec, both T -> L.
+std::vector<net::StreamSpec> frerSpecs() {
   net::StreamSpec crit;
   crit.name = "crit";
   crit.src = 0;
@@ -249,13 +249,38 @@ TEST(DeployPin, FrerTwoMembers) {
   net::StreamSpec stop =
       workload::makeEct("stop", 0, 1, milliseconds(16), 500);
   stop.redundancy = 2;
-  const Deployed d = deploy(topo, {crit, stop}, options(Method::ETSN));
+  return {crit, stop};
+}
+
+TEST(DeployPin, FrerTwoMembers) {
+  const net::Topology topo = net::makeRedundantTopology(2, 1);
+  const Deployed d = deploy(topo, frerSpecs(), options(Method::ETSN));
   ASSERT_EQ(d.program.talkers.size(), 1u);
   EXPECT_EQ(d.program.talkers[0].members.size(), 2u);
   ASSERT_EQ(d.program.ectSources.size(), 1u);
   EXPECT_EQ(d.program.ectSources[0].memberRoutes.size(), 2u);
   EXPECT_EQ(d.filters.filters[0].gates.size(), 2u);
   expectPinned(d, "78aa01a0e34acc94", "1a94d07858e0c5f8", "2464d694e8429d6c");
+}
+
+// AVB never expands its ECT specs, yet a protected one must replicate over
+// the member paths the scheduled methods route it on.
+TEST(Deploy, AvbRedundantEctTakesItsEtsnMemberPaths) {
+  const net::Topology topo = net::makeRedundantTopology(2, 1);
+  const Deployed etsn = deploy(topo, frerSpecs(), options(Method::ETSN));
+  const Deployed avb = deploy(topo, frerSpecs(), options(Method::AVB));
+  const Schedule& s = etsn.ms.schedule;
+  std::vector<std::vector<net::LinkId>> expanded;
+  for (const StreamId id : s.specToStreams[1]) {
+    const ExpandedStream& st = s.streams[static_cast<std::size_t>(id)];
+    if (static_cast<std::size_t>(st.member) == expanded.size()) {
+      expanded.push_back(st.path);
+    }
+  }
+  ASSERT_EQ(expanded.size(), 2u);
+  EXPECT_NE(expanded[0], expanded[1]);
+  ASSERT_EQ(avb.program.ectSources.size(), 1u);
+  EXPECT_EQ(avb.program.ectSources[0].memberRoutes, expanded);
 }
 
 }  // namespace

@@ -76,7 +76,7 @@ TEST(RepairLinkDown, ReroutesAffectedAndKeepsOthersBitForBit) {
   EXPECT_EQ(repair.reroutedSpecs[1], 2);
   EXPECT_GE(repair.untouchedStreams, 1);
   EXPECT_GE(repair.repairedStreams, 2);
-  EXPECT_FALSE(repair.degraded);
+  EXPECT_FALSE(repair.schedule.info.degraded);
   EXPECT_EQ(repair.schedule.info.engine, "smt-repair");
 
   // No repaired stream may touch the dead cable (either direction).
@@ -266,7 +266,7 @@ TEST(RepairLinksDown, UnusedLinkChangesNothing) {
   EXPECT_EQ(repair.repairedStreams, 0);
   EXPECT_TRUE(repair.reroutedSpecs.empty());
   EXPECT_TRUE(repair.droppedSpecs.empty());
-  EXPECT_FALSE(repair.degraded);
+  EXPECT_FALSE(repair.schedule.info.degraded);
   ASSERT_EQ(repair.schedule.streams.size(), base.schedule.streams.size());
   for (std::size_t i = 0; i < base.schedule.streams.size(); ++i) {
     EXPECT_EQ(repair.schedule.streams[i].framesOnLink,
@@ -286,8 +286,8 @@ TEST(RepairLinksDown, UnusedLinkChangesNothing) {
 }
 
 // A pinned repair that runs out of SMT budget re-places every surviving
-// stream with first-fit and says so.
-TEST(RepairLinkDown, PinnedRepairOverBudgetDegradesToFirstFit) {
+// stream with greedy and says so.
+TEST(RepairLinkDown, PinnedRepairOverBudgetDegradesToGreedy) {
   const net::Topology t = ringTopology();
   std::vector<net::StreamSpec> specs;
   for (int i = 0; i < 8; ++i) {
@@ -304,9 +304,8 @@ TEST(RepairLinkDown, PinnedRepairOverBudgetDegradesToFirstFit) {
 
   const LinkDownRepair repair =
       repairLinkDown(t, base.schedule, t.linkBetween(4, 6));
-  EXPECT_TRUE(repair.degraded);
   EXPECT_TRUE(repair.schedule.info.degraded);
-  EXPECT_EQ(repair.schedule.info.engine, "heuristic-repair");
+  EXPECT_EQ(repair.schedule.info.engine, "greedy-repair");
   ASSERT_TRUE(repair.schedule.info.feasible);
   EXPECT_TRUE(validate(t, repair.schedule).empty());
   EXPECT_FALSE(repair.reroutedSpecs.empty());
@@ -354,7 +353,7 @@ TEST(RepairLinksDown, FrerMemberOneCutIsDroppedNotMergedOntoMemberTwo) {
       c.topo.linkBetween(nodeNamed(c.topo, "A1"), nodeNamed(c.topo, "A2"));
   const LinkDownRepair repair = repairLinkDown(c.topo, c.base.schedule, cut);
   expectSoundRepair(c.topo, repair, cut);
-  EXPECT_FALSE(repair.degraded);
+  EXPECT_FALSE(repair.schedule.info.degraded);
   EXPECT_TRUE(repair.reroutedSpecs.empty());
   EXPECT_TRUE(repair.droppedSpecs.empty());
   EXPECT_EQ(repair.lostMemberSpecs, std::vector<std::int32_t>{0});

@@ -172,10 +172,10 @@ TEST(SmtSchedule, HeuristicMatchesSmtOnFeasibility) {
       ect("e1", 1, 3, milliseconds(16), 1500),
   };
   ScheduleOptions opt;
-  opt.engine = Engine::Heuristic;
+  opt.engine = Engine::Greedy;
   const auto ms = buildSchedule(t, specs, opt);
   ASSERT_TRUE(ms.schedule.info.feasible);
-  EXPECT_EQ(ms.schedule.info.engine, "heuristic");
+  EXPECT_EQ(ms.schedule.info.engine, "greedy");
   const auto violations = validate(t, ms.schedule);
   for (const auto& v : violations) {
     ADD_FAILURE() << v.constraint << ": " << v.detail;
