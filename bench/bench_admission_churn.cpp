@@ -9,13 +9,13 @@
 //   --full    50-switch mesh, 4996 TCT + 4 ECT,  400-request trace
 //             (the portfolio bench's flagship instance, under churn)
 //
-// Determinism gate: the same trace is replayed across portfolio thread
-// counts 1/2/8 and with the cache disabled; the per-request verdict
-// sequence and the final schedule hash must be byte-identical in all five
-// runs.  Correctness gate: the final state (and every 60th intermediate
-// state) must pass sched::validate.  Perf gate: --p99-ceiling-ms M fails
-// the run if the single-request p99 exceeds M (the check_perf wiring sets
-// a generous ceiling so only a >10x-class regression trips it).
+// Determinism gate: the same trace is replayed with the cache disabled;
+// the per-request verdict sequence and the final schedule hash must be
+// byte-identical in both runs.  Correctness gate: the final state (and
+// every 60th intermediate state) must pass sched::validate.  Perf gate:
+// --p99-ceiling-ms M fails the run if the single-request p99 exceeds M
+// (the check_perf wiring sets a generous ceiling so only a >10x-class
+// regression trips it).
 //
 // Output: the human-readable table plus machine-readable
 // BENCH_admission.json (per-mode rows, baseline column, determinism
@@ -288,7 +288,6 @@ int main(int argc, char** argv) {
   config.numProbabilistic = 4;
   sched::AdmissionOptions opts;
   opts.portfolio.seed = args.seed;
-  if (args.threads > 0) opts.portfolio.threads = args.threads;
 
   std::printf("%-10s %5s %5s %4s %6s %6s %4s %9s %9s %9s %9s %10s\n",
               "mode", "reqs", "admit", "rej", "cacheH", "delta", "rsolv",
@@ -334,20 +333,11 @@ int main(int argc, char** argv) {
               "delta-solve speedup at p50: %.0fx\n",
               baseline.size(), baselineP50Ms, speedup);
 
-  // Determinism matrix: verdicts and final schedule hash must be
-  // byte-identical across portfolio thread counts and cache on/off.
-  bool deterministic = single.scheduleHash == uncached.scheduleHash &&
-                       single.verdictHash == uncached.verdictHash;
-  for (const int threads : {1, 2, 8}) {
-    sched::AdmissionOptions o = opts;
-    o.portfolio.threads = threads;
-    const RunRow r = runTrace(plant, config, o, trace,
-                              "t" + std::to_string(threads),
-                              /*validateSamples=*/false);
-    deterministic = deterministic && r.scheduleHash == single.scheduleHash &&
-                    r.verdictHash == single.verdictHash && r.valid;
-  }
-  std::printf("[determinism across no-cache/threads{1,2,8}: %s]\n",
+  // Determinism: verdicts and final schedule hash must be byte-identical
+  // with the cache on and off.
+  const bool deterministic = single.scheduleHash == uncached.scheduleHash &&
+                             single.verdictHash == uncached.verdictHash;
+  std::printf("[determinism across cache on/off: %s]\n",
               deterministic ? "byte-identical" : "MISMATCH");
   std::printf("[schedule hash %016llx]\n",
               static_cast<unsigned long long>(single.scheduleHash));

@@ -1,13 +1,13 @@
 // Portfolio scheduler scaling: feasibility rate, schedule quality
-// (flowspan, TCT slot slack), and time-to-first-feasible for the heuristic
+// (flowspan, TCT slot slack), and solve time for the heuristic
 // engine families (greedy / tabu / portfolio) across the scaled
 // line/ring/tree/mesh plant topologies, against the exact SMT engine where
 // it is still tractable.
 //
 // The flagship instance — a 50-switch mesh carrying 5000 streams — is what
 // "crack 100x bigger problems" (ROADMAP) means concretely: the SMT
-// formulation cannot encode it in memory, while the portfolio reaches
-// first-feasible in seconds and the validator replays the full constraint
+// formulation cannot encode it in memory, while the portfolio schedules
+// it in seconds and the validator replays the full constraint
 // oracle over the result.
 //
 // Output: the human-readable table plus machine-readable BENCH_sched.json
@@ -31,7 +31,6 @@ struct Row {
   bool feasible = false;
   bool valid = false;
   double solveSeconds = 0;
-  double timeToFeasible = 0;
   double flowspanUs = 0;
   double slackMinUs = 0;
   double gapPercent = -1;  // <0 = not probed
@@ -53,7 +52,6 @@ Row runOne(const etsn::net::Topology& topo, const char* topoName,
   opt.engine = sched::engineFromString(engine);
   opt.config.numProbabilistic = 4;
   opt.portfolio.seed = args.seed;
-  opt.portfolio.threads = args.threads;
   opt.certify = certify;
   // A benchmark-sized budget: enough for the base solve to certify
   // feasibility and, on the sampled instance, for the flowspan binary
@@ -64,8 +62,6 @@ Row runOne(const etsn::net::Topology& topo, const char* topoName,
   row.streams = ms.schedule.streams.size();
   row.feasible = info.feasible;
   row.solveSeconds = info.solveSeconds;
-  row.timeToFeasible =
-      info.timeToFeasible > 0 ? info.timeToFeasible : info.solveSeconds;
   row.winner = info.portfolioWinner;
   // A partial (budget-tripped) search still certifies its lower bound, so
   // the gap is reported whenever feasibility itself was certified.
@@ -82,11 +78,11 @@ Row runOne(const etsn::net::Topology& topo, const char* topoName,
 }
 
 void printRow(const Row& r) {
-  std::printf("%-6s %4d %6zu %7zu %-10s %-7s %9.3f %9.3f %10.1f %9.1f",
+  std::printf("%-6s %4d %6zu %7zu %-10s %-7s %9.3f %10.1f %9.1f",
               r.topo.c_str(), r.switches, r.specs, r.streams,
               r.engine.c_str(),
               r.feasible ? (r.valid ? "ok" : "INVALID") : "infeas",
-              r.solveSeconds, r.timeToFeasible, r.flowspanUs, r.slackMinUs);
+              r.solveSeconds, r.flowspanUs, r.slackMinUs);
   if (r.gapPercent >= 0) std::printf("  gap=%.1f%%", r.gapPercent);
   if (!r.winner.empty()) std::printf("  winner=%s", r.winner.c_str());
   std::printf("\n");
@@ -99,7 +95,6 @@ void jsonRow(std::ofstream& out, const Row& r, bool last) {
       << "\", \"feasible\": " << (r.feasible ? "true" : "false")
       << ", \"valid\": " << (r.valid ? "true" : "false")
       << ", \"solve_seconds\": " << r.solveSeconds
-      << ", \"time_to_feasible\": " << r.timeToFeasible
       << ", \"flowspan_us\": " << r.flowspanUs
       << ", \"tct_slack_min_us\": " << r.slackMinUs
       << ", \"gap_percent\": " << r.gapPercent << ", \"winner\": \""
@@ -114,9 +109,9 @@ int main(int argc, char** argv) {
   Args args = Args::parse(argc, argv);
 
   printHeader("Portfolio scheduler scaling (line/ring/tree/mesh)");
-  std::printf("%-6s %4s %6s %7s %-10s %-7s %9s %9s %10s %9s\n", "topo",
+  std::printf("%-6s %4s %6s %7s %-10s %-7s %9s %10s %9s\n", "topo",
               "sw", "specs", "streams", "engine", "status", "solve(s)",
-              "first(s)", "flowspanUs", "slackUs");
+              "flowspanUs", "slackUs");
 
   int validatorRejections = 0;
   std::vector<Row> rows;

@@ -57,7 +57,6 @@ int main(int argc, char** argv) {
       opt.config.numProbabilistic = args.numProbabilistic;
       opt.engine = sched::engineFromString(engine);
       opt.portfolio.seed = args.seed;
-      opt.portfolio.threads = args.threads;
       const auto ms = sched::buildSchedule(topo, specs, opt);
       Row row;
       row.streams = n;

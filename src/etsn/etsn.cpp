@@ -73,8 +73,7 @@ ExperimentResult runExperiment(const Experiment& ex) {
   const sched::NetworkProgram program = sched::compileProgram(ex.topo, ms);
   sim::SimConfig simConfig = ex.simConfig;
   if (simConfig.police.enabled) {
-    simConfig.police.filters = net::compileFilters(ex.topo, ms,
-                                                   ex.psfpOptions);
+    simConfig.police.filters = net::compileFilters(ex.topo, ms);
   }
   // Malformed fault plans are rejected with a ConfigError by the Network
   // constructor (FaultPlan::validate).

@@ -39,12 +39,6 @@ struct Experiment {
   /// Validate the schedule with the independent checker before running
   /// (throws InvariantError on any violation).
   bool validateSchedule = true;
-  /// Filter options for ingress policing.  With simConfig.police.enabled,
-  /// runExperiment compiles the 802.1Qci filter table from the solved
-  /// schedule (it needs the solved slots) and replaces
-  /// simConfig.police.filters with it; the remaining knobs — fail-silent
-  /// blocking, quiet period, alarm hooks — come from simConfig.police.
-  net::PsfpOptions psfpOptions;
   /// Reuse an already-solved schedule instead of calling buildSchedule.
   /// Sweeps that vary only runtime knobs (fault plans, policing, sim seed)
   /// over one scheduling problem would otherwise re-solve the identical

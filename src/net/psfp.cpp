@@ -18,6 +18,11 @@ bool GateFilter::conforms(TimeNs arrival) const {
 
 namespace {
 
+/// Slack added on both sides of every TCT arrival window, on top of the
+/// schedule's own syncErrorMargin.  Absorbs sub-tu rounding between the
+/// modeled and actual arrival instants.
+constexpr TimeNs kGuardBand = microseconds(1);
+
 /// Fold a raw (possibly negative-start, possibly wrapping) window into the
 /// period grid; a window as long as the period accepts everything.
 void addNormalized(std::vector<ArrivalWindow>& out, TimeNs start, TimeNs end,
@@ -100,12 +105,12 @@ StreamFilter compileMeter(const net::StreamSpec& spec, std::int32_t specId,
 
 }  // namespace
 
-PsfpConfig compileFilters(const Topology& topo, const sched::MethodSchedule& ms,
-                          const PsfpOptions& options) {
+PsfpConfig compileFilters(const Topology& topo,
+                          const sched::MethodSchedule& ms) {
   const sched::Schedule& sched = ms.schedule;
   ETSN_CHECK_MSG(sched.info.feasible,
                  "cannot compile filters from an infeasible schedule");
-  const TimeNs guard = options.guardBand + sched.config.syncErrorMargin;
+  const TimeNs guard = kGuardBand + sched.config.syncErrorMargin;
   ETSN_CHECK_MSG(guard >= 0, "negative PSFP guard band");
 
   const std::vector<std::vector<sched::Slot>> firstHop = sched.firstHopSlots();

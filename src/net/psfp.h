@@ -88,18 +88,11 @@ struct PsfpConfig {
   }
 };
 
-struct PsfpOptions {
-  /// Slack added on both sides of every TCT arrival window, on top of the
-  /// schedule's own syncErrorMargin.  Absorbs sub-tu rounding between the
-  /// modeled and actual arrival instants.
-  TimeNs guardBand = microseconds(1);
-};
-
 /// Compile the per-stream filter table from a solved schedule: one Gate
 /// per TCT spec (from its hop-0 slots), one Meter per ECT spec (from its
 /// declared T and the N expansion).  Specs whose streams were dropped by a
 /// repair get Kind::None.  Requires ms.schedule.info.feasible.
-PsfpConfig compileFilters(const Topology& topo, const sched::MethodSchedule& ms,
-                          const PsfpOptions& options = {});
+PsfpConfig compileFilters(const Topology& topo,
+                          const sched::MethodSchedule& ms);
 
 }  // namespace etsn::net

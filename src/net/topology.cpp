@@ -22,11 +22,12 @@ NodeId Topology::addSwitch(std::string name) {
 
 std::pair<LinkId, LinkId> Topology::connect(NodeId a, NodeId b,
                                             const LinkParams& params) {
-  ETSN_CHECK(a >= 0 && a < numNodes() && b >= 0 && b < numNodes());
-  ETSN_CHECK_MSG(a != b, "self-links are not allowed");
-  ETSN_CHECK_MSG(linkBetween(a, b) == kNoLink, "nodes already connected");
-  ETSN_CHECK_MSG(params.bandwidthBps > 0, "bandwidth must be positive");
-  ETSN_CHECK_MSG(params.timeUnit > 0, "time unit must be positive");
+  ETSN_REQUIRE(a >= 0 && a < numNodes() && b >= 0 && b < numNodes(),
+               "link endpoint is not a node");
+  ETSN_REQUIRE(a != b, "self-links are not allowed");
+  ETSN_REQUIRE(linkBetween(a, b) == kNoLink, "nodes already connected");
+  ETSN_REQUIRE(params.bandwidthBps > 0, "bandwidth must be positive");
+  ETSN_REQUIRE(params.timeUnit > 0, "time unit must be positive");
 
   const LinkId ab = static_cast<LinkId>(links_.size());
   const LinkId ba = ab + 1;
@@ -67,11 +68,13 @@ std::vector<LinkId> Topology::shortestPathAvoiding(NodeId src, NodeId dst,
 
 std::vector<LinkId> Topology::shortestPathAvoiding(
     NodeId src, NodeId dst, std::span<const LinkId> avoid) const {
-  ETSN_CHECK(src >= 0 && src < numNodes() && dst >= 0 && dst < numNodes());
-  ETSN_CHECK_MSG(src != dst, "stream source equals destination");
+  ETSN_REQUIRE(src >= 0 && src < numNodes() && dst >= 0 && dst < numNodes(),
+               "path endpoint is not a node");
+  ETSN_REQUIRE(src != dst, "stream source equals destination");
   std::vector<char> cut(links_.size(), 0);
   for (const LinkId a : avoid) {
-    ETSN_CHECK(a >= 0 && static_cast<std::size_t>(a) < links_.size());
+    ETSN_REQUIRE(a >= 0 && static_cast<std::size_t>(a) < links_.size(),
+                 "link to avoid is not a link");
     cut[static_cast<std::size_t>(a)] = 1;
     cut[static_cast<std::size_t>(links_[static_cast<std::size_t>(a)].reverse)] =
         1;

@@ -26,7 +26,7 @@
 // Determinism contract: every decision is a pure function of the
 // canonical engine state (stream contents + placements + the priority
 // round-robin cursor, not ids or history), so verdicts and schedule hashes
-// are byte-identical across thread counts and across cache on/off.
+// are byte-identical across repeated runs and across cache on/off.
 // Rejections leave the schedule byte-identical: every state mutation
 // during a request is op-logged and unwound on rejection.
 #pragma once
@@ -52,8 +52,7 @@ namespace etsn::sched {
 struct AdmissionOptions {
   /// Sub-schedule cache capacity in entries; 0 disables the cache.
   std::size_t cacheCapacity = 1024;
-  /// Seed/threads for the rung-4 portfolio re-solve (and the initial
-  /// solve).  Deterministic by rank for any thread count.
+  /// Seed for the rung-4 portfolio re-solve (and the initial solve).
   PortfolioOptions portfolio;
 };
 

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <climits>
 #include <deque>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "sched/placement.h"
 
 namespace etsn::sched {
@@ -54,17 +52,13 @@ std::vector<StreamId> laxityOrder(const std::vector<ExpandedStream>& streams) {
 /// victim.
 EngineResult runGreedy(const net::Topology& topo,
                        const std::vector<ExpandedStream>& streams,
-                       const SchedulerConfig& config, CancelToken cancel) {
+                       const SchedulerConfig& config) {
   EngineResult out;
   Placement p(topo, streams, config);
   const std::vector<StreamId> order = laxityOrder(streams);
   std::deque<StreamId> queue(order.begin(), order.end());
   int budget = kGreedyBacktrack;
   while (!queue.empty()) {
-    if (cancel.cancelled()) {
-      out.cancelled = true;
-      return out;
-    }
     const StreamId s = queue.front();
     queue.pop_front();
     ++out.steps;
@@ -89,7 +83,7 @@ EngineResult runGreedy(const net::Topology& topo,
 EngineResult runTabu(const net::Topology& topo,
                      const std::vector<ExpandedStream>& streams,
                      const SchedulerConfig& config,
-                     const PortfolioOptions& opts, CancelToken cancel) {
+                     const PortfolioOptions& opts) {
   EngineResult out;
   Placement p(topo, streams, config);
 
@@ -97,10 +91,6 @@ EngineResult runTabu(const net::Topology& topo,
   // conflicted remainder.
   std::deque<StreamId> unplaced;
   for (const StreamId id : laxityOrder(streams)) {
-    if (cancel.cancelled()) {
-      out.cancelled = true;
-      return out;
-    }
     ++out.steps;
     if (!p.tryPlace(id)) unplaced.push_back(id);
   }
@@ -112,10 +102,6 @@ EngineResult runTabu(const net::Topology& topo,
   Rng rng(opts.seed);
   std::int64_t iter = 0;
   while (!unplaced.empty()) {
-    if (cancel.cancelled()) {
-      out.cancelled = true;
-      return out;
-    }
     if (++iter > kTabuIterations) return out;  // gave up
     const StreamId s = unplaced.front();
     ++out.steps;
@@ -148,55 +134,18 @@ PortfolioResult runPortfolio(const net::Topology& topo,
                              const PortfolioOptions& opts) {
   using Clock = std::chrono::steady_clock;
   static constexpr std::array<const char*, 2> kNames = {"greedy", "tabu"};
-  constexpr std::size_t kEngines = kNames.size();
-  std::atomic<int> bestRank{INT_MAX};
-  std::array<EngineResult, kEngines> results;
-  std::array<double, kEngines> seconds{};
-  std::array<double, kEngines> doneAt{};
-  const auto t0 = Clock::now();
-
-  const int engines = static_cast<int>(kEngines);
-  ThreadPool pool(opts.threads > 0 ? std::min(opts.threads, engines)
-                                   : engines);
-  pool.parallelFor(kEngines, [&](std::size_t i) {
-    const CancelToken token{&bestRank, static_cast<int>(i)};
-    const auto s0 = Clock::now();
-    EngineResult r = i == 0 ? runGreedy(topo, streams, config, token)
-                            : runTabu(topo, streams, config, opts, token);
-    const auto now = Clock::now();
-    seconds[i] = std::chrono::duration<double>(now - s0).count();
-    doneAt[i] = std::chrono::duration<double>(now - t0).count();
-    if (r.feasible) {
-      // CAS-min: ranks above the winner may cancel, which cannot change
-      // the (lowest-feasible-rank) winner.
-      int cur = bestRank.load();
-      while (static_cast<int>(i) < cur &&
-             !bestRank.compare_exchange_weak(cur, static_cast<int>(i))) {
-      }
-    }
-    results[i] = std::move(r);
-  });
-
   PortfolioResult out;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    EngineRun run;
-    run.name = kNames[i];
-    run.feasible = results[i].feasible;
-    run.cancelled = results[i].cancelled;
-    run.seconds = seconds[i];
-    run.steps = results[i].steps;
-    out.runs.push_back(std::move(run));
-    if (results[i].feasible &&
-        (out.timeToFeasible == 0 || doneAt[i] < out.timeToFeasible)) {
-      out.timeToFeasible = doneAt[i];
-    }
-  }
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (results[i].feasible) {
+  for (std::size_t rank = 0; rank < kNames.size() && !out.feasible; ++rank) {
+    const auto t0 = Clock::now();
+    EngineResult r = rank == 0 ? runGreedy(topo, streams, config)
+                               : runTabu(topo, streams, config, opts);
+    out.runs.push_back(
+        {kNames[rank], r.feasible,
+         std::chrono::duration<double>(Clock::now() - t0).count(), r.steps});
+    if (r.feasible) {
       out.feasible = true;
-      out.winner = kNames[i];
-      out.slots = std::move(results[i].slots);
-      break;
+      out.winner = kNames[rank];
+      out.slots = std::move(r.slots);
     }
   }
   return out;

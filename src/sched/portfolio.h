@@ -20,16 +20,13 @@
 // them to the oracle contract that every schedule they emit passes
 // sched::validate and that they never "solve" an SMT-infeasible instance.
 //
-// runPortfolio races greedy and tabu on the common ThreadPool.  The
-// winner is the *lowest-ranked* feasible engine (ranked in that order),
-// never the first to finish, so the result is byte-identical for any
-// thread count; an engine is cancelled only once a strictly lower rank has
-// already won, which cannot change the winner.  Wall-clock metadata
-// (time-to-first-feasible, per-engine seconds, cancellations) is reported
-// separately and is never part of the deterministic result.
+// runPortfolio runs the engines in rank order (greedy, then tabu) on the
+// calling thread and adopts the first feasible schedule: the
+// lowest-ranked feasible engine wins, and a rank runs only when every
+// rank below it gave up.  Per-engine seconds are timing metadata, never
+// part of the deterministic result.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -42,24 +39,12 @@ namespace etsn::sched {
 struct PortfolioOptions {
   /// Seed for the tabu engine's victim draws (the only stochastic piece).
   std::uint64_t seed = 1;
-  /// Portfolio pool width; 0 = one worker per engine.
+  /// Ignored: the portfolio runs on the calling thread.
   int threads = 0;
-};
-
-/// Cooperative cancellation: an engine aborts once a strictly lower rank
-/// has produced a feasible schedule (it can no longer win).
-struct CancelToken {
-  const std::atomic<int>* bestRank = nullptr;
-  int rank = 0;
-  bool cancelled() const {
-    return bestRank != nullptr &&
-           bestRank->load(std::memory_order_relaxed) < rank;
-  }
 };
 
 struct EngineResult {
   bool feasible = false;
-  bool cancelled = false;
   std::vector<Slot> slots;
   /// Engine work counter (placements + rip-ups), for benches.
   std::int64_t steps = 0;
@@ -67,16 +52,15 @@ struct EngineResult {
 
 EngineResult runGreedy(const net::Topology& topo,
                        const std::vector<ExpandedStream>& streams,
-                       const SchedulerConfig& config, CancelToken cancel = {});
+                       const SchedulerConfig& config);
 EngineResult runTabu(const net::Topology& topo,
                      const std::vector<ExpandedStream>& streams,
                      const SchedulerConfig& config,
-                     const PortfolioOptions& opts, CancelToken cancel = {});
+                     const PortfolioOptions& opts);
 
 struct EngineRun {
   std::string name;
   bool feasible = false;
-  bool cancelled = false;
   double seconds = 0;  // timing only — excluded from determinism checks
   std::int64_t steps = 0;
 };
@@ -85,9 +69,7 @@ struct PortfolioResult {
   bool feasible = false;
   std::vector<Slot> slots;
   std::string winner;  // engine that provided `slots` ("" if none)
-  /// Earliest feasible completion across engines (timing only).
-  double timeToFeasible = 0;
-  std::vector<EngineRun> runs;  // rank order: greedy, tabu
+  std::vector<EngineRun> runs;  // the ranks that ran, in rank order
 };
 
 PortfolioResult runPortfolio(const net::Topology& topo,

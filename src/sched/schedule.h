@@ -151,11 +151,9 @@ struct SolveInfo {
   /// budget exhausted or repair infeasible under pinning — and the result
   /// comes from the greedy fallback instead.
   bool degraded = false;
-  /// Portfolio runs: the engine whose schedule was adopted (deterministic
-  /// lowest-rank winner) and the wall-clock until the first feasible
-  /// engine finished (timing metadata, not part of the result).
+  /// Portfolio runs: the engine whose schedule was adopted (the
+  /// lowest-ranked feasible engine).
   std::string portfolioWinner;
-  double timeToFeasible = 0;
   /// Gap certification (ScheduleOptions::certify): SMT re-verdict on the
   /// instance plus a certified flowspan lower bound for the quality gap.
   bool certified = false;       // SMT reached a feasibility verdict

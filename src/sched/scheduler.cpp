@@ -137,7 +137,6 @@ MethodSchedule buildSchedule(const net::Topology& topo,
     sched.info.feasible = r.feasible;
     sched.info.engine = "portfolio";
     sched.info.portfolioWinner = r.winner;
-    sched.info.timeToFeasible = r.timeToFeasible;
     if (r.feasible) sched.slots = std::move(r.slots);
   } else {
     ScheduleSmt smt(topo, exp.streams, options.config);

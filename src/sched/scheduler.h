@@ -28,8 +28,8 @@ const char* methodName(Method m);
 ///                 greedy places the instance when its conflict budget
 ///                 runs out;
 ///  * Greedy/Tabu — the incomplete families (sched/portfolio.h);
-///  * Portfolio  — both raced on the thread pool, deterministic
-///                 lowest-rank winner.
+///  * Portfolio  — greedy, then tabu only if greedy gives up; the first
+///                 feasible schedule wins.
 enum class Engine { Smt, Greedy, Tabu, Portfolio };
 
 const char* engineName(Engine e);
@@ -47,7 +47,7 @@ struct ScheduleOptions {
   /// AVB baseline: class-A idle slope as a fraction of link bandwidth.
   double avbIdleSlopeFraction = 0.75;
   Engine engine = Engine::Smt;
-  /// Seed and pool width for the Tabu/Portfolio engines.
+  /// Seed for the Tabu/Portfolio engines.
   PortfolioOptions portfolio;
   /// After an incomplete engine returns feasible, run the SMT gap
   /// probe (bounded conflicts per solve) to certify feasibility and report

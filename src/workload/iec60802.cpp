@@ -30,8 +30,8 @@ TopologyKind topologyKindFromString(const std::string& name) {
 net::Topology makeScaledTopology(TopologyKind kind, int numSwitches,
                                  int devicesPerSwitch,
                                  const net::LinkParams& params) {
-  ETSN_CHECK_MSG(numSwitches >= 1, "need at least one switch");
-  ETSN_CHECK_MSG(devicesPerSwitch >= 1, "need at least one device/switch");
+  ETSN_REQUIRE(numSwitches >= 1, "need at least one switch");
+  ETSN_REQUIRE(devicesPerSwitch >= 1, "need at least one device/switch");
   net::Topology topo;
   std::vector<net::NodeId> sw;
   for (int i = 0; i < numSwitches; ++i) {
@@ -101,17 +101,17 @@ int payloadForRate(double rateBps, TimeNs period) {
 
 std::vector<net::StreamSpec> generateTct(const net::Topology& topo,
                                          const TctWorkload& w) {
-  ETSN_CHECK_MSG(w.numStreams > 0, "need at least one stream");
-  ETSN_CHECK_MSG(!w.periods.empty(), "need a period set");
-  ETSN_CHECK_MSG(w.networkLoad > 0 && w.networkLoad < 1,
-                 "network load must be in (0, 1)");
+  ETSN_REQUIRE(w.numStreams > 0, "need at least one stream");
+  ETSN_REQUIRE(!w.periods.empty(), "need a period set");
+  ETSN_REQUIRE(w.networkLoad > 0 && w.networkLoad < 1,
+               "network load must be in (0, 1)");
   const auto devices = topo.devices();
-  ETSN_CHECK_MSG(devices.size() >= 2, "need at least two devices");
+  ETSN_REQUIRE(devices.size() >= 2, "need at least two devices");
 
   Rng rng(w.seed);
   // All links share one nominal bandwidth in the paper's setups; use the
   // first link's.
-  ETSN_CHECK_MSG(topo.numLinks() > 0, "topology has no links");
+  ETSN_REQUIRE(topo.numLinks() > 0, "topology has no links");
   const double linkBw = static_cast<double>(topo.link(0).bandwidthBps);
 
   // Draw endpoints, periods, and phases first; payloads are then sized so
@@ -153,10 +153,10 @@ std::vector<net::StreamSpec> generateTct(const net::Topology& topo,
 
 std::vector<net::StreamSpec> generateEct(const net::Topology& topo,
                                          const EctWorkload& w) {
-  ETSN_CHECK_MSG(w.numStreams >= 0, "negative ECT stream count");
-  ETSN_CHECK_MSG(!w.minInterevents.empty(), "need an interevent set");
+  ETSN_REQUIRE(w.numStreams >= 0, "negative ECT stream count");
+  ETSN_REQUIRE(!w.minInterevents.empty(), "need an interevent set");
   const auto devices = topo.devices();
-  ETSN_CHECK_MSG(devices.size() >= 2, "need at least two devices");
+  ETSN_REQUIRE(devices.size() >= 2, "need at least two devices");
   Rng rng(w.seed);
   std::vector<net::StreamSpec> specs;
   for (int i = 0; i < w.numStreams; ++i) {

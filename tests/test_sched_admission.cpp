@@ -11,8 +11,6 @@
 //  * Cache on vs cache off: identical verdicts and schedule hashes at
 //    every step of a trace (the cache may change *how* a decision is
 //    reached — rung "cache" — never *what* is decided).
-//  * Thread-count invariance: portfolio threads 1/2/8 give byte-identical
-//    traces.
 //  * Invalid requests (unknown node, duplicate name, unknown removal)
 //    reject with rung "invalid" and the service stays up.
 //  * Hand-made incremental admissions on the paper's topologies.
@@ -306,30 +304,6 @@ TEST(Admission, CacheOnOffTracesAreByteIdentical) {
       EXPECT_EQ(on.stateHash(), off.stateHash())
           << "seed " << seed << " step " << step;
     }
-  }
-}
-
-// Portfolio thread counts 1/2/8 must not change any decision or hash.
-TEST(Admission, ThreadCountInvariance) {
-  for (std::uint64_t seed = 2; seed <= 10; seed += 2) {
-    const Instance inst = makeInstance(seed);
-    std::vector<std::vector<std::pair<bool, std::uint64_t>>> runs;
-    for (const int threads : {1, 2, 8}) {
-      AdmissionOptions opts;
-      opts.portfolio.threads = threads;
-      AdmissionEngine eng(inst.topo, inst.base, config(), opts);
-      std::vector<std::pair<bool, std::uint64_t>> run;
-      if (eng.feasible()) {
-        Rng rng(seed * 31);
-        for (const AdmissionRequest& req : makeTrace(rng, inst, 8)) {
-          const AdmissionDecision d = eng.request(req);
-          run.emplace_back(d.admitted, scheduleHash(eng.schedule()));
-        }
-      }
-      runs.push_back(std::move(run));
-    }
-    EXPECT_EQ(runs[0], runs[1]) << "seed " << seed << ": threads 1 vs 2";
-    EXPECT_EQ(runs[0], runs[2]) << "seed " << seed << ": threads 1 vs 8";
   }
 }
 

@@ -7,8 +7,10 @@
 //    known-good schedules (negative offset, undersized slot, pre-occurrence
 //    start, hop swap, guard-band intrusion, slot collision) must each be
 //    rejected — the oracle itself is tested against near-miss schedules.
-//  * Determinism: the portfolio result is byte-identical across thread
-//    counts 1/2/8 and across repeated runs with the same seed.
+//  * Rank order: the portfolio runs tabu only when greedy gives up, and
+//    adopts the first feasible engine's schedule.
+//  * Determinism: the portfolio result is byte-identical across repeated
+//    runs with the same seed.
 //  * Substrate equivalence: the hyperperiod-bitmap overlap search and the
 //    pairwise one place every corpus instance identically.
 //  * Degradation: an SMT solve that runs out of budget falls back to
@@ -304,27 +306,6 @@ TEST(SchedPortfolioFuzz, ValidatorRejectsEveryMutation) {
 
 // ---------------------------------------------------------------------------
 
-TEST(SchedPortfolioDeterminism, ByteIdenticalAcrossThreadCounts) {
-  // Seed 41 is outside the squeezed (UNSAT) corpus slice, so the instance
-  // is feasible and the fingerprint covers actual slots.
-  const Instance inst = makeInstance(41);
-  std::string reference;
-  for (const int threads : {1, 2, 8}) {
-    auto opt = optionsFor("portfolio");
-    opt.portfolio.seed = 7;
-    opt.portfolio.threads = threads;
-    const auto ms = buildSchedule(inst.topo, inst.specs, opt);
-    ASSERT_TRUE(ms.schedule.info.feasible);
-    const std::string fp = fingerprint(ms);
-    if (reference.empty()) {
-      reference = fp;
-    } else {
-      EXPECT_EQ(reference, fp)
-          << "portfolio result differs at --threads " << threads;
-    }
-  }
-}
-
 TEST(SchedPortfolioDeterminism, ByteIdenticalAcrossRepeatedRuns) {
   const Instance inst = makeInstance(43);
   std::string reference;
@@ -345,6 +326,50 @@ bool sameSlot(const Slot& a, const Slot& b) {
   return a.stream == b.stream && a.hop == b.hop &&
          a.frameIndex == b.frameIndex && a.start == b.start &&
          a.duration == b.duration;
+}
+
+bool sameSlots(const std::vector<Slot>& a, const std::vector<Slot>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(), sameSlot);
+}
+
+// The portfolio runs its ranks in order on the calling thread: greedy
+// alone when it places the instance, tabu only after greedy gives up, and
+// the first feasible engine supplies the schedule.
+TEST(SchedPortfolio, RunsTabuOnlyWhenGreedyGivesUp) {
+  int gaveUp = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const Instance inst = makeInstance(seed);
+    SchedulerConfig config;
+    config.numProbabilistic = 3;
+    const Expansion exp = expandStreams(inst.topo, inst.specs, config);
+    PortfolioOptions opts;
+    opts.seed = seed;
+    const EngineResult greedy = runGreedy(inst.topo, exp.streams, config);
+    const PortfolioResult r =
+        runPortfolio(inst.topo, exp.streams, config, opts);
+    ASSERT_FALSE(r.runs.empty()) << "instance " << seed;
+    EXPECT_EQ(r.runs[0].name, "greedy") << "instance " << seed;
+    EXPECT_EQ(r.runs[0].feasible, greedy.feasible) << "instance " << seed;
+    if (greedy.feasible) {
+      ASSERT_EQ(r.runs.size(), 1u) << "tabu ran after greedy placed "
+                                   << "instance " << seed;
+      EXPECT_EQ(r.winner, "greedy");
+      ASSERT_TRUE(r.feasible);
+      EXPECT_TRUE(sameSlots(r.slots, greedy.slots)) << "instance " << seed;
+      continue;
+    }
+    ++gaveUp;
+    const EngineResult tabu = runTabu(inst.topo, exp.streams, config, opts);
+    ASSERT_EQ(r.runs.size(), 2u) << "instance " << seed;
+    EXPECT_EQ(r.runs[1].name, "tabu");
+    EXPECT_EQ(r.runs[1].feasible, tabu.feasible) << "instance " << seed;
+    EXPECT_EQ(r.feasible, tabu.feasible) << "instance " << seed;
+    EXPECT_EQ(r.winner, tabu.feasible ? "tabu" : "") << "instance " << seed;
+    EXPECT_TRUE(sameSlots(r.slots, tabu.slots)) << "instance " << seed;
+  }
+  // The squeezed slice is UNSAT, so greedy gives up on a third of the
+  // corpus and the second rank is exercised.
+  EXPECT_GE(gaveUp, 60);
 }
 
 // Greedy places every corpus instance twice: as is, where the small

@@ -129,15 +129,19 @@ TEST(Workload, RejectsBadConfig) {
   net::Topology t = net::makeTestbedTopology();
   TctWorkload w;
   w.networkLoad = 0;
-  EXPECT_THROW(generateTct(t, w), InvariantError);
+  EXPECT_THROW(generateTct(t, w), ConfigError);
   w.networkLoad = 1.5;
-  EXPECT_THROW(generateTct(t, w), InvariantError);
+  EXPECT_THROW(generateTct(t, w), ConfigError);
   w = {};
   w.numStreams = 0;
-  EXPECT_THROW(generateTct(t, w), InvariantError);
+  EXPECT_THROW(generateTct(t, w), ConfigError);
   w = {};
   w.periods.clear();
-  EXPECT_THROW(generateTct(t, w), InvariantError);
+  EXPECT_THROW(generateTct(t, w), ConfigError);
+  EctWorkload e;
+  e.minInterevents.clear();
+  EXPECT_THROW(generateEct(t, e), ConfigError);
+  EXPECT_THROW(makeScaledTopology(TopologyKind::Mesh, 0, 2), ConfigError);
 }
 
 }  // namespace
