@@ -77,8 +77,8 @@ Plant makePlant(const Scale& sc, std::uint64_t seed) {
 /// (explicit priorities keep the round-robin counters — and therefore the
 /// canonical state hash — revisitable), a flapping re-add pattern that
 /// revisits prior states (cache hits), and a recurring impossible spec
-/// whose first rejection costs a full re-solve and whose repeats are
-/// answered from the cache.
+/// whose first rejection is decided by the idle-network test and whose
+/// repeats are answered from the cache.
 std::vector<sched::AdmissionRequest> makeTrace(const Plant& p,
                                                std::uint64_t seed, int n) {
   Rng rng(seed * 9176);
@@ -111,9 +111,9 @@ std::vector<sched::AdmissionRequest> makeTrace(const Plant& p,
   for (int i = 0; i < n; ++i) {
     const std::int64_t dice = rng.uniformInt(0, 99);
     if (dice < 2 && i + 1 < n && i > n / 4) {
-      // A flapping infeasible requester: the first rejection costs a full
-      // re-solve, the immediate repeat (same state, same request) is
-      // answered from the cache.
+      // A flapping infeasible requester: the idle-network test rejects
+      // the first request, the immediate repeat (same state, same
+      // request) is answered from the cache.
       trace.push_back(sched::addRequest(greedy));
       trace.push_back(sched::addRequest(greedy));
       ++i;

@@ -1,9 +1,10 @@
 // Schedule-as-a-service (§VII-C, grown up): a long-running admission
 // engine absorbs add / reject / remove / re-admit churn while the network
 // runs.  Untouched streams keep their slots bit-for-bit, rejections leave
-// the schedule byte-identical, and churn that revisits a prior
-// configuration is served from the sub-schedule cache instead of being
-// re-solved (watch the `cache` rung below).
+// the schedule byte-identical, a request that cannot fit even an idle
+// network is turned away on the `idle` rung without a re-solve, and churn
+// that revisits a prior configuration is served from the sub-schedule
+// cache instead of being re-solved (watch the `cache` rung below).
 //
 //   $ ./online_admission
 #include <cstdio>
@@ -80,10 +81,13 @@ int main() {
   expect(d.admitted, "vision admitted");
   const std::uint64_t withVision = sched::scheduleHash(engine.schedule());
 
-  // Reject: an impossible request leaves the schedule byte-identical.
+  // Reject: an impossible request leaves the schedule byte-identical.  Its
+  // frames miss their window even on an idle network, so the idle rung
+  // rejects it before any rip-up or re-solve, and says where.
   d = engine.request(sched::addRequest(greedy));
   show("add", "greedy", d);
   expect(!d.admitted, "greedy rejected");
+  expect(d.rung == "idle", "greedy rejected by the idle-network test");
   expect(sched::scheduleHash(engine.schedule()) == withVision,
          "rejection left the schedule byte-identical");
 

@@ -110,7 +110,7 @@ std::vector<LinkId> Topology::shortestPathAvoiding(
 std::vector<std::vector<LinkId>> Topology::disjointPaths(NodeId src,
                                                          NodeId dst,
                                                          int k) const {
-  ETSN_CHECK_MSG(k >= 1, "disjointPaths requires k >= 1");
+  ETSN_REQUIRE(k >= 1, "disjointPaths requires k >= 1");
   std::vector<std::vector<LinkId>> paths;
   std::vector<LinkId> used;
   for (int i = 0; i < k; ++i) {
@@ -169,8 +169,8 @@ Topology makeSimulationTopology(const LinkParams& params) {
 
 Topology makeRedundantTopology(int spineLength, int devicesPerSwitch,
                                const LinkParams& params) {
-  ETSN_CHECK_MSG(spineLength >= 1, "spineLength must be >= 1");
-  ETSN_CHECK_MSG(devicesPerSwitch >= 0, "devicesPerSwitch must be >= 0");
+  ETSN_REQUIRE(spineLength >= 1, "spineLength must be >= 1");
+  ETSN_REQUIRE(devicesPerSwitch >= 0, "devicesPerSwitch must be >= 0");
   Topology t;
   const NodeId talker = t.addDevice("T");
   const NodeId listener = t.addDevice("L");

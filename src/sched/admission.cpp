@@ -90,6 +90,26 @@ const std::string& targetOf(const AdmissionRequest& req) {
 /// rewrites every stream; replaying that is no cheaper than solving).
 constexpr std::size_t kCacheMaxDelta = 256;
 
+/// Rung "idle"'s rejection reason: the stream, the constraint it misses,
+/// the link, and the bound against the idle-network minimum.
+std::string idleDetail(const net::Topology& topo, const ExpandedStream& s,
+                       const PlacementMiss& miss, TimeNs tu) {
+  const net::Link& l = topo.link(miss.link);
+  const std::string link = "link " + std::to_string(miss.link) + " (" +
+                           topo.node(l.from).name + "->" +
+                           topo.node(l.to).name + ")";
+  if (miss.constraint == PlacementMiss::Constraint::Latency) {
+    return "stream '" + s.name + "' misses latency (4) on an idle network: " +
+           "delivery over its last " + link + " ends " +
+           formatTime(miss.value * tu) + " after release at the earliest, " +
+           "bound " + formatTime(miss.bound * tu);
+  }
+  return "stream '" + s.name + "' misses its window (1)-(2) on an idle " +
+         "network: frame " + std::to_string(miss.frame) + " on " + link +
+         " starts at " + formatTime(miss.value * tu) +
+         " at the earliest, bound " + formatTime(miss.bound * tu);
+}
+
 }  // namespace
 
 std::uint64_t scheduleHash(const Schedule& s) {
@@ -598,6 +618,17 @@ bool AdmissionEngine::processAdd(const net::StreamSpec& spec, Txn& txn,
     // streams on every link it crosses; rip and re-place those too.
     for (const StreamId sid : regrid(txn, newIds)) slice.push_back(sid);
   }
+  // A slice stream that misses on the idle network misses in every
+  // placement state, so neither rung 3's rip-ups nor rung 4's re-solve
+  // could admit the request: reject it before either runs.
+  for (const StreamId sid : slice) {
+    if (const auto miss = placement_->idleMiss(sid)) {
+      *rung = "idle";
+      *detail = idleDetail(topo_, streams_[static_cast<std::size_t>(sid)],
+                           *miss, placement_->tu());
+      return false;
+    }
+  }
 
   if (placeSlice(txn, std::move(slice), rung)) return true;
   *rung = "resolve";
@@ -877,22 +908,27 @@ AdmissionDecision AdmissionEngine::request(const AdmissionRequest& req) {
           std::sort(touched.begin(), touched.end());
           touched.erase(std::unique(touched.begin(), touched.end()),
                         touched.end());
+          std::erase_if(touched, [&](StreamId sid) {
+            return !liveStream_[static_cast<std::size_t>(sid)];
+          });
         }
-        for (const StreamId sid : touched) {
-          if (!liveStream_[static_cast<std::size_t>(sid)]) continue;
-          const ExpandedStream& s = streams_[static_cast<std::size_t>(sid)];
-          const SpecEntry& e = specs_[static_cast<std::size_t>(s.specId)];
-          StreamDelta delta;
-          delta.spec = e.spec.name;
-          const auto pos =
-              std::find(e.streams.begin(), e.streams.end(), sid);
-          ETSN_CHECK(pos != e.streams.end());
-          delta.idx = static_cast<int>(pos - e.streams.begin());
-          delta.frames = s.framesOnLink;
-          delta.starts = placement_->startsOf(sid);
-          entry.deltas.push_back(std::move(delta));
+        // Count before building: a delta too large to store is not built.
+        storable = touched.size() <= kCacheMaxDelta;
+        if (storable) {
+          for (const StreamId sid : touched) {
+            const ExpandedStream& s = streams_[static_cast<std::size_t>(sid)];
+            const SpecEntry& e = specs_[static_cast<std::size_t>(s.specId)];
+            StreamDelta delta;
+            delta.spec = e.spec.name;
+            const auto pos =
+                std::find(e.streams.begin(), e.streams.end(), sid);
+            ETSN_CHECK(pos != e.streams.end());
+            delta.idx = static_cast<int>(pos - e.streams.begin());
+            delta.frames = s.framesOnLink;
+            delta.starts = placement_->startsOf(sid);
+            entry.deltas.push_back(std::move(delta));
+          }
         }
-        if (entry.deltas.size() > kCacheMaxDelta) storable = false;
       }
       if (storable) {
         entry.postStateHash = stateHash();

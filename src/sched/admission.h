@@ -8,6 +8,13 @@
 //     request hash).  Churn that revisits a prior configuration replays
 //     the recorded name-keyed placement deltas in O(slots) instead of
 //     re-solving.
+//  idle — an Add's slice (see rung 2) first runs the idle-network test
+//     (Placement::idleMiss): each stream's frames at their earliest
+//     starts against window (1)-(2) and latency (4).  A stream that
+//     misses there misses in every placement state, so no rip-up or
+//     re-solve could admit it: the request is rejected in O(hops x
+//     frames), and the detail names the stream, constraint, link and
+//     bound.
 //  2. delta-place — untouched streams stay pinned bit-for-bit in the
 //     Placement substrate (sched/placement.h); only the request's slice
 //     (the new streams, plus shared TCT streams whose prudent-reservation
@@ -17,11 +24,11 @@
 //     victims, at most 64 per pass) and re-place them too.  Rungs 2 and
 //     3 are one pass: a pass that rips nothing decides on rung 2.
 //  4. full re-solve — the portfolio scheduler on the canonical live
-//     stream set; the verdict authority for rejections (identical to a
-//     from-scratch solve over the same specs), at baseline cost.  Commits
-//     through the op log like every other rung, so even a transaction
-//     whose earlier phase re-solved wholesale (a Modify) unwinds exactly
-//     on rejection.
+//     stream set; the verdict authority for every other rejection
+//     (identical to a from-scratch solve over the same specs), at
+//     baseline cost.  Commits through the op log like every other rung,
+//     so even a transaction whose earlier phase re-solved wholesale (a
+//     Modify) unwinds exactly on rejection.
 //
 // Determinism contract: every decision is a pure function of the
 // canonical engine state (stream contents + placements + the priority
@@ -73,8 +80,10 @@ AdmissionRequest modifyRequest(net::StreamSpec spec, std::string name = "");
 struct AdmissionDecision {
   bool admitted = false;
   /// Ladder rung that decided: "cache" (replayed from the sub-schedule
-  /// cache, not solved), "delta", "ripup", "resolve", or "invalid"
-  /// (malformed request, state untouched).
+  /// cache, not solved), "idle" (a stream misses its window or latency
+  /// bound even on an idle network; always a rejection), "delta",
+  /// "ripup", "resolve", or "invalid" (malformed request, state
+  /// untouched).
   std::string rung;
   /// Human-readable rejection reason; empty on admission.
   std::string detail;

@@ -246,7 +246,8 @@ std::int64_t Placement::fifoRequired(const ExpandedStream& s,
 
 std::int64_t Placement::findStart(const ExpandedStream& s, net::LinkId link,
                                   std::int64_t lb, std::int64_t hi,
-                                  std::int64_t len, std::int64_t arrival) {
+                                  std::int64_t len,
+                                  std::int64_t arrival) const {
   const LinkState& ls = links_[static_cast<std::size_t>(link)];
   const std::int64_t period = s.period / tu_;
   // Both pushes only skip starts that are infeasible, so the fixed point
@@ -283,8 +284,10 @@ std::int64_t Placement::arrivalAt(
                  tu_);
 }
 
-bool Placement::placeFrames(const ExpandedStream& s,
-                            std::vector<std::vector<std::int64_t>>* starts) {
+template <class StartFinder>
+bool Placement::placeFrames(const ExpandedStream& s, StartFinder&& start,
+                            std::vector<std::vector<std::int64_t>>* starts,
+                            PlacementMiss* miss) const {
   const std::int64_t period = s.period / tu_;
   const std::int64_t ot = ceilDiv(s.occurrence, tu_);
   auto& placed = *starts;
@@ -308,20 +311,20 @@ bool Placement::placeFrames(const ExpandedStream& s,
       }
       // Slots may slide up to the occurrence past the period boundary.
       const std::int64_t hi = period + ot - len;
-      const std::int64_t start = findStart(s, link, lb, hi, len, arrival);
-      if (start < 0) {
-        lastFailedLink_ = link;
+      const std::int64_t at = start(link, lb, hi, len, arrival);
+      if (at < 0) {
+        *miss = {PlacementMiss::Constraint::Window, link, j, hi, lb};
         return false;
       }
-      mine.push_back(start);
+      mine.push_back(at);
     }
   }
 
   // (4): end-to-end latency including the final frame's wire and
   // propagation time.
   const int lastHop = s.hops() - 1;
-  const net::Link& lastLink =
-      topo_.link(s.path[static_cast<std::size_t>(lastHop)]);
+  const net::LinkId lastLinkId = s.path[static_cast<std::size_t>(lastHop)];
+  const net::Link& lastLink = topo_.link(lastLinkId);
   const int lastFrames = s.framesOnLink[static_cast<std::size_t>(lastHop)];
   const std::int64_t last =
       placed[static_cast<std::size_t>(lastHop)].back() +
@@ -330,7 +333,8 @@ bool Placement::placeFrames(const ExpandedStream& s,
   const std::int64_t e2e = s.maxLatency / tu_;
   const std::int64_t origin = s.kind == StreamKind::Det ? placed[0][0] : ot;
   if (last - origin > e2e) {
-    lastFailedLink_ = s.path[static_cast<std::size_t>(lastHop)];
+    *miss = {PlacementMiss::Constraint::Latency, lastLinkId, lastFrames - 1,
+             e2e, last - origin};
     return false;
   }
   return true;
@@ -340,9 +344,30 @@ bool Placement::tryPlace(StreamId id) {
   const ExpandedStream& s = (*streams_)[static_cast<std::size_t>(id)];
   ETSN_CHECK(!isPlaced(id) && s.hops() > 0);
   std::vector<std::vector<std::int64_t>> starts;
-  if (!placeFrames(s, &starts)) return false;
+  PlacementMiss miss;
+  const auto search = [&](net::LinkId link, std::int64_t lb, std::int64_t hi,
+                          std::int64_t len, std::int64_t arrival) {
+    return findStart(s, link, lb, hi, len, arrival);
+  };
+  if (!placeFrames(s, search, &starts, &miss)) {
+    lastFailedLink_ = miss.link;
+    return false;
+  }
   placeAt(id, std::move(starts));
   return true;
+}
+
+std::optional<PlacementMiss> Placement::idleMiss(StreamId id) const {
+  const ExpandedStream& s = (*streams_)[static_cast<std::size_t>(id)];
+  ETSN_CHECK(s.hops() > 0);
+  std::vector<std::vector<std::int64_t>> starts;
+  PlacementMiss miss;
+  const auto earliest = [](net::LinkId, std::int64_t lb, std::int64_t hi,
+                           std::int64_t, std::int64_t) {
+    return lb <= hi ? lb : std::int64_t{-1};
+  };
+  if (placeFrames(s, earliest, &starts, &miss)) return std::nullopt;
+  return miss;
 }
 
 void Placement::placeAt(StreamId id,

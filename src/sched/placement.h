@@ -11,6 +11,10 @@
 // probabilistic-stream exceptions, adjacent-link ordering (7), and
 // FIFO-order frame isolation (fifoRequired).
 //
+// Both tryPlace and the idle-network test (idleMiss) run one frame
+// recurrence, placeFrames, and differ only in how a frame's start is
+// chosen from its lower bound.
+//
 // findStart alternates two pushes to a fixed point: past every frame the
 // candidate overlaps, then past the FIFO requirement.  The overlap push
 // has two implementations that give identical starts:
@@ -24,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "net/topology.h"
@@ -43,6 +48,24 @@ bool periodicIntervalsOverlap(std::int64_t a, std::int64_t la,
 std::int64_t pushPastPeriodic(std::int64_t a, std::int64_t ta, std::int64_t b,
                               std::int64_t lb, std::int64_t tb);
 
+/// The first constraint a stream's frame recurrence breaks, and where.
+/// All times in tu.
+struct PlacementMiss {
+  enum class Constraint {
+    Window,   // (1)-(2): frame `frame` on `link` gets no start in
+              // [value, bound] (on the idle network: value > bound)
+    Latency,  // (4): the stream's latency `value` exceeds `bound`
+  };
+  Constraint constraint = Constraint::Window;
+  net::LinkId link = net::kNoLink;
+  int frame = 0;
+  /// Window: the frame's latest start.  Latency: the end-to-end bound.
+  std::int64_t bound = 0;
+  /// Window: the frame's earliest start under (1)-(3) and (7), before any
+  /// overlap or FIFO push.  Latency: the stream's latency.
+  std::int64_t value = 0;
+};
+
 class Placement {
  public:
   /// `streams` must outlive the Placement (engines own the expansion).
@@ -54,6 +77,14 @@ class Placement {
   /// current partial schedule.  All-or-nothing: on failure nothing is
   /// committed and lastFailedLink() names the blocking link.
   bool tryPlace(StreamId id);
+
+  /// The idle-network test: tryPlace's frame recurrence with every frame
+  /// at its earliest start, as on an empty Placement, in O(hops x frames).
+  /// Every push of the search only moves a start later, and the recurrence
+  /// is translation-invariant, so a stream that misses here misses in
+  /// every Placement state; on an empty Placement the test is exactly
+  /// tryPlace's verdict.  Returns the miss, or nullopt if the stream fits.
+  std::optional<PlacementMiss> idleMiss(StreamId id) const;
 
   /// Pin a stream at the given per-hop, per-frame start offsets (in tu)
   /// without searching: the shape must match the stream's framesOnLink
@@ -141,8 +172,16 @@ class Placement {
     std::vector<std::pair<std::int32_t, std::vector<std::uint16_t>>> probSpec;
   };
 
-  bool placeFrames(const ExpandedStream& s,
-                   std::vector<std::vector<std::int64_t>>* starts);
+  /// The frame recurrence shared by tryPlace and idleMiss.  Hop by hop,
+  /// frame by frame, the window (1)-(2), sequencing (3) and arrival (7)
+  /// bounds give a frame's earliest start lb and latest start hi, and
+  /// `start(link, lb, hi, len, arrival)` picks its start in [lb, hi] or
+  /// returns -1; latency (4) is checked at the end.  Returns false with
+  /// *miss filled at the first violation.
+  template <class StartFinder>
+  bool placeFrames(const ExpandedStream& s, StartFinder&& start,
+                   std::vector<std::vector<std::int64_t>>* starts,
+                   PlacementMiss* miss) const;
   /// When frame j of `s` reaches hop `hop` > 0, in tu: the end of its
   /// upstream partner's slot (constraint (7)'s index offset picks the
   /// partner in `upStarts`, the hop-1 starts) plus propagation, switch
@@ -154,7 +193,7 @@ class Placement {
   /// the talker paces the frame into the queue at its own slot.
   std::int64_t findStart(const ExpandedStream& s, net::LinkId link,
                          std::int64_t lb, std::int64_t hi, std::int64_t len,
-                         std::int64_t arrival);
+                         std::int64_t arrival) const;
   /// FIFO-order isolation, the only isolation rule the search enforces:
   /// the smallest start >= a that leaves the link after every same-queue
   /// Det frame of another stream that arrived no later (see the .cpp).

@@ -334,8 +334,20 @@ TEST(Admission, RejectionLeavesScheduleByteIdentical) {
   const AdmissionRequest greedy = addRequest(
       tct("greedy", inst.devices[0], inst.devices.back(), microseconds(500),
           4500, false, 1));
+  const AdmissionCounters snap = eng.counters();
   const AdmissionDecision d = eng.request(greedy);
   EXPECT_FALSE(d.admitted);
+  // It misses on the idle network already, so neither the rip-up pass nor
+  // the re-solve runs.
+  EXPECT_EQ(d.rung, "idle");
+  EXPECT_EQ(eng.counters().deltaSolves, snap.deltaSolves);
+  EXPECT_EQ(eng.counters().fullResolves, snap.fullResolves);
+  // The last hop's frame 1 cannot start by its latest start, the 500-us
+  // period less its 124-us wire time.
+  EXPECT_NE(d.detail.find("stream 'greedy' misses its window (1)-(2)"),
+            std::string::npos)
+      << d.detail;
+  EXPECT_NE(d.detail.find("bound 376.000us"), std::string::npos) << d.detail;
   EXPECT_EQ(d.movedStreams, 0);
   EXPECT_EQ(scheduleHash(eng.schedule()), before);
   EXPECT_EQ(eng.stateHash(), stateBefore);
@@ -344,8 +356,25 @@ TEST(Admission, RejectionLeavesScheduleByteIdentical) {
   const AdmissionDecision again = eng.request(greedy);
   EXPECT_FALSE(again.admitted);
   EXPECT_EQ(again.rung, "cache");
+  EXPECT_EQ(again.detail, d.detail);
   EXPECT_EQ(scheduleHash(eng.schedule()), before);
   EXPECT_EQ(eng.counters().rejects, 2);
+  // One 1 kB frame fits its 4-ms window, but its first hop alone
+  // outlasts a 50-us latency bound.
+  net::StreamSpec tight = tct("tight", inst.devices[0], inst.devices.back(),
+                              milliseconds(4), 1000, false, 1);
+  tight.maxLatency = microseconds(50);
+  const AdmissionDecision late = eng.request(addRequest(tight));
+  EXPECT_FALSE(late.admitted);
+  EXPECT_EQ(late.rung, "idle");
+  EXPECT_NE(late.detail.find("stream 'tight' misses latency (4)"),
+            std::string::npos)
+      << late.detail;
+  EXPECT_NE(late.detail.find("bound 50.000us"), std::string::npos)
+      << late.detail;
+  EXPECT_EQ(eng.counters().deltaSolves, snap.deltaSolves);
+  EXPECT_EQ(eng.counters().fullResolves, snap.fullResolves);
+  EXPECT_EQ(scheduleHash(eng.schedule()), before);
 }
 
 TEST(Admission, InvalidRequestsRejectWithoutThrowing) {

@@ -11,6 +11,9 @@
 //    adopts the first feasible engine's schedule.
 //  * Determinism: the portfolio result is byte-identical across repeated
 //    runs with the same seed.
+//  * Idle-network test: Placement::idleMiss gives tryPlace's verdict on an
+//    empty Placement, and a stream it rejects fails tryPlace in every
+//    state greedy passes through.
 //  * Substrate equivalence: the hyperperiod-bitmap overlap search and the
 //    pairwise one place every corpus instance identically.
 //  * Degradation: an SMT solve that runs out of budget falls back to
@@ -18,6 +21,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -370,6 +375,103 @@ TEST(SchedPortfolio, RunsTabuOnlyWhenGreedyGivesUp) {
   // The squeezed slice is UNSAT, so greedy gives up on a third of the
   // corpus and the second rank is exercised.
   EXPECT_GE(gaveUp, 60);
+}
+
+// The idle-network test against the search it stands in for.  On an empty
+// Placement, idleMiss must agree with tryPlace on every corpus stream; in
+// every state of a greedy walk, a stream that misses on the idle network
+// must fail tryPlace too (the admission engine's idle rung rejects on that
+// without trying rip-ups or a re-solve).  The squeezed slice supplies
+// latency (4) misses.  Window (1)-(2) misses come from a stream added to
+// every fifth instance whose 8 kB payload outlasts its 500-us period on
+// the first 100-Mbps hop; its maxLatency above the period is valid.
+TEST(SchedPortfolioIdle, IdleMissMeansNoPlacementInAnyState) {
+  int latencyMisses = 0;
+  int windowMisses = 0;
+  int checkedInPlacedStates = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Instance inst = makeInstance(seed);
+    if (seed % 5 == 0) {
+      net::StreamSpec hog;
+      hog.name = "hog";
+      hog.src = inst.topo.devices().front();
+      hog.dst = inst.topo.devices().back();
+      hog.period = microseconds(500);
+      hog.maxLatency = milliseconds(4);
+      hog.payloadBytes = 8000;
+      inst.specs.push_back(hog);
+    }
+    SchedulerConfig config;
+    config.numProbabilistic = 3;
+    const Expansion exp = expandStreams(inst.topo, inst.specs, config);
+
+    Placement empty(inst.topo, exp.streams, config);
+    std::vector<StreamId> fits;
+    std::vector<StreamId> misses;
+    for (const ExpandedStream& s : exp.streams) {
+      const std::optional<PlacementMiss> miss = empty.idleMiss(s.id);
+      const bool placed = empty.tryPlace(s.id);
+      EXPECT_EQ(!miss.has_value(), placed)
+          << "instance " << seed << ", stream " << s.name;
+      if (placed) empty.remove(s.id);
+      if (!miss) {
+        fits.push_back(s.id);
+        continue;
+      }
+      misses.push_back(s.id);
+      EXPECT_GT(miss->value, miss->bound)
+          << "instance " << seed << ", stream " << s.name;
+      ++(miss->constraint == PlacementMiss::Constraint::Window
+             ? windowMisses
+             : latencyMisses);
+    }
+    if (misses.empty()) continue;
+
+    // Greedy's walk (runGreedy) over the streams that fit the idle network
+    // (a missing stream would only end the walk early): laxity order, and
+    // on a failure the most recently placed conflicting stream on the
+    // blocking link is ripped and re-queued.
+    std::stable_sort(fits.begin(), fits.end(), [&](StreamId ia, StreamId ib) {
+      const ExpandedStream& a = exp.streams[static_cast<std::size_t>(ia)];
+      const ExpandedStream& b = exp.streams[static_cast<std::size_t>(ib)];
+      if ((a.kind == StreamKind::Det) != (b.kind == StreamKind::Det)) {
+        return a.kind == StreamKind::Det;
+      }
+      if (a.kind == StreamKind::Det) return a.maxLatency < b.maxLatency;
+      if (a.specId != b.specId) return a.specId < b.specId;
+      return a.occurrence < b.occurrence;
+    });
+    Placement p(inst.topo, exp.streams, config);
+    std::deque<StreamId> queue(fits.begin(), fits.end());
+    int budget = 256;
+    while (!queue.empty()) {
+      for (const StreamId m : misses) {
+        EXPECT_FALSE(p.tryPlace(m))
+            << "instance " << seed << ": stream "
+            << exp.streams[static_cast<std::size_t>(m)].name
+            << " misses on the idle network but places with "
+            << p.numPlaced() << " streams placed";
+        if (p.isPlaced(m)) p.remove(m);
+        if (p.numPlaced() > 0) ++checkedInPlacedStates;
+      }
+      const StreamId s = queue.front();
+      queue.pop_front();
+      if (p.tryPlace(s)) continue;
+      const std::vector<StreamId> victims =
+          p.conflictCandidates(s, p.lastFailedLink());
+      if (victims.empty() || budget-- <= 0) break;
+      StreamId victim = victims.front();
+      for (const StreamId v : victims) {
+        if (p.placeEpoch(v) > p.placeEpoch(victim)) victim = v;
+      }
+      p.remove(victim);
+      queue.push_front(s);
+      queue.push_back(victim);
+    }
+  }
+  EXPECT_GT(latencyMisses, 0);
+  EXPECT_GT(windowMisses, 0);
+  EXPECT_GT(checkedInPlacedStates, 100);
 }
 
 // Greedy places every corpus instance twice: as is, where the small

@@ -142,6 +142,9 @@ TEST(Workload, RejectsBadConfig) {
   e.minInterevents.clear();
   EXPECT_THROW(generateEct(t, e), ConfigError);
   EXPECT_THROW(makeScaledTopology(TopologyKind::Mesh, 0, 2), ConfigError);
+  EXPECT_THROW(t.disjointPaths(0, 1, 0), ConfigError);
+  EXPECT_THROW(net::makeRedundantTopology(0, 1), ConfigError);
+  EXPECT_THROW(net::makeRedundantTopology(2, -1), ConfigError);
 }
 
 }  // namespace
