@@ -87,7 +87,8 @@ const std::string& targetOf(const AdmissionRequest& req) {
 }
 
 /// Placement deltas larger than this are not cached (a full re-solve
-/// rewrites every stream; replaying that is no cheaper than solving).
+/// counts every live stream as touched; replaying that is no cheaper than
+/// solving).
 constexpr std::size_t kCacheMaxDelta = 256;
 
 /// Rung "idle"'s rejection reason: the stream, the constraint it misses,
@@ -587,16 +588,25 @@ bool AdmissionEngine::tryFullResolve(Txn& txn) {
   txn.usedResolve = true;
   const auto solved = solveLive();
   if (!solved) return false;
-  // Wholesale re-place, through the op log: rip every placed stream, then
-  // pin every live stream at the solved offsets.  Logging the re-solve
-  // keeps two contracts the cheap rungs already have: the caller can roll
-  // the whole transaction back (a Modify whose add phase is rejected
-  // after its remove phase escalated here), and the cache's delta
-  // collection sees every slot this rung moved.
-  for (StreamId id = 0; id < placement_->trackedStreams(); ++id) {
-    if (placement_->isPlaced(id)) doRip(txn, id);
+  // Commit through the op log, moving only what the solve moved: rip the
+  // placed streams whose solved starts differ, then pin every live stream
+  // left unplaced (the ripped ones, the request's new streams and the
+  // regridded ones).  Every rip precedes every pin — a transient overlap
+  // of two Det frames would corrupt the bitmap occupancy.  Logging the
+  // re-solve keeps two contracts the cheap rungs already have: the caller
+  // can roll the whole transaction back (a Modify whose add phase is
+  // rejected after its remove phase escalated here), and the cache's
+  // delta collection sees every slot this rung moved.
+  for (const auto& [id, starts] : *solved) {
+    if (placement_->isPlaced(id) && placement_->startsOf(id) != starts) {
+      doRip(txn, id);
+    }
   }
-  for (const auto& [id, starts] : *solved) doPlaceAt(txn, id, starts);
+  for (const auto& [id, starts] : *solved) {
+    if (!placement_->isPlaced(id)) doPlaceAt(txn, id, starts);
+  }
+  ETSN_CHECK_MSG(placement_->numPlaced() == static_cast<int>(solved->size()),
+                 "a re-solve left a stream placed that is not live");
   return true;
 }
 
@@ -688,20 +698,14 @@ AdmissionDecision AdmissionEngine::decide(const AdmissionRequest& req,
   d.rung = rung;
   d.detail = detail;
   if (ok) {
-    int appended = 0;
     std::vector<StreamId> ripped;
     for (const Op& op : txn.ops) {
-      if (op.kind == Op::Kind::Append) appended += op.count;
       if (op.kind == Op::Kind::Rip) ripped.push_back(op.stream);
     }
-    if (rung == "resolve") {
-      d.movedStreams = liveStreams_ - appended;
-    } else {
-      std::sort(ripped.begin(), ripped.end());
-      ripped.erase(std::unique(ripped.begin(), ripped.end()), ripped.end());
-      for (const StreamId sid : ripped) {
-        if (liveStream_[static_cast<std::size_t>(sid)]) ++d.movedStreams;
-      }
+    std::sort(ripped.begin(), ripped.end());
+    ripped.erase(std::unique(ripped.begin(), ripped.end()), ripped.end());
+    for (const StreamId sid : ripped) {
+      if (liveStream_[static_cast<std::size_t>(sid)]) ++d.movedStreams;
     }
   }
   return d;
@@ -891,6 +895,10 @@ AdmissionDecision AdmissionEngine::request(const AdmissionRequest& req) {
       if (d.admitted) {
         std::vector<StreamId> touched;
         if (d.rung == "resolve") {
+          // Every live stream, not just the re-pinned ones, so a re-solve
+          // over more than kCacheMaxDelta live streams is never cached:
+          // caching its smaller delta would change which later requests
+          // the cache answers.
           for (std::size_t i = 0; i < streams_.size(); ++i) {
             if (liveStream_[i]) touched.push_back(static_cast<StreamId>(i));
           }

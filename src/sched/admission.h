@@ -87,8 +87,10 @@ struct AdmissionDecision {
   std::string rung;
   /// Human-readable rejection reason; empty on admission.
   std::string detail;
-  /// Existing streams whose slots moved for this decision (0 on the pure
-  /// delta rung for a TCT add; rejections always 0 net).
+  /// Live streams this decision ripped and re-placed, on every rung:
+  /// rip-up victims, shared TCT regridded by an ECT add or remove, and
+  /// the streams whose starts a re-solve changed.  0 on the pure delta
+  /// rung for a TCT add and on every rejection.
   int movedStreams = 0;
   double seconds = 0;
 };

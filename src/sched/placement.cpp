@@ -1,6 +1,7 @@
 #include "sched/placement.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "common/check.h"
@@ -53,6 +54,44 @@ inline void clearBit(std::vector<std::uint64_t>& w, std::int64_t pos) {
 
 inline std::size_t bitWords(std::int64_t bits) {
   return static_cast<std::size_t>((bits + 63) / 64);
+}
+
+/// Bits [lo, hi) of one word, 0 <= lo < hi <= 64.
+inline std::uint64_t wordMask(std::int64_t lo, std::int64_t hi) {
+  const std::uint64_t below =
+      hi == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << hi) - 1;
+  return below & (~std::uint64_t{0} << lo);
+}
+
+/// Sets (place) or clears bits [from, to) of `w`, one mask per word.
+void assignBits(std::vector<std::uint64_t>& w, std::int64_t from,
+                std::int64_t to, bool place) {
+  while (from < to) {
+    const std::int64_t base = from & ~std::int64_t{63};
+    const std::int64_t end = std::min(to, base + 64);
+    const std::uint64_t m = wordMask(from - base, end - base);
+    std::uint64_t& word = w[static_cast<std::size_t>(base >> 6)];
+    word = place ? word | m : word & ~m;
+    from = end;
+  }
+}
+
+/// First position in [from, to) whose bit is set in `word(i)`, the i-th
+/// 64-bit word; -1 if none.  Bits outside the range are never read, so
+/// the tail of the last word past a caller's `to` counts as neither set
+/// nor clear.
+template <class Word>
+std::int64_t firstSetBit(const Word& word, std::int64_t from,
+                         std::int64_t to) {
+  while (from < to) {
+    const std::int64_t base = from & ~std::int64_t{63};
+    const std::int64_t end = std::min(to, base + 64);
+    const std::uint64_t bits = word(static_cast<std::size_t>(base >> 6)) &
+                               wordMask(from - base, end - base);
+    if (bits != 0) return base + std::countr_zero(bits);
+    from = end;
+  }
+  return -1;
 }
 
 }  // namespace
@@ -118,34 +157,38 @@ void Placement::mark(const ExpandedStream& s, LinkState& ls,
     ls.detNoShare.assign(bitWords(hyperTu_), 0);
   }
   const std::int64_t reps = hyperTu_ / periodTu;
-  if (s.kind == StreamKind::Prob && ls.probCount.empty()) {
+  if (s.kind == StreamKind::Det) {
+    // Each repetition covers [pos, pos + len) on the hyperperiod ring:
+    // at most two word ranges, split at the wrap.
+    const std::int64_t span = std::min(len, hyperTu_);
+    const auto assign = [&](std::int64_t from, std::int64_t to) {
+      assignBits(ls.detAll, from, to, place);
+      if (!s.share) assignBits(ls.detNoShare, from, to, place);
+    };
+    for (std::int64_t r = 0; r < reps; ++r) {
+      const std::int64_t pos = (start + r * periodTu) % hyperTu_;
+      assign(pos, std::min(pos + span, hyperTu_));
+      if (pos + span > hyperTu_) assign(0, pos + span - hyperTu_);
+    }
+    return;
+  }
+  if (ls.probCount.empty()) {
     ls.probCount.assign(static_cast<std::size_t>(hyperTu_), 0);
     ls.probAny.assign(bitWords(hyperTu_), 0);
   }
-  std::vector<std::uint16_t>* spec =
-      s.kind == StreamKind::Prob ? &probSpecCounts(ls, s.specId) : nullptr;
+  std::vector<std::uint16_t>& spec = probSpecCounts(ls, s.specId);
   for (std::int64_t r = 0; r < reps; ++r) {
     std::int64_t pos = (start + r * periodTu) % hyperTu_;
     for (std::int64_t i = 0; i < len; ++i) {
-      if (s.kind == StreamKind::Det) {
-        if (place) {
-          setBit(ls.detAll, pos);
-          if (!s.share) setBit(ls.detNoShare, pos);
-        } else {
-          clearBit(ls.detAll, pos);
-          if (!s.share) clearBit(ls.detNoShare, pos);
-        }
+      auto& all = ls.probCount[static_cast<std::size_t>(pos)];
+      auto& own = spec[static_cast<std::size_t>(pos)];
+      if (place) {
+        if (++all == 1) setBit(ls.probAny, pos);
+        ++own;
       } else {
-        auto& all = ls.probCount[static_cast<std::size_t>(pos)];
-        auto& own = (*spec)[static_cast<std::size_t>(pos)];
-        if (place) {
-          if (++all == 1) setBit(ls.probAny, pos);
-          ++own;
-        } else {
-          ETSN_CHECK(all > 0 && own > 0);
-          if (--all == 0) clearBit(ls.probAny, pos);
-          --own;
-        }
+        ETSN_CHECK(all > 0 && own > 0);
+        if (--all == 0) clearBit(ls.probAny, pos);
+        --own;
       }
       if (++pos == hyperTu_) pos = 0;
     }
@@ -157,45 +200,70 @@ std::int64_t Placement::bitmapPush(const ExpandedStream& s,
                                    std::int64_t a, std::int64_t len,
                                    std::int64_t periodTu) const {
   if (ls.detAll.empty() && ls.probCount.empty()) return a;
-  const bool det = s.kind == StreamKind::Det;
-  const std::vector<std::uint16_t>* ownSpec = nullptr;
-  if (!det) {
-    for (const auto& [id, counts] : ls.probSpec) {
-      if (id == s.specId) ownSpec = &counts;
+  const std::int64_t reps = hyperTu_ / periodTu;
+  // The push for the first repetition whose window [base, base + len)
+  // meets an occupied tu: slide the window start past the occupied run
+  // holding the window's first occupied tu `pos`, whose end `e` is the
+  // first free tu after it on the ring (-1 if there is none).
+  const auto pushPast = [&](std::int64_t base, std::int64_t e) {
+    if (e < 0) return std::int64_t{-1};  // link fully occupied
+    const std::int64_t dist = (e - base + hyperTu_) % hyperTu_;
+    // dist == 0: the only free run wrapped back to the window start, i.e.
+    // it is shorter than `len` — no start position fits at all.
+    return dist == 0 ? std::int64_t{-1} : a + dist;
+  };
+
+  if (s.kind == StreamKind::Det) {
+    // Word at a time: a Det frame avoids every Det frame, and a
+    // non-shared one also every probabilistic slot.
+    const bool avoidProb = !s.share && !ls.probAny.empty();
+    const auto occupied = [&](std::size_t i) {
+      return ls.detAll[i] | (avoidProb ? ls.probAny[i] : 0);
+    };
+    const auto vacant = [&](std::size_t i) { return ~occupied(i); };
+    const std::int64_t span = std::min(len, hyperTu_);
+    for (std::int64_t r = 0; r < reps; ++r) {
+      const std::int64_t base = (a + r * periodTu) % hyperTu_;
+      std::int64_t pos =
+          firstSetBit(occupied, base, std::min(base + span, hyperTu_));
+      if (pos < 0 && base + span > hyperTu_) {
+        pos = firstSetBit(occupied, 0, base + span - hyperTu_);
+      }
+      if (pos < 0) continue;
+      // Both searches stop at hyperTu_: the last word's bits past it are
+      // not tu of the ring, and must not end a run that wraps to tu 0.
+      std::int64_t e = firstSetBit(vacant, pos, hyperTu_);
+      if (e < 0) e = firstSetBit(vacant, 0, pos);
+      return pushPast(base, e);
     }
+    return a;
+  }
+
+  // Prob: per tu, against the per-ECT-spec counters.
+  const std::vector<std::uint16_t>* ownSpec = nullptr;
+  for (const auto& [id, counts] : ls.probSpec) {
+    if (id == s.specId) ownSpec = &counts;
   }
   auto occupied = [&](std::int64_t pos) {
-    if (det) {
-      if (!ls.detAll.empty() && testBit(ls.detAll, pos)) return true;
-      // Non-shared TCT must also avoid every probabilistic slot.
-      return !s.share && !ls.probAny.empty() && testBit(ls.probAny, pos);
-    }
-    if (!ls.detNoShare.empty() && testBit(ls.detNoShare, pos)) return true;
+    if (testBit(ls.detNoShare, pos)) return true;
     if (ls.probCount.empty()) return false;
     const std::uint16_t all = ls.probCount[static_cast<std::size_t>(pos)];
     const std::uint16_t own =
         ownSpec ? (*ownSpec)[static_cast<std::size_t>(pos)] : 0;
     return all > own;  // a *different* ECT spec covers this tu
   };
-  const std::int64_t reps = hyperTu_ / periodTu;
   for (std::int64_t r = 0; r < reps; ++r) {
     const std::int64_t base = (a + r * periodTu) % hyperTu_;
     std::int64_t pos = base;
     for (std::int64_t i = 0; i < len; ++i) {
       if (occupied(pos)) {
-        // Minimal push for this repetition: slide the window start past
-        // the occupied run containing `pos`.
         std::int64_t e = pos;
         std::int64_t scanned = 0;
         while (occupied(e)) {
           if (++e == hyperTu_) e = 0;
           if (++scanned > hyperTu_) return -1;  // link fully occupied
         }
-        const std::int64_t dist = (e - base + hyperTu_) % hyperTu_;
-        // dist == 0: the only free run wrapped back to the window start,
-        // i.e. it is shorter than `len` — no start position fits at all.
-        if (dist == 0) return -1;
-        return a + dist;
+        return pushPast(base, e);
       }
       if (++pos == hyperTu_) pos = 0;
     }

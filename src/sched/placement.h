@@ -24,7 +24,14 @@
 //    overlap category (Det, non-shared Det, Prob per ECT spec), giving
 //    O(window) earliest-fit search instead of O(placed²).  Used when the
 //    hyperperiod is tractable (see kMaxBitmapTu); this is what makes
-//    5000-stream instances placeable in seconds.
+//    5000-stream instances placeable in seconds.  Det frames are set,
+//    cleared and searched a 64-bit word at a time: a repetition's range
+//    [pos, pos + len) is split at the hyperperiod wrap into at most two
+//    word ranges, and the push finds a window's first occupied tu and the
+//    end of its run with std::countr_zero.  The last word's bits past the
+//    hyperperiod are not tu of the ring: every search stops at hyperTu(),
+//    so they never end a run that wraps to tu 0.  Prob frames keep
+//    per-tu counters, one per ECT spec.
 #pragma once
 
 #include <cstdint>

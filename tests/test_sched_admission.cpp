@@ -8,6 +8,8 @@
 //    here), and the exported streams must equal a batch expansion of the
 //    live specs.
 //  * Rejections leave the schedule byte-identical (content hash).
+//  * An admitting re-solve re-pins only the streams it moved, and counts
+//    exactly those as moved.
 //  * Cache on vs cache off: identical verdicts and schedule hashes at
 //    every step of a trace (the cache may change *how* a decision is
 //    reached — rung "cache" — never *what* is decided).
@@ -22,6 +24,7 @@
 // oracle-parity and batch-expansion checks need.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,6 +32,7 @@
 #include "common/rng.h"
 #include "sched/admission.h"
 #include "sched/expand.h"
+#include "sched/portfolio.h"
 #include "sched/scheduler.h"
 #include "sched/validate.h"
 #include "workload/iec60802.h"
@@ -469,6 +473,87 @@ TEST(Admission, ResolveEscalationStaysTransactional) {
     resolves += on.counters().fullResolves;
   }
   EXPECT_GT(resolves, 0) << "corpus never exercised the re-solve rung";
+}
+
+/// Each stream's slots as (hop, frame, start, duration), by stream name.
+std::map<std::string, std::vector<std::vector<TimeNs>>> slotsByName(
+    const std::vector<ExpandedStream>& streams,
+    const std::vector<Slot>& slots) {
+  std::map<std::string, std::vector<std::vector<TimeNs>>> out;
+  for (const Slot& sl : slots) {
+    out[streams[static_cast<std::size_t>(sl.stream)].name].push_back(
+        {sl.hop, sl.frameIndex, sl.start, sl.duration});
+  }
+  return out;
+}
+
+// An admitting re-solve commits the portfolio's schedule of the live
+// streams but re-pins only the streams whose starts it changed.  The
+// traces are ResolveEscalationStaysTransactional's, longer (40 requests
+// on 40 instances, which reach both admitting and rejecting re-solves)
+// and with the cache off so every repeat is decided live.  Each admitting
+// re-solve of an Add or a Remove must report as moved exactly the
+// pre-existing streams whose slots changed; every other stream keeps its
+// slots bit for bit, and the whole live schedule is the one a
+// from-scratch portfolio solve of the exported streams gives.  A
+// rejection that escalated to a re-solve restores the pre-request state
+// hash.
+TEST(Admission, ResolveRepinsOnlyTheStreamsItMoves) {
+  int admitted = 0;
+  int rejected = 0;
+  int kept = 0;
+  int moved = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const Instance inst = makeInstance(seed);
+    AdmissionOptions cacheOff;
+    cacheOff.cacheCapacity = 0;
+    AdmissionEngine eng(inst.topo, inst.base, config(), cacheOff);
+    if (!eng.feasible()) continue;
+    Rng rng(seed * 7919);
+    int step = 0;
+    for (const AdmissionRequest& req : makeTrace(rng, inst, 40)) {
+      ++step;
+      const std::string at =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      const Schedule was = eng.schedule();
+      const auto before = slotsByName(was.streams, was.slots);
+      const std::uint64_t hashBefore = eng.stateHash();
+      const std::int64_t resolvesBefore = eng.counters().fullResolves;
+      const AdmissionDecision d = eng.request(req);
+      if (eng.counters().fullResolves == resolvesBefore) continue;
+      if (!d.admitted) {
+        EXPECT_EQ(eng.stateHash(), hashBefore) << at;
+        ++rejected;
+        continue;
+      }
+      if (d.rung != "resolve") continue;
+      const Schedule now = eng.schedule();
+      const PortfolioResult solve =
+          runPortfolio(inst.topo, now.streams, config(), {});
+      ASSERT_TRUE(solve.feasible) << at;
+      const auto after = slotsByName(now.streams, now.slots);
+      EXPECT_EQ(after, slotsByName(now.streams, solve.slots)) << at;
+      // A Modify's two phases may move a stream and move it back.
+      if (req.op == AdmissionRequest::Op::Modify) continue;
+      int differ = 0;
+      for (const auto& [name, slots] : before) {
+        const auto it = after.find(name);
+        if (it == after.end()) continue;  // retired by this request
+        if (it->second == slots) {
+          ++kept;
+        } else {
+          ++differ;
+        }
+      }
+      EXPECT_EQ(d.movedStreams, differ) << at;
+      moved += differ;
+      ++admitted;
+    }
+  }
+  EXPECT_GT(admitted, 0);
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(kept, 0);
+  EXPECT_GT(moved, 0);
 }
 
 // Regression: rung-usage counters move at most once per request — a

@@ -15,7 +15,9 @@
 //    empty Placement, and a stream it rejects fails tryPlace in every
 //    state greedy passes through.
 //  * Substrate equivalence: the hyperperiod-bitmap overlap search and the
-//    pairwise one place every corpus instance identically.
+//    pairwise one place every corpus instance identically, and agree
+//    search by search, failed searches included, on instances built for
+//    the word-at-a-time bitmap kernel's edges.
 //  * Degradation: an SMT solve that runs out of budget falls back to
 //    greedy, and says so.
 #include <gtest/gtest.h>
@@ -377,6 +379,22 @@ TEST(SchedPortfolio, RunsTabuOnlyWhenGreedyGivesUp) {
   EXPECT_GE(gaveUp, 60);
 }
 
+/// runGreedy's placement order: Det streams first, tightest latency
+/// bound first, then Prob streams in (spec, occurrence) order.
+void sortByLaxity(const std::vector<ExpandedStream>& streams,
+                  std::vector<StreamId>& ids) {
+  std::stable_sort(ids.begin(), ids.end(), [&](StreamId ia, StreamId ib) {
+    const ExpandedStream& a = streams[static_cast<std::size_t>(ia)];
+    const ExpandedStream& b = streams[static_cast<std::size_t>(ib)];
+    if ((a.kind == StreamKind::Det) != (b.kind == StreamKind::Det)) {
+      return a.kind == StreamKind::Det;
+    }
+    if (a.kind == StreamKind::Det) return a.maxLatency < b.maxLatency;
+    if (a.specId != b.specId) return a.specId < b.specId;
+    return a.occurrence < b.occurrence;
+  });
+}
+
 // The idle-network test against the search it stands in for.  On an empty
 // Placement, idleMiss must agree with tryPlace on every corpus stream; in
 // every state of a greedy walk, a stream that misses on the idle network
@@ -431,16 +449,7 @@ TEST(SchedPortfolioIdle, IdleMissMeansNoPlacementInAnyState) {
     // (a missing stream would only end the walk early): laxity order, and
     // on a failure the most recently placed conflicting stream on the
     // blocking link is ripped and re-queued.
-    std::stable_sort(fits.begin(), fits.end(), [&](StreamId ia, StreamId ib) {
-      const ExpandedStream& a = exp.streams[static_cast<std::size_t>(ia)];
-      const ExpandedStream& b = exp.streams[static_cast<std::size_t>(ib)];
-      if ((a.kind == StreamKind::Det) != (b.kind == StreamKind::Det)) {
-        return a.kind == StreamKind::Det;
-      }
-      if (a.kind == StreamKind::Det) return a.maxLatency < b.maxLatency;
-      if (a.specId != b.specId) return a.specId < b.specId;
-      return a.occurrence < b.occurrence;
-    });
+    sortByLaxity(exp.streams, fits);
     Placement p(inst.topo, exp.streams, config);
     std::deque<StreamId> queue(fits.begin(), fits.end());
     int budget = 256;
@@ -474,12 +483,34 @@ TEST(SchedPortfolioIdle, IdleMissMeansNoPlacementInAnyState) {
   EXPECT_GT(checkedInPlacedStates, 100);
 }
 
+/// The corpus instance plus one stream on a cable of its own whose 263-ms
+/// period lifts the hyperperiod past kMaxBitmapTu: the original streams
+/// keep their ids, and the new one never meets them.
+struct WideInstance {
+  net::Topology topo;
+  Expansion exp;
+};
+
+WideInstance widen(const Instance& inst, const SchedulerConfig& config) {
+  WideInstance wide{inst.topo, {}};
+  net::StreamSpec slow;
+  slow.name = "slow";
+  slow.src = wide.topo.addDevice("slow-talker");
+  slow.dst = wide.topo.addDevice("slow-listener");
+  wide.topo.connect(slow.src, slow.dst);
+  slow.period = milliseconds(263);
+  slow.maxLatency = milliseconds(263);
+  slow.payloadBytes = 100;
+  std::vector<net::StreamSpec> specs = inst.specs;
+  specs.push_back(slow);
+  wide.exp = expandStreams(wide.topo, specs, config);
+  return wide;
+}
+
 // Greedy places every corpus instance twice: as is, where the small
-// hyperperiod selects the bitmap search, and with one more stream on a
-// cable of its own whose 263-ms period lifts the hyperperiod past
-// kMaxBitmapTu onto the pairwise search.  That stream shares no link, so
-// it neither moves nor rips any other stream: the original streams' slots
-// must match.
+// hyperperiod selects the bitmap search, and widened (see widen) onto the
+// pairwise search.  The slow stream neither moves nor rips any other
+// stream, so the original streams' slots must match.
 TEST(SchedPortfolioSubstrate, BitmapAndPairwiseSearchesPlaceIdentically) {
   int compared = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
@@ -487,25 +518,13 @@ TEST(SchedPortfolioSubstrate, BitmapAndPairwiseSearchesPlaceIdentically) {
     SchedulerConfig config;
     config.numProbabilistic = 3;
     const Expansion exp = expandStreams(inst.topo, inst.specs, config);
-
-    net::Topology wideTopo = inst.topo;
-    net::StreamSpec slow;
-    slow.name = "slow";
-    slow.src = wideTopo.addDevice("slow-talker");
-    slow.dst = wideTopo.addDevice("slow-listener");
-    wideTopo.connect(slow.src, slow.dst);
-    slow.period = milliseconds(263);
-    slow.maxLatency = milliseconds(263);
-    slow.payloadBytes = 100;
-    std::vector<net::StreamSpec> wideSpecs = inst.specs;
-    wideSpecs.push_back(slow);
-    const Expansion wide = expandStreams(wideTopo, wideSpecs, config);
+    const WideInstance wide = widen(inst, config);
 
     ASSERT_NE(Placement(inst.topo, exp.streams, config).usesBitmap(),
-              Placement(wideTopo, wide.streams, config).usesBitmap())
+              Placement(wide.topo, wide.exp.streams, config).usesBitmap())
         << "instance " << seed;
     const EngineResult a = runGreedy(inst.topo, exp.streams, config);
-    const EngineResult b = runGreedy(wideTopo, wide.streams, config);
+    const EngineResult b = runGreedy(wide.topo, wide.exp.streams, config);
     ASSERT_EQ(a.feasible, b.feasible) << "instance " << seed;
     if (!a.feasible) continue;
     // Canonical slot order puts the original streams' slots first.
@@ -517,6 +536,118 @@ TEST(SchedPortfolioSubstrate, BitmapAndPairwiseSearchesPlaceIdentically) {
     ++compared;
   }
   EXPECT_GT(compared, 20);
+}
+
+// The bitmap search works a 64-bit word at a time; these instances reach
+// the edges of that kernel.  Periods of 1, 1.5 and 3 ms give a 3000-tu
+// hyperperiod, which ends 56 bits into its last word.  Loads of 60-90%
+// fragment payloads into frames of more than 64 tu and make searches
+// fail.  generateTct's release phases put windows across the hyperperiod
+// wrap.  Half the TCT streams are non-shared, so their search also
+// avoids the slots of two 3-ms ECT streams.
+Instance makeEdgeInstance(std::uint64_t seed) {
+  Rng rng(seed);
+  Instance inst;
+  inst.topo = workload::makeScaledTopology(
+      static_cast<workload::TopologyKind>(rng.uniformInt(0, 3)),
+      static_cast<int>(rng.uniformInt(2, 4)), 2);
+  workload::TctWorkload w;
+  w.numStreams = static_cast<int>(rng.uniformInt(6, 12));
+  w.periods = {microseconds(1000), microseconds(1500), microseconds(3000)};
+  w.networkLoad = 0.6 + 0.1 * static_cast<double>(rng.uniformInt(0, 3));
+  w.numSharing = w.numStreams / 2;
+  w.seed = seed;
+  inst.specs = workload::generateTct(inst.topo, w);
+  workload::EctWorkload e;
+  e.minInterevents = {milliseconds(3)};
+  e.payloadBytes = 300;
+  e.seed = seed + 1;
+  for (auto& s : workload::generateEct(inst.topo, e)) {
+    inst.specs.push_back(std::move(s));
+  }
+  return inst;
+}
+
+// Greedy's walk on one instance through both overlap searches in
+// lockstep: the bitmap Placement of the instance and the pairwise one of
+// its widened copy must agree on every search, failed ones included
+// (verdict, blocking link, rip-up candidates), on every start, and so on
+// every rip-up.
+TEST(SchedPortfolioSubstrate, WordKernelMatchesPairwiseAtItsEdges) {
+  int failedSearches = 0;
+  int placedSearches = 0;
+  int longFrames = 0;
+  int wrappedFrames = 0;
+  int prob = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const Instance inst = makeEdgeInstance(seed);
+    SchedulerConfig config;
+    config.numProbabilistic = 3;
+    const Expansion exp = expandStreams(inst.topo, inst.specs, config);
+    const WideInstance wide = widen(inst, config);
+    Placement bits(inst.topo, exp.streams, config);
+    Placement pairs(wide.topo, wide.exp.streams, config);
+    ASSERT_TRUE(bits.usesBitmap());
+    ASSERT_FALSE(pairs.usesBitmap());
+    ASSERT_EQ(bits.hyperTu(), 3000);
+
+    std::vector<StreamId> order;
+    for (const ExpandedStream& s : exp.streams) order.push_back(s.id);
+    sortByLaxity(exp.streams, order);
+    std::deque<StreamId> queue(order.begin(), order.end());
+    int budget = 256;
+    while (!queue.empty()) {
+      const StreamId s = queue.front();
+      queue.pop_front();
+      const std::string at = "instance " + std::to_string(seed) +
+                             ", stream " +
+                             exp.streams[static_cast<std::size_t>(s)].name;
+      const bool placed = bits.tryPlace(s);
+      ASSERT_EQ(placed, pairs.tryPlace(s)) << at;
+      if (placed) {
+        ASSERT_EQ(bits.startsOf(s), pairs.startsOf(s)) << at;
+        ++placedSearches;
+        continue;
+      }
+      ++failedSearches;
+      const net::LinkId link = bits.lastFailedLink();
+      ASSERT_EQ(link, pairs.lastFailedLink()) << at;
+      const std::vector<StreamId> victims = bits.conflictCandidates(s, link);
+      ASSERT_EQ(victims, pairs.conflictCandidates(s, link)) << at;
+      if (victims.empty() || budget-- <= 0) break;
+      StreamId victim = victims.front();
+      for (const StreamId v : victims) {
+        if (bits.placeEpoch(v) > bits.placeEpoch(victim)) victim = v;
+      }
+      bits.remove(victim);
+      pairs.remove(victim);
+      queue.push_front(s);
+      queue.push_back(victim);
+    }
+
+    // Evidence that the walk reached the kernel's edges.
+    const std::int64_t hyper = bits.hyperTu();
+    for (const Slot& slot : bits.slots()) {
+      const ExpandedStream& st =
+          exp.streams[static_cast<std::size_t>(slot.stream)];
+      const std::int64_t start = slot.start / bits.tu();
+      const std::int64_t len = slot.duration / bits.tu();
+      const std::int64_t period = st.period / bits.tu();
+      if (len > 64) ++longFrames;
+      if (st.kind == StreamKind::Prob) ++prob;
+      for (std::int64_t r = 0; r < hyper / period; ++r) {
+        if ((start + r * period) % hyper + len > hyper) {
+          ++wrappedFrames;
+          break;
+        }
+      }
+    }
+  }
+  EXPECT_GT(placedSearches, 3000);
+  EXPECT_GT(failedSearches, 3000);
+  EXPECT_GT(longFrames, 1000);
+  EXPECT_GT(wrappedFrames, 100);
+  EXPECT_GT(prob, 300);
 }
 
 // With a one-conflict budget the testbed's SMT solves give up, and every
