@@ -1,16 +1,15 @@
 // Admission-engine churn under load: drive the schedule-as-a-service
 // engine (sched/admission.h) with a seeded add/remove/re-add/reject mix
 // over the scaled mesh plants and report decision latency percentiles,
-// admissions/sec, ladder-rung counts and the sub-schedule cache hit rate,
-// against a sampled full-resolve baseline (what every request would cost
-// without delta-solve).
+// admissions/sec and ladder-rung counts against a sampled full-resolve
+// baseline (what every request would cost without delta-solve).
 //
 //   --quick   16-switch mesh,  200 TCT + 2 ECT,  240-request trace
 //   --full    50-switch mesh, 4996 TCT + 4 ECT,  400-request trace
 //             (the portfolio bench's flagship instance, under churn)
 //
-// Determinism gate: the same trace is replayed with the cache disabled;
-// the per-request verdict sequence and the final schedule hash must be
+// Determinism gate: a second fresh engine replays the same trace; the
+// per-request verdict sequence and the final schedule hash must be
 // byte-identical in both runs.  Correctness gate: the final state (and
 // every 60th intermediate state) must pass sched::validate.  Perf gate:
 // --p99-ceiling-ms M fails the run if the single-request p99 exceeds M
@@ -18,7 +17,7 @@
 // regression trips it).
 //
 // Output: the human-readable table plus machine-readable
-// BENCH_admission.json (per-mode rows, baseline column, determinism
+// BENCH_admission.json (the run's row, baseline column, determinism
 // verdict) for trend tracking across commits.
 #include <algorithm>
 #include <chrono>
@@ -75,10 +74,9 @@ Plant makePlant(const Scale& sc, std::uint64_t seed) {
 
 /// Seeded request mix: mostly feasible adds and removes of churn streams
 /// (explicit priorities keep the round-robin counters — and therefore the
-/// canonical state hash — revisitable), a flapping re-add pattern that
-/// revisits prior states (cache hits), and a recurring impossible spec
-/// whose first rejection is decided by the idle-network test and whose
-/// repeats are answered from the cache.
+/// canonical state — revisitable), a flapping re-add pattern that revisits
+/// prior states, and a recurring impossible spec that the idle-network
+/// test rejects each time.
 std::vector<sched::AdmissionRequest> makeTrace(const Plant& p,
                                                std::uint64_t seed, int n) {
   Rng rng(seed * 9176);
@@ -112,8 +110,7 @@ std::vector<sched::AdmissionRequest> makeTrace(const Plant& p,
     const std::int64_t dice = rng.uniformInt(0, 99);
     if (dice < 2 && i + 1 < n && i > n / 4) {
       // A flapping infeasible requester: the idle-network test rejects
-      // the first request, the immediate repeat (same state, same
-      // request) is answered from the cache.
+      // the request and its immediate repeat.
       trace.push_back(sched::addRequest(greedy));
       trace.push_back(sched::addRequest(greedy));
       ++i;
@@ -136,10 +133,9 @@ std::vector<sched::AdmissionRequest> makeTrace(const Plant& p,
     net::StreamSpec s = freshSpec();
     live.push_back(s.name);
     if (live.size() > 6 && i + 3 < n && rng.uniformInt(0, 3) == 0) {
-      // A flapping device: admitted, powered down, admitted again.  The
-      // second add/remove pair replays the first pair's cached deltas
-      // (the remove returns the engine to the pre-add state, so the
-      // repeat lands on the same cache keys).
+      // A flapping device: admitted, powered down, admitted again (the
+      // remove returns the engine to the pre-add state, so the second
+      // pair starts from the state the first one did).
       live.pop_back();
       trace.push_back(sched::addRequest(s));
       trace.push_back(sched::removeRequest(s.name));
@@ -219,30 +215,24 @@ RunRow runTrace(const Plant& p, const sched::SchedulerConfig& config,
 }
 
 void printRow(const RunRow& r) {
-  std::printf("%-10s %5d %5lld %4lld %6lld %6lld %4lld %9.3f %9.3f "
+  std::printf("%-10s %5d %5lld %4lld %6lld %4lld %9.3f %9.3f "
               "%9.3f %9.3f %10.0f  %s\n",
               r.mode.c_str(), r.requests,
               static_cast<long long>(r.counters.admits),
               static_cast<long long>(r.counters.rejects),
-              static_cast<long long>(r.counters.cacheHits),
               static_cast<long long>(r.counters.deltaSolves),
               static_cast<long long>(r.counters.fullResolves), r.p50Ms,
               r.p95Ms, r.p99Ms, r.maxMs, r.admissionsPerSec,
               r.valid ? "ok" : "INVALID");
 }
 
-void jsonRow(std::ofstream& out, const RunRow& r, bool last) {
+void jsonRow(std::ofstream& out, const RunRow& r) {
   char hash[32];
   std::snprintf(hash, sizeof hash, "%016llx",
                 static_cast<unsigned long long>(r.scheduleHash));
   out << "    {\"mode\": \"" << r.mode << "\", \"requests\": " << r.requests
       << ", \"admits\": " << r.counters.admits
       << ", \"rejects\": " << r.counters.rejects
-      << ", \"cache_hits\": " << r.counters.cacheHits
-      << ", \"cache_hit_rate\": "
-      << (r.requests > 0
-              ? static_cast<double>(r.counters.cacheHits) / r.requests
-              : 0)
       << ", \"delta_solves\": " << r.counters.deltaSolves
       << ", \"full_resolves\": " << r.counters.fullResolves
       << ", \"p50_ms\": " << r.p50Ms << ", \"p95_ms\": " << r.p95Ms
@@ -250,7 +240,7 @@ void jsonRow(std::ofstream& out, const RunRow& r, bool last) {
       << ", \"admissions_per_sec\": " << r.admissionsPerSec
       << ", \"initial_solve_seconds\": " << r.initialSolveSeconds
       << ", \"schedule_hash\": \"" << hash << "\", \"valid\": "
-      << (r.valid ? "true" : "false") << "}" << (last ? "\n" : ",\n");
+      << (r.valid ? "true" : "false") << "}\n";
 }
 
 }  // namespace
@@ -289,18 +279,15 @@ int main(int argc, char** argv) {
   sched::AdmissionOptions opts;
   opts.portfolio.seed = args.seed;
 
-  std::printf("%-10s %5s %5s %4s %6s %6s %4s %9s %9s %9s %9s %10s\n",
-              "mode", "reqs", "admit", "rej", "cacheH", "delta", "rsolv",
+  std::printf("%-10s %5s %5s %4s %6s %4s %9s %9s %9s %9s %10s\n",
+              "mode", "reqs", "admit", "rej", "delta", "rsolv",
               "p50(ms)", "p95(ms)", "p99(ms)", "max(ms)", "req/s");
 
   const RunRow single = runTrace(plant, config, opts, trace, "single",
                                  /*validateSamples=*/true);
   printRow(single);
-  sched::AdmissionOptions noCache = opts;
-  noCache.cacheCapacity = 0;
-  const RunRow uncached = runTrace(plant, config, noCache, trace, "no-cache",
-                                   /*validateSamples=*/false);
-  printRow(uncached);
+  const RunRow repeat = runTrace(plant, config, opts, trace, "repeat",
+                                 /*validateSamples=*/false);
 
   // Full-resolve baseline: what each admission would cost without the
   // incremental engine — a from-scratch portfolio solve over snapshots of
@@ -334,10 +321,10 @@ int main(int argc, char** argv) {
               baseline.size(), baselineP50Ms, speedup);
 
   // Determinism: verdicts and final schedule hash must be byte-identical
-  // with the cache on and off.
-  const bool deterministic = single.scheduleHash == uncached.scheduleHash &&
-                             single.verdictHash == uncached.verdictHash;
-  std::printf("[determinism across cache on/off: %s]\n",
+  // across two fresh engines fed the same trace.
+  const bool deterministic = single.scheduleHash == repeat.scheduleHash &&
+                             single.verdictHash == repeat.verdictHash;
+  std::printf("[determinism across repeated runs: %s]\n",
               deterministic ? "byte-identical" : "MISMATCH");
   std::printf("[schedule hash %016llx]\n",
               static_cast<unsigned long long>(single.scheduleHash));
@@ -360,8 +347,7 @@ int main(int argc, char** argv) {
       << sc.switches << ",\n  \"base_specs\": " << plant.base.size()
       << ",\n  \"trace_requests\": " << trace.size() << ",\n  \"seed\": "
       << args.seed << ",\n  \"rows\": [\n";
-  jsonRow(out, single, false);
-  jsonRow(out, uncached, true);
+  jsonRow(out, single);
   out << "  ],\n  \"baseline_p50_ms\": " << baselineP50Ms
       << ",\n  \"speedup_p50\": " << speedup << ",\n  \"deterministic\": "
       << (deterministic ? "true" : "false") << ",\n  \"p99_ceiling_ms\": "
@@ -372,8 +358,7 @@ int main(int argc, char** argv) {
                 path.c_str());
   }
 
-  return (deterministic && single.valid && uncached.valid &&
-          ceilingOk && speedupOk)
+  return (deterministic && single.valid && ceilingOk && speedupOk)
              ? 0
              : 1;
 }

@@ -3,16 +3,30 @@
 
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "common/check.h"
 
 namespace etsn {
 
-/// Least common multiple of two positive integers.
-inline std::int64_t lcm64(std::int64_t a, std::int64_t b) {
+/// Least common multiple of two positive integers, or nullopt when it
+/// does not fit int64.
+inline std::optional<std::int64_t> tryLcm64(std::int64_t a, std::int64_t b) {
   ETSN_CHECK(a > 0 && b > 0);
-  return std::lcm(a, b);
+  std::int64_t out = 0;
+  if (__builtin_mul_overflow(a / std::gcd(a, b), b, &out)) return std::nullopt;
+  return out;
+}
+
+/// Least common multiple of two positive integers.  Throws ConfigError when
+/// it does not fit int64 (std::lcm computes in unsigned arithmetic and
+/// wraps silently).
+inline std::int64_t lcm64(std::int64_t a, std::int64_t b) {
+  const std::optional<std::int64_t> out = tryLcm64(a, b);
+  ETSN_REQUIRE(out, "the least common multiple of " << a << " and " << b
+                                                    << " overflows int64");
+  return *out;
 }
 
 /// LCM of a non-empty list of positive integers (e.g. the hyperperiod of a

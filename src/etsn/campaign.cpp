@@ -204,7 +204,6 @@ std::string toJson(const CampaignResult& r, bool includeSamples,
       const sched::AdmissionCounters& a = t.result.solve.admission;
       appendKv(out, "admission_admits", a.admits);
       appendKv(out, "admission_rejects", a.rejects);
-      appendKv(out, "admission_cache_hits", a.cacheHits);
     }
     if (t.result.gptp.enabled) {
       // Cells that ran the faithful gPTP stack report the emergent sync

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 
 #include "common/check.h"
 #include "common/math.h"
@@ -14,8 +15,10 @@ namespace {
 // escalates to the full re-solve.
 constexpr int kRipupBudget = 64;
 
-// FNV-1a over typed fields; the one hash used for state, request and
-// cache keys so equal content always collides on purpose.
+// FNV-1a over typed fields; the one hash used for the state and schedule
+// fingerprints, so equal content always collides on purpose.  The offset
+// basis is FNV-1a's 14695981039346656037 with its last digit dropped; it
+// stays, because every pinned scheduleHash derives from it.
 struct Hasher {
   std::uint64_t h = 1469598103934665603ULL;
   void byte(unsigned char b) {
@@ -73,23 +76,10 @@ double secondsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-std::uint64_t requestHashOf(const AdmissionRequest& req) {
-  Hasher h;
-  h.i64(static_cast<int>(req.op));
-  hashSpec(h, req.spec);
-  h.str(req.name);
-  return h.h;
-}
-
 /// The live spec a Remove or Modify retires.
 const std::string& targetOf(const AdmissionRequest& req) {
   return req.name.empty() ? req.spec.name : req.name;
 }
-
-/// Placement deltas larger than this are not cached (a full re-solve
-/// counts every live stream as touched; replaying that is no cheaper than
-/// solving).
-constexpr std::size_t kCacheMaxDelta = 256;
 
 /// Rung "idle"'s rejection reason: the stream, the constraint it misses,
 /// the link, and the bound against the idle-network minimum.
@@ -175,6 +165,10 @@ AdmissionEngine::AdmissionEngine(const net::Topology& topo,
   }
 
   placement_ = std::make_unique<Placement>(topo_, streams_, config_);
+  // schedule() exports the hyperperiod in ns and cannot throw.
+  ETSN_REQUIRE(placement_->hyperTu() <=
+                   std::numeric_limits<std::int64_t>::max() / placement_->tu(),
+               "the hyperperiod of the initial streams overflows int64 ns");
   const auto solved = solveLive();
   feasible_ = solved.has_value();
   if (!feasible_) return;
@@ -419,6 +413,27 @@ std::vector<StreamId> AdmissionEngine::appendSpec(
       needRebuild = true;
     }
   }
+  // schedule() exports the live hyperperiod in ns and cannot throw, so an
+  // Add that would overflow it is malformed.  The Placement's hyperperiod
+  // spans every stream it has tracked, a multiple of the live one, so the
+  // live one is computed only when that bound overflows.
+  std::optional<std::int64_t> boundTu =
+      std::max<std::int64_t>(placement_->hyperTu(), 1);
+  for (const ExpandedStream& s : fresh) {
+    if (boundTu) boundTu = tryLcm64(*boundTu, s.period / tu);
+  }
+  if (!boundTu || *boundTu > std::numeric_limits<std::int64_t>::max() / tu) {
+    std::optional<std::int64_t> live = 1;
+    for (std::size_t i = 0; i < streams_.size() && live; ++i) {
+      if (liveStream_[i]) live = tryLcm64(*live, streams_[i].period);
+    }
+    for (const ExpandedStream& s : fresh) {
+      if (live) live = tryLcm64(*live, s.period);
+    }
+    ETSN_REQUIRE(live, "stream '" << spec.name
+                                  << "' makes the hyperperiod overflow "
+                                     "int64 ns");
+  }
   const int count = static_cast<int>(fresh.size());
   doAppend(txn, std::move(fresh));
   std::vector<StreamId>& ids =
@@ -593,10 +608,9 @@ bool AdmissionEngine::tryFullResolve(Txn& txn) {
   // left unplaced (the ripped ones, the request's new streams and the
   // regridded ones).  Every rip precedes every pin — a transient overlap
   // of two Det frames would corrupt the bitmap occupancy.  Logging the
-  // re-solve keeps two contracts the cheap rungs already have: the caller
-  // can roll the whole transaction back (a Modify whose add phase is
-  // rejected after its remove phase escalated here), and the cache's
-  // delta collection sees every slot this rung moved.
+  // re-solve lets the caller roll the whole transaction back, as on the
+  // cheap rungs: a Modify whose add phase is rejected after its remove
+  // phase escalated here.
   for (const auto& [id, starts] : *solved) {
     if (placement_->isPlaced(id) && placement_->startsOf(id) != starts) {
       doRip(txn, id);
@@ -629,7 +643,7 @@ bool AdmissionEngine::processAdd(const net::StreamSpec& spec, Txn& txn,
     for (const StreamId sid : regrid(txn, newIds)) slice.push_back(sid);
   }
   // A slice stream that misses on the idle network misses in every
-  // placement state, so neither rung 3's rip-ups nor rung 4's re-solve
+  // placement state, so neither rung 2's rip-ups nor rung 3's re-solve
   // could admit the request: reject it before either runs.
   for (const StreamId sid : slice) {
     if (const auto miss = placement_->idleMiss(sid)) {
@@ -711,117 +725,6 @@ AdmissionDecision AdmissionEngine::decide(const AdmissionRequest& req,
   return d;
 }
 
-// --- cache -----------------------------------------------------------------
-
-const AdmissionEngine::CacheEntry* AdmissionEngine::cacheLookup(
-    std::uint64_t key, std::uint64_t reqHash) {
-  const auto it = cache_.find(key);
-  if (it == cache_.end()) return nullptr;
-  CacheEntry& e = it->second;
-  if (e.stateHash != stateHash() || e.requestHash != reqHash) {
-    return nullptr;  // 64-bit key collision — treat as a miss
-  }
-  lru_.splice(lru_.begin(), lru_, e.lruIt);
-  return &e;
-}
-
-void AdmissionEngine::cacheStore(std::uint64_t key, CacheEntry entry) {
-  const auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    lru_.erase(it->second.lruIt);
-    cache_.erase(it);
-  }
-  lru_.push_front(key);
-  entry.lruIt = lru_.begin();
-  cache_.emplace(key, std::move(entry));
-  while (cache_.size() > opts_.cacheCapacity) {
-    const std::uint64_t victim = lru_.back();
-    lru_.pop_back();
-    cache_.erase(victim);
-    ++counters_.cacheEvictions;
-  }
-}
-
-void AdmissionEngine::cacheDrop(std::uint64_t key) {
-  const auto it = cache_.find(key);
-  if (it == cache_.end()) return;
-  lru_.erase(it->second.lruIt);
-  cache_.erase(it);
-}
-
-StreamId AdmissionEngine::deltaTarget(const StreamDelta& d) const {
-  const auto it = liveByName_.find(d.spec);
-  ETSN_CHECK_MSG(it != liveByName_.end(),
-                 "cache replay references a spec that is not live");
-  const SpecEntry& e = specs_[static_cast<std::size_t>(it->second)];
-  ETSN_CHECK(d.idx >= 0 && d.idx < static_cast<int>(e.streams.size()));
-  return e.streams[static_cast<std::size_t>(d.idx)];
-}
-
-bool AdmissionEngine::replay(const AdmissionRequest& req,
-                             const CacheEntry& entry,
-                             AdmissionDecision* out) {
-  AdmissionDecision d;
-  d.rung = "cache";
-  d.detail = entry.detail;
-  d.admitted = entry.admitted;
-  d.movedStreams = entry.movedStreams;
-  if (!entry.admitted) {  // rejection: state untouched, by contract
-    *out = d;
-    return true;
-  }
-
-  // The replay mutates through the same op log as a live decision, so a
-  // divergence (a 64-bit collision that survived cacheLookup's check of
-  // both hashes) unwinds to the pre-request state instead of corrupting
-  // the engine; the caller drops the entry and decides live.
-  Txn txn = beginTxn();
-  try {
-    if (req.op != AdmissionRequest::Op::Add) {
-      doSpecKill(txn, liveByName_.at(targetOf(req)));
-    }
-    if (req.op != AdmissionRequest::Op::Remove) appendSpec(txn, req.spec);
-    // Apply the recorded placement deltas: rip everything first so no
-    // transient state ever has two streams marked over the same slots.
-    for (const StreamDelta& delta : entry.deltas) {
-      const StreamId sid = deltaTarget(delta);
-      if (placement_->isPlaced(sid)) doRip(txn, sid);
-    }
-    for (const StreamDelta& delta : entry.deltas) {
-      const StreamId sid = deltaTarget(delta);
-      if (streams_[static_cast<std::size_t>(sid)].framesOnLink !=
-          delta.frames) {
-        doSetFrames(txn, sid, delta.frames);
-      }
-    }
-    for (const StreamDelta& delta : entry.deltas) {
-      const StreamId sid = deltaTarget(delta);
-      // Shape check before the trusting placeAt: a mismatched delta must
-      // unwind cleanly, not trip an invariant mid-mutation.
-      const ExpandedStream& s = streams_[static_cast<std::size_t>(sid)];
-      if (delta.starts.size() != s.path.size()) throw InvariantError(
-          "cache replay: delta hop count does not match the stream");
-      for (std::size_t hop = 0; hop < delta.starts.size(); ++hop) {
-        if (delta.starts[hop].size() !=
-            static_cast<std::size_t>(s.framesOnLink[hop])) {
-          throw InvariantError(
-              "cache replay: delta frame count does not match the grid");
-        }
-      }
-      doPlaceAt(txn, sid, delta.starts);
-    }
-    if (stateHash() != entry.postStateHash) {
-      rollback(txn);
-      return false;
-    }
-  } catch (...) {
-    rollback(txn);
-    return false;
-  }
-  *out = d;
-  return true;
-}
-
 // --- public entry points ---------------------------------------------------
 
 AdmissionDecision AdmissionEngine::request(const AdmissionRequest& req) {
@@ -832,123 +735,32 @@ AdmissionDecision AdmissionEngine::request(const AdmissionRequest& req) {
   }
   const auto t0 = std::chrono::steady_clock::now();
   ++counters_.requests;
-  const std::uint64_t reqHash = requestHashOf(req);
-  const std::uint64_t preState = stateHash();
-  Hasher keyHash;
-  keyHash.u64(preState);
-  keyHash.u64(reqHash);
-  const std::uint64_t key = keyHash.h;
-
+  Txn txn = beginTxn();
   AdmissionDecision d;
-  bool decided = false;
-  if (opts_.cacheCapacity > 0) {
-    if (const CacheEntry* e = cacheLookup(key, reqHash)) {
-      if (replay(req, *e, &d)) {
-        ++counters_.cacheHits;
-        decided = true;
-      } else {
-        // Divergent replay: the unwind left no trace; drop the bad entry
-        // and decide live (same verdict a cache-off run would reach).
-        cacheDrop(key);
-        ++counters_.cacheMisses;
-      }
-    } else {
-      ++counters_.cacheMisses;
-    }
+  try {
+    d = decide(req, txn);
+  } catch (const ConfigError& err) {
+    // Input-derived: reject as "invalid"; the rollback below restores
+    // whatever the partial transaction already changed.
+    d = AdmissionDecision{};
+    d.rung = "invalid";
+    d.detail = err.what();
+  } catch (...) {
+    // Anything else is an internal invariant failure — surface it, but
+    // never with a half-applied transaction behind it: unwind first so
+    // the engine's state stays consistent for the caller.
+    rollback(txn);
+    throw;
   }
-
-  if (!decided) {
-    Txn txn = beginTxn();
-    try {
-      d = decide(req, txn);
-    } catch (const ConfigError& err) {
-      // Input-derived: reject as "invalid"; the rollback below restores
-      // whatever the partial transaction already changed.
-      d = AdmissionDecision{};
-      d.rung = "invalid";
-      d.detail = err.what();
-    } catch (...) {
-      // Anything else is an internal invariant failure — surface it, but
-      // never with a half-applied transaction behind it: unwind first so
-      // the engine's state stays consistent for the caller.
-      rollback(txn);
-      throw;
-    }
-    // Rung usage is counted once per request: a Modify runs the ladder
-    // for both of its phases, but that is still one delta-solved request.
-    if (txn.usedDelta) ++counters_.deltaSolves;
-    if (txn.usedResolve) ++counters_.fullResolves;
-    if (!d.admitted) rollback(txn);
-
-    // Cacheability: every decided transition except a delta too large to
-    // be worth replaying.
-    if (opts_.cacheCapacity > 0) {
-      CacheEntry entry;
-      // The key pair this entry answers for is the *pre*-state
-      // (stateHash() already moved on for admitted requests).
-      entry.stateHash = preState;
-      entry.requestHash = reqHash;
-      entry.admitted = d.admitted;
-      entry.detail = d.detail;
-      entry.movedStreams = d.movedStreams;
-      bool storable = true;
-      if (d.admitted) {
-        std::vector<StreamId> touched;
-        if (d.rung == "resolve") {
-          // Every live stream, not just the re-pinned ones, so a re-solve
-          // over more than kCacheMaxDelta live streams is never cached:
-          // caching its smaller delta would change which later requests
-          // the cache answers.
-          for (std::size_t i = 0; i < streams_.size(); ++i) {
-            if (liveStream_[i]) touched.push_back(static_cast<StreamId>(i));
-          }
-        } else {
-          for (const Op& op : txn.ops) {
-            if (op.kind == Op::Kind::Rip || op.kind == Op::Kind::Place ||
-                op.kind == Op::Kind::SetFrames) {
-              touched.push_back(op.stream);
-            } else if (op.kind == Op::Kind::Append) {
-              for (int k = 0; k < op.count; ++k) {
-                touched.push_back(op.stream + k);
-              }
-            }
-          }
-          std::sort(touched.begin(), touched.end());
-          touched.erase(std::unique(touched.begin(), touched.end()),
-                        touched.end());
-          std::erase_if(touched, [&](StreamId sid) {
-            return !liveStream_[static_cast<std::size_t>(sid)];
-          });
-        }
-        // Count before building: a delta too large to store is not built.
-        storable = touched.size() <= kCacheMaxDelta;
-        if (storable) {
-          for (const StreamId sid : touched) {
-            const ExpandedStream& s = streams_[static_cast<std::size_t>(sid)];
-            const SpecEntry& e = specs_[static_cast<std::size_t>(s.specId)];
-            StreamDelta delta;
-            delta.spec = e.spec.name;
-            const auto pos =
-                std::find(e.streams.begin(), e.streams.end(), sid);
-            ETSN_CHECK(pos != e.streams.end());
-            delta.idx = static_cast<int>(pos - e.streams.begin());
-            delta.frames = s.framesOnLink;
-            delta.starts = placement_->startsOf(sid);
-            entry.deltas.push_back(std::move(delta));
-          }
-        }
-      }
-      if (storable) {
-        entry.postStateHash = stateHash();
-        cacheStore(key, std::move(entry));
-      }
-    }
-  }
-
+  // Rung usage is counted once per request: a Modify runs the ladder
+  // for both of its phases, but that is still one delta-solved request.
+  if (txn.usedDelta) ++counters_.deltaSolves;
+  if (txn.usedResolve) ++counters_.fullResolves;
   if (d.admitted) {
     ++counters_.admits;
   } else {
     ++counters_.rejects;
+    rollback(txn);
   }
   d.seconds = secondsSince(t0);
   return d;

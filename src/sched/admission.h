@@ -4,26 +4,22 @@
 //
 // Decision ladder, cheapest rung first (see DESIGN.md "Admission control"):
 //
-//  1. sub-schedule cache — an LRU keyed by (canonical state hash,
-//     request hash).  Churn that revisits a prior configuration replays
-//     the recorded name-keyed placement deltas in O(slots) instead of
-//     re-solving.
-//  idle — an Add's slice (see rung 2) first runs the idle-network test
+//  idle — an Add's slice (see rung 1) first runs the idle-network test
 //     (Placement::idleMiss): each stream's frames at their earliest
 //     starts against window (1)-(2) and latency (4).  A stream that
 //     misses there misses in every placement state, so no rip-up or
 //     re-solve could admit it: the request is rejected in O(hops x
 //     frames), and the detail names the stream, constraint, link and
 //     bound.
-//  2. delta-place — untouched streams stay pinned bit-for-bit in the
+//  1. delta-place — untouched streams stay pinned bit-for-bit in the
 //     Placement substrate (sched/placement.h); only the request's slice
 //     (the new streams, plus shared TCT streams whose prudent-reservation
 //     grid changed with an ECT add/remove) is re-placed.
-//  3. rip-up — when a slice stream finds no feasible offsets, rip
+//  2. rip-up — when a slice stream finds no feasible offsets, rip
 //     conflicting streams off the blocking link (canonical name-ordered
-//     victims, at most 64 per pass) and re-place them too.  Rungs 2 and
-//     3 are one pass: a pass that rips nothing decides on rung 2.
-//  4. full re-solve — the portfolio scheduler on the canonical live
+//     victims, at most 64 per pass) and re-place them too.  Rungs 1 and
+//     2 are one pass: a pass that rips nothing decides on rung 1.
+//  3. full re-solve — the portfolio scheduler on the canonical live
 //     stream set; the verdict authority for every other rejection
 //     (identical to a from-scratch solve over the same specs), at
 //     baseline cost.  Commits through the op log like every other rung,
@@ -33,13 +29,12 @@
 // Determinism contract: every decision is a pure function of the
 // canonical engine state (stream contents + placements + the priority
 // round-robin cursor, not ids or history), so verdicts and schedule hashes
-// are byte-identical across repeated runs and across cache on/off.
-// Rejections leave the schedule byte-identical: every state mutation
-// during a request is op-logged and unwound on rejection.
+// are byte-identical across repeated runs.  Rejections leave the schedule
+// byte-identical: every state mutation during a request is op-logged and
+// unwound on rejection, and the canonical state hash checks the unwind.
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -57,9 +52,7 @@
 namespace etsn::sched {
 
 struct AdmissionOptions {
-  /// Sub-schedule cache capacity in entries; 0 disables the cache.
-  std::size_t cacheCapacity = 1024;
-  /// Seed for the rung-4 portfolio re-solve (and the initial solve).
+  /// Seed for the rung-3 portfolio re-solve (and the initial solve).
   PortfolioOptions portfolio;
 };
 
@@ -79,9 +72,8 @@ AdmissionRequest modifyRequest(net::StreamSpec spec, std::string name = "");
 
 struct AdmissionDecision {
   bool admitted = false;
-  /// Ladder rung that decided: "cache" (replayed from the sub-schedule
-  /// cache, not solved), "idle" (a stream misses its window or latency
-  /// bound even on an idle network; always a rejection), "delta",
+  /// Ladder rung that decided: "idle" (a stream misses its window or
+  /// latency bound even on an idle network; always a rejection), "delta",
   /// "ripup", "resolve", or "invalid" (malformed request, state
   /// untouched).
   std::string rung;
@@ -118,8 +110,9 @@ class AdmissionEngine {
 
   /// Decide one request.  Admitted state extends/changes the schedule;
   /// rejection leaves it byte-identical.  Malformed specs (unknown nodes,
-  /// duplicate live names, priority outside its group, ...) reject with
-  /// rung "invalid" instead of throwing — a service stays up.
+  /// duplicate live names, priority outside its group, a hyperperiod past
+  /// int64 ns, ...) reject with rung "invalid" instead of throwing — a
+  /// service stays up.
   AdmissionDecision request(const AdmissionRequest& req);
 
   /// The current schedule over the live specs, in admission order, with
@@ -167,25 +160,6 @@ class AdmissionEngine {
     bool usedDelta = false;
     bool usedResolve = false;
   };
-  struct StreamDelta {
-    /// Stream identity that survives id remapping: the owning spec's name
-    /// plus the stream's index in the spec's (deterministic) expansion.
-    std::string spec;
-    int idx = 0;
-    std::vector<int> frames;
-    Starts starts;
-  };
-  struct CacheEntry {
-    std::uint64_t stateHash = 0, requestHash = 0;
-    std::uint64_t postStateHash = 0;
-    bool admitted = false;
-    std::string detail;
-    int movedStreams = 0;
-    /// Name-keyed placements to replay: touched existing streams plus the
-    /// request's new streams (ids are history-dependent; names are not).
-    std::vector<StreamDelta> deltas;
-    std::list<std::uint64_t>::iterator lruIt;
-  };
 
   // --- op-logged state mutation (everything request() changes goes
   // through these, so rollback() can unwind a rejection exactly) ---
@@ -206,7 +180,7 @@ class AdmissionEngine {
                   std::string* detail);
   bool processRemove(const std::string& name, Txn& txn, std::string* rung,
                      std::string* detail);
-  /// Rungs 2 and 3 in one pass: place `queue` in name order, ripping up
+  /// Rungs 1 and 2 in one pass: place `queue` in name order, ripping up
   /// to a fixed budget of name-ordered victims (re-queued in name order);
   /// rolls back and returns false if a stream still finds no offsets.
   bool placeSlice(Txn& txn, std::vector<StreamId> queue, std::string* rung);
@@ -230,22 +204,12 @@ class AdmissionEngine {
                                const std::vector<StreamId>& ectStreams);
   void rebuildPlacement();
 
-  // --- hashing / cache ---
+  // --- hashing ---
   std::uint64_t streamStateHash(StreamId id) const;
   /// XORs the stream's current state hash into stateHash_: called once
   /// before and once after a mutation, it swaps the old content for the
   /// new.
   void toggleHash(StreamId id);
-  const CacheEntry* cacheLookup(std::uint64_t key, std::uint64_t reqHash);
-  void cacheStore(std::uint64_t key, CacheEntry entry);
-  void cacheDrop(std::uint64_t key);
-  /// Replays a cache entry on the op log.  Returns false (state restored
-  /// to the pre-request bits, decision untouched) if the replay diverges
-  /// from the recorded post-state — the caller drops the entry and
-  /// decides live instead.
-  bool replay(const AdmissionRequest& req, const CacheEntry& entry,
-              AdmissionDecision* out);
-  StreamId deltaTarget(const StreamDelta& d) const;
 
   const net::Topology topo_;  // owned copy; placement_ refers to it
   SchedulerConfig config_;
@@ -262,9 +226,6 @@ class AdmissionEngine {
   PriorityCursor cursor_;
 
   std::uint64_t stateHash_ = 0;
-
-  std::unordered_map<std::uint64_t, CacheEntry> cache_;
-  std::list<std::uint64_t> lru_;  // front = most recent
   AdmissionCounters counters_;
 };
 

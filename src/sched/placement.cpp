@@ -106,7 +106,8 @@ Placement::Placement(const net::Topology& topo,
       if (tu_ == 0) tu_ = linkTu;
       if (linkTu != tu_) {
         throw ConfigError(
-            "heuristic scheduling requires a uniform time unit across links");
+            "greedy, tabu and admission placement require a uniform time "
+            "unit across links");
       }
     }
   }

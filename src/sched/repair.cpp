@@ -17,7 +17,8 @@ namespace etsn::sched {
 LinkDownRepair repairLinksDown(const net::Topology& topo,
                                const Schedule& base,
                                std::span<const net::LinkId> failed) {
-  ETSN_CHECK_MSG(base.info.feasible, "cannot repair an infeasible schedule");
+  ETSN_REQUIRE(base.info.feasible,
+               "repairLinksDown: cannot repair an infeasible schedule");
   // Contract checks up front (see the header): failed links must exist,
   // and every link a base stream references must still exist in `topo` —
   // a schedule solved against a different (shrunken) topology would

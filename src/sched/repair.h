@@ -49,8 +49,8 @@ struct LinkDownRepair {
 /// fails, falls back to a full greedy re-placement with
 /// `schedule.info.degraded` set.
 ///
-/// Contract: `topo` must be the topology the base schedule was solved
-/// against — every link id a base stream references must still exist in
+/// Contract: the base schedule must be feasible (ConfigError otherwise),
+/// and `topo` must be the topology the base schedule was solved against — every link id a base stream references must still exist in
 /// it (the failure is modelled by the `failed` list, not by shrinking the
 /// topology).  A base schedule referencing an unknown link id throws
 /// ConfigError instead of reading out of bounds; this is the "pinned

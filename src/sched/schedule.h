@@ -124,9 +124,6 @@ struct AdmissionCounters {
   std::int64_t requests = 0;
   std::int64_t admits = 0;
   std::int64_t rejects = 0;
-  std::int64_t cacheHits = 0;
-  std::int64_t cacheMisses = 0;
-  std::int64_t cacheEvictions = 0;
   /// Rung-usage counters, each incremented at most once per request (a
   /// Modify that runs the ladder for both its phases is still one
   /// delta-solved request; a request can contribute to several counters

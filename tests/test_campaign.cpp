@@ -169,7 +169,6 @@ TEST(Campaign, JsonExportIsPinnedByteForByte) {
   admission.result.solve.solveSeconds = 0.125;
   admission.result.solve.admission.admits = 13;
   admission.result.solve.admission.rejects = 14;
-  admission.result.solve.admission.cacheHits = 15;
   StreamResult ctl;
   ctl.name = "ctl";
   ctl.type = net::TrafficClass::TimeTriggered;
@@ -237,7 +236,7 @@ TEST(Campaign, JsonExportIsPinnedByteForByte) {
       R"("results":[{"label":"admission/cell","index":0,"task_seed":12,)"
       R"("feasible":1,"engine":"admission","degraded":1,)"
       R"("admission_admits":13,"admission_rejects":14,)"
-      R"("admission_cache_hits":15,"wall_seconds":0.25,)"
+      R"("wall_seconds":0.25,)"
       R"("solve_seconds":0.125,)"
       R"("streams":[{"name":"ctl","class":"tct","delivered":3,)"
       R"("deadline_misses":17,"deadline_ns":18,"sent":12,"lost":19,)"

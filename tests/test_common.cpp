@@ -57,6 +57,12 @@ TEST(Math, Lcm) {
   EXPECT_EQ(lcmAll({4, 8, 16}), 16);
   EXPECT_EQ(lcmAll({5, 10, 20}), 20);
   EXPECT_EQ(lcmAll({3, 5, 7}), 105);
+  // Three periods of a prime number of us, in ns: std::lcm would wrap the
+  // hyperperiod of all three silently.
+  EXPECT_EQ(lcmAll({1000003000, 999983000}), 999985999949000);
+  EXPECT_THROW(lcmAll({1000003000, 999983000, 1000033000}), ConfigError);
+  EXPECT_FALSE(tryLcm64(std::int64_t{1} << 62, 3).has_value());
+  EXPECT_EQ(tryLcm64(std::int64_t{1} << 62, 2), std::int64_t{1} << 62);
 }
 
 TEST(Math, Gcd) {

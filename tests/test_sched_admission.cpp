@@ -10,11 +10,10 @@
 //  * Rejections leave the schedule byte-identical (content hash).
 //  * An admitting re-solve re-pins only the streams it moved, and counts
 //    exactly those as moved.
-//  * Cache on vs cache off: identical verdicts and schedule hashes at
-//    every step of a trace (the cache may change *how* a decision is
-//    reached — rung "cache" — never *what* is decided).
+//  * Two engines fed the same trace agree on every verdict and state hash.
 //  * Invalid requests (unknown node, duplicate name, unknown removal)
-//    reject with rung "invalid" and the service stays up.
+//    reject with rung "invalid" and the service stays up; a seeded fuzz
+//    loop mixes every kind of malformed request into valid churn.
 //  * Hand-made incremental admissions on the paper's topologies.
 //
 // The randomized TCT specs carry explicit priorities: the engine's
@@ -135,7 +134,7 @@ std::vector<AdmissionRequest> makeTrace(Rng& rng, const Instance& inst,
   for (int i = 0; i < length; ++i) {
     const std::int64_t dice = rng.uniformInt(0, 9);
     if (dice >= 8 && !trace.empty()) {
-      trace.push_back(trace.back());  // repeat: the cache's best customer
+      trace.push_back(trace.back());  // repeat against the state it left
       continue;
     }
     if (dice >= 6 && liveNames.size() > 1) {
@@ -227,7 +226,7 @@ TEST(Admission, BaseScheduleMatchesBatch) {
 // engine's verdict agrees with a from-scratch portfolio solve over the
 // canonical live spec list (plus the candidate, for adds).
 TEST(Admission, ChurnTracesValidateAndMatchOracle) {
-  int admits = 0, rejects = 0, cacheHits = 0;
+  int admits = 0, rejects = 0;
   for (std::uint64_t seed = 1; seed <= 100; ++seed) {
     const Instance inst = makeInstance(seed);
     AdmissionEngine eng(inst.topo, inst.base, config());
@@ -247,7 +246,6 @@ TEST(Admission, ChurnTracesValidateAndMatchOracle) {
       const AdmissionDecision d = eng.request(req);
       ++step;
       (d.admitted ? admits : rejects)++;
-      cacheHits += d.rung == "cache" ? 1 : 0;
       const Schedule now = eng.schedule();
       expectValid(inst.topo, now, seed, step);
       expectMatchesBatchExpansion(inst.topo, now, seed, step);
@@ -256,7 +254,7 @@ TEST(Admission, ChurnTracesValidateAndMatchOracle) {
             << "seed " << seed << " step " << step
             << ": rejection mutated the schedule (rung " << d.rung << ")";
       }
-      if (d.rung == "invalid" || d.rung == "cache") continue;
+      if (d.rung == "invalid") continue;
       // Oracle parity on the solved verdict.  For a rejected Add the
       // hypothetical spec list is the live set plus the candidate; for
       // everything else it is the post-request live set.
@@ -276,42 +274,11 @@ TEST(Admission, ChurnTracesValidateAndMatchOracle) {
   // The corpus must exercise all three outcomes, not degenerate.
   EXPECT_GT(admits, 100);
   EXPECT_GT(rejects, 20);
-  EXPECT_GT(cacheHits, 10);
 }
 
-// Cache on and cache off must produce identical verdicts and identical
-// schedule content hashes at every step — the cache changes cost, never
-// outcome.
-TEST(Admission, CacheOnOffTracesAreByteIdentical) {
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    const Instance inst = makeInstance(seed);
-    AdmissionOptions cacheOn;
-    AdmissionOptions cacheOff;
-    cacheOff.cacheCapacity = 0;
-    AdmissionEngine on(inst.topo, inst.base, config(), cacheOn);
-    AdmissionEngine off(inst.topo, inst.base, config(), cacheOff);
-    ASSERT_EQ(on.feasible(), off.feasible()) << "seed " << seed;
-    if (!on.feasible()) continue;
-    Rng rng(seed * 1543);
-    const std::vector<AdmissionRequest> trace = makeTrace(rng, inst, 10);
-    int step = 0;
-    for (const AdmissionRequest& req : trace) {
-      const AdmissionDecision a = on.request(req);
-      const AdmissionDecision b = off.request(req);
-      ++step;
-      EXPECT_EQ(a.admitted, b.admitted)
-          << "seed " << seed << " step " << step << " (rungs " << a.rung
-          << " vs " << b.rung << ")";
-      EXPECT_NE(b.rung, "cache") << "cache-off engine reported a cache hit";
-      EXPECT_EQ(scheduleHash(on.schedule()), scheduleHash(off.schedule()))
-          << "seed " << seed << " step " << step;
-      EXPECT_EQ(on.stateHash(), off.stateHash())
-          << "seed " << seed << " step " << step;
-    }
-  }
-}
-
-TEST(Admission, RemoveThenReAddIsServedFromCache) {
+// Removing a stream and adding it again decides the re-add live, on the
+// delta rung, and restores the first admission's schedule exactly.
+TEST(Admission, RemoveThenReAddRestoresTheSchedule) {
   const Instance inst = makeInstance(3);
   AdmissionEngine eng(inst.topo, inst.base, config());
   ASSERT_TRUE(eng.feasible());
@@ -322,10 +289,9 @@ TEST(Admission, RemoveThenReAddIsServedFromCache) {
   ASSERT_TRUE(eng.request(removeRequest("extra")).admitted);
   const AdmissionDecision again = eng.request(addRequest(extra));
   EXPECT_TRUE(again.admitted);
-  EXPECT_EQ(again.rung, "cache");
+  EXPECT_EQ(again.rung, "delta");
   EXPECT_EQ(scheduleHash(eng.schedule()), withExtra);
   expectValid(inst.topo, eng.schedule(), 3, 3);
-  EXPECT_GE(eng.counters().cacheHits, 1);
 }
 
 TEST(Admission, RejectionLeavesScheduleByteIdentical) {
@@ -356,10 +322,10 @@ TEST(Admission, RejectionLeavesScheduleByteIdentical) {
   EXPECT_EQ(scheduleHash(eng.schedule()), before);
   EXPECT_EQ(eng.stateHash(), stateBefore);
   EXPECT_EQ(eng.counters().rejects, 1);
-  // Same state, same request: the verdict is replayed from the cache.
+  // Same state, same request: the idle rung rejects it again, alike.
   const AdmissionDecision again = eng.request(greedy);
   EXPECT_FALSE(again.admitted);
-  EXPECT_EQ(again.rung, "cache");
+  EXPECT_EQ(again.rung, "idle");
   EXPECT_EQ(again.detail, d.detail);
   EXPECT_EQ(scheduleHash(eng.schedule()), before);
   EXPECT_EQ(eng.counters().rejects, 2);
@@ -438,17 +404,15 @@ TEST(Admission, EctPeriodTooSmallForNRejectsInvalid) {
 // Regression: decisions the rip-up pass cannot place escalate into the
 // full re-solve rung, which commits through the op log.  Rejections
 // (including Modifies whose remove phase already re-solved) must unwind
-// to the byte-identical pre-request state, and cached re-solve
-// transitions must replay to the exact recorded post-state (parity with
-// a cache-off engine at every step).
+// to the byte-identical pre-request state, and a second engine fed the
+// same trace must reach the same verdict and state hash at every step
+// (repeat-run determinism).
 TEST(Admission, ResolveEscalationStaysTransactional) {
   std::int64_t resolves = 0;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     const Instance inst = makeInstance(seed);
-    AdmissionOptions cacheOff;
-    cacheOff.cacheCapacity = 0;
     AdmissionEngine on(inst.topo, inst.base, config());
-    AdmissionEngine off(inst.topo, inst.base, config(), cacheOff);
+    AdmissionEngine off(inst.topo, inst.base, config());
     ASSERT_EQ(on.feasible(), off.feasible()) << "seed " << seed;
     if (!on.feasible()) continue;
     Rng rng(seed * 7919);
@@ -490,12 +454,11 @@ std::map<std::string, std::vector<std::vector<TimeNs>>> slotsByName(
 // An admitting re-solve commits the portfolio's schedule of the live
 // streams but re-pins only the streams whose starts it changed.  The
 // traces are ResolveEscalationStaysTransactional's, longer (40 requests
-// on 40 instances, which reach both admitting and rejecting re-solves)
-// and with the cache off so every repeat is decided live.  Each admitting
-// re-solve of an Add or a Remove must report as moved exactly the
-// pre-existing streams whose slots changed; every other stream keeps its
-// slots bit for bit, and the whole live schedule is the one a
-// from-scratch portfolio solve of the exported streams gives.  A
+// on 40 instances, which reach both admitting and rejecting re-solves).
+// Each admitting re-solve of an Add or a Remove must report as moved
+// exactly the pre-existing streams whose slots changed; every other
+// stream keeps its slots bit for bit, and the whole live schedule is the
+// one a from-scratch portfolio solve of the exported streams gives.  A
 // rejection that escalated to a re-solve restores the pre-request state
 // hash.
 TEST(Admission, ResolveRepinsOnlyTheStreamsItMoves) {
@@ -505,9 +468,7 @@ TEST(Admission, ResolveRepinsOnlyTheStreamsItMoves) {
   int moved = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     const Instance inst = makeInstance(seed);
-    AdmissionOptions cacheOff;
-    cacheOff.cacheCapacity = 0;
-    AdmissionEngine eng(inst.topo, inst.base, config(), cacheOff);
+    AdmissionEngine eng(inst.topo, inst.base, config());
     if (!eng.feasible()) continue;
     Rng rng(seed * 7919);
     int step = 0;
@@ -631,8 +592,205 @@ TEST(Admission, CountersAreConsistent) {
   const AdmissionCounters& c = eng.counters();
   EXPECT_EQ(c.requests, static_cast<std::int64_t>(trace.size()));
   EXPECT_EQ(c.admits + c.rejects, c.requests);
-  EXPECT_EQ(c.cacheHits + c.cacheMisses, c.requests);
   EXPECT_GE(c.deltaSolves + c.fullResolves, 0);
+}
+
+/// One fuzzed request, and whether it is malformed by construction.
+struct FuzzCase {
+  AdmissionRequest req;
+  bool malformed = false;
+  std::string what;
+};
+
+/// A malformed copy of `s`, broken in one of the ways the engine must
+/// reject as "invalid".
+FuzzCase malformedAdd(Rng& rng, const Instance& inst, net::StreamSpec s,
+                      const std::vector<std::string>& live) {
+  const net::Topology& t = inst.topo;
+  const std::vector<net::LinkId> route = t.shortestPath(s.src, s.dst);
+  std::string what;
+  switch (rng.uniformInt(0, 21)) {
+    case 0: s.src = t.numNodes(); what = "source out of range"; break;
+    case 1: s.src = -3; what = "negative source"; break;
+    case 2: s.dst = t.numNodes() + 5; what = "destination out of range"; break;
+    case 3: s.dst = s.src; what = "source equals destination"; break;
+    case 4:
+      s.payloadBytes = -static_cast<int>(rng.uniformInt(0, 1000));
+      what = "non-positive payload";
+      break;
+    case 5:
+      s.period = -s.period * rng.uniformInt(0, 1);
+      what = "non-positive period";
+      break;
+    case 6:
+      s.maxLatency = -rng.uniformInt(0, 5);
+      what = "non-positive latency";
+      break;
+    case 7:
+      s.priority = rng.uniformInt(0, 1) == 0 ? 8 : -2;
+      what = "priority out of range";
+      break;
+    case 8:
+      s.type = net::TrafficClass::TimeTriggered;
+      s.priority = s.share ? 1 : 5;
+      what = "priority outside its group";
+      break;
+    case 9:
+      s.type = net::TrafficClass::TimeTriggered;
+      s.releaseOffset = rng.uniformInt(0, 1) == 0 ? s.period : -1;
+      what = "release offset outside [0, period)";
+      break;
+    case 10: s.redundancy = 0; what = "redundancy 0"; break;
+    case 11:
+      s.redundancy = static_cast<int>(rng.uniformInt(2, 4));
+      what = "redundancy above the disjoint paths of a single-homed device";
+      break;
+    case 12:
+      s.path = {static_cast<net::LinkId>(t.numLinks() + 3)};
+      what = "path with a bad link";
+      break;
+    case 13: {
+      // A link that does not leave the source.
+      net::LinkId l = 0;
+      while (t.link(l).from == s.src) ++l;
+      s.path = {l};
+      what = "disconnected path";
+      break;
+    }
+    case 14:
+      s.path = route;
+      s.path.pop_back();  // every route has two hops at least
+      what = "path ending short of the destination";
+      break;
+    case 15:
+      s.path = route;
+      s.redundancy = 2;
+      what = "explicit path with redundancy 2";
+      break;
+    case 16: s.period += 1; what = "off-grid period"; break;
+    case 17:
+      s = workload::makeEct(s.name, s.src, s.dst, /*minInterevent=*/2, 200);
+      what = "ECT with T < N";
+      break;
+    case 18:
+      s = workload::makeEct(s.name, s.src, s.dst, milliseconds(16), 200);
+      s.priority = 3;
+      what = "ECT with a non-EP priority";
+      break;
+    case 19:
+      s = workload::makeEct(s.name, s.src, s.dst, milliseconds(15), 200,
+                            /*maxLatency=*/milliseconds(5));
+      what = "ECT deadline no longer than T/N";
+      break;
+    case 20:
+      s.name = rng.pick(live);
+      what = "duplicate name";
+      break;
+    default:
+      // An odd period of ~4.6e12 us: its LCM with the plant's 4-16 ms
+      // periods overflows int64 ns.
+      s.type = net::TrafficClass::TimeTriggered;
+      s.priority = -1;
+      s.period = microseconds(4611686018427);
+      s.maxLatency = s.period;
+      what = "hyperperiod overflow";
+      break;
+  }
+  return {addRequest(std::move(s)), true, what};
+}
+
+// Seeded fuzzing of AdmissionEngine::request on one plant: malformed
+// Adds, and Removes and Modifies of unknown names, mixed into valid churn
+// (fresh adds, re-adds, removals, modifies and repeats).  Every request
+// returns a decision, malformed ones on rung "invalid"; every rejection
+// leaves stateHash() unchanged and every state validates.  Valid periods
+// come from the plant's harmonic set: a coprime period on a shared link is
+// legitimately infeasible, but each such Add costs a full re-solve.
+TEST(Admission, FuzzedRequestsAlwaysDecide) {
+  const std::uint64_t seed = 6;
+  const Instance inst = makeInstance(seed);
+  AdmissionEngine eng(inst.topo, inst.base, config());
+  ASSERT_TRUE(eng.feasible());
+  Rng rng(seed * 4099);
+  std::vector<std::string> live;
+  std::vector<std::string> retired;
+  FuzzCase last{removeRequest("ghost"), true, "unknown removal"};
+  int malformed = 0;
+  int admits = 0;
+  for (int step = 1; step <= 400; ++step) {
+    live.clear();
+    for (const net::StreamSpec& s : eng.schedule().specs) {
+      live.push_back(s.name);
+    }
+    FuzzCase c;
+    const std::int64_t dice = rng.uniformInt(0, 19);
+    if (dice < 6) {
+      c = malformedAdd(rng, inst,
+                       randomSpec(rng, inst, "bad" + std::to_string(step)),
+                       live);
+    } else if (dice == 6) {
+      c = {removeRequest("ghost" + std::to_string(step)), true,
+           "unknown removal"};
+    } else if (dice == 7) {
+      c = {modifyRequest(randomSpec(rng, inst, "ghost")), true,
+           "unknown modify"};
+    } else if (dice == 8 && !live.empty()) {
+      // A Modify whose add phase is malformed unwinds its remove phase.
+      const FuzzCase add = malformedAdd(
+          rng, inst, randomSpec(rng, inst, rng.pick(live)), live);
+      c = {modifyRequest(add.req.spec, rng.pick(live)), true,
+           "modify: " + add.what};
+      // Retiring the very spec the new one duplicates frees its name.
+      if (c.req.name == c.req.spec.name && add.what == "duplicate name") {
+        c.malformed = false;
+      }
+    } else if (dice == 9) {
+      // A rejected request left the state as it was, so a malformed one
+      // is malformed again.
+      c = last;
+      c.what = "repeat: " + c.what;
+    } else if (dice < 12 && live.size() > 1) {
+      const std::string name = rng.pick(live);
+      c = {removeRequest(name), false, "remove"};
+      retired.push_back(name);
+    } else if (dice == 12 && !live.empty()) {
+      c = {modifyRequest(randomSpec(rng, inst, rng.pick(live))), false,
+           "modify"};
+    } else if (dice == 13 && !retired.empty()) {
+      c = {addRequest(randomSpec(rng, inst, retired.back())), false, "re-add"};
+      retired.pop_back();
+    } else {
+      c = {addRequest(randomSpec(rng, inst, "fuzz" + std::to_string(step))),
+           false, "add"};
+    }
+    last = c;
+    const std::string at = "step " + std::to_string(step) + " (" + c.what +
+                           ")";
+    const std::uint64_t before = eng.stateHash();
+    AdmissionDecision d;
+    try {
+      d = eng.request(c.req);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << at << " threw: " << e.what();
+      continue;
+    }
+    EXPECT_TRUE(d.rung == "idle" || d.rung == "delta" || d.rung == "ripup" ||
+                d.rung == "resolve" || d.rung == "invalid")
+        << at << ": rung '" << d.rung << "'";
+    if (c.malformed) {
+      ++malformed;
+      EXPECT_FALSE(d.admitted) << at;
+      EXPECT_EQ(d.rung, "invalid") << at << ": " << d.detail;
+    }
+    if (d.admitted) {
+      ++admits;
+    } else {
+      EXPECT_EQ(eng.stateHash(), before) << at << " on rung " << d.rung;
+    }
+    expectValid(inst.topo, eng.schedule(), seed, step);
+  }
+  EXPECT_GT(malformed, 100);
+  EXPECT_GT(admits, 50);
 }
 
 // Incremental admission by hand on the paper's topologies: small cases

@@ -135,33 +135,102 @@ TEST(Expand, EctPeriodBelowNThrowsConfigError) {
 // ConfigError (not report a schedule the validator refuses, nor trip an
 // internal check), PERIOD's converted ECT period included, and the
 // admission engine must reject such a request as "invalid".
+/// The testbed with D2's cable on a 2-us time unit (node ids as in
+/// makeTestbedTopology).
+net::Topology coarseD2Testbed() {
+  net::Topology t;
+  const net::NodeId d1 = t.addDevice("D1");
+  const net::NodeId d2 = t.addDevice("D2");
+  const net::NodeId d3 = t.addDevice("D3");
+  const net::NodeId d4 = t.addDevice("D4");
+  const net::NodeId sw1 = t.addSwitch("SW1");
+  const net::NodeId sw2 = t.addSwitch("SW2");
+  net::LinkParams coarse;
+  coarse.timeUnit = microseconds(2);
+  t.connect(d1, sw1);
+  t.connect(d2, sw1, coarse);
+  t.connect(d3, sw2);
+  t.connect(d4, sw2);
+  t.connect(sw1, sw2);
+  return t;
+}
+
 TEST(Expand, OffGridPeriodIsConfigErrorForEveryEngine) {
-  const net::Topology topo = net::makeTestbedTopology();
   // D1 -> D3 and D2 -> D4 share the SW1 -> SW2 trunk (1 us time unit).
+  const net::Topology testbed = net::makeTestbedTopology();
   const net::StreamSpec onGrid =
-      tct(topo, "on", 0, 2, milliseconds(4), 200, false);
+      tct(testbed, "on", 0, 2, milliseconds(4), 200, false);
   const net::StreamSpec offGrid =
-      tct(topo, "off", 1, 3, milliseconds(4) + 1, 200, false);
+      tct(testbed, "off", 1, 3, milliseconds(4) + 1, 200, false);
+  // On the coarse testbed D2 -> D4 crosses the 2-us cable: a 4001-us
+  // period is off its grid, and a 4-ms one mixes time units on one path.
+  const net::Topology coarse = coarseD2Testbed();
+  const net::StreamSpec offCoarse =
+      tct(coarse, "off", 1, 3, microseconds(4001), 200, false);
+  const net::StreamSpec mixed =
+      tct(coarse, "mixed", 1, 3, milliseconds(4), 200, false);
   // PERIOD with 3 slots per 16 ms interevent time: a 16/3 ms period.
   const net::StreamSpec stop = ect("stop", 1, 3, milliseconds(16), 200);
+  const std::vector<std::pair<const net::Topology*, net::StreamSpec>> cases =
+      {{&testbed, offGrid}, {&coarse, offCoarse}, {&coarse, mixed}};
+  for (const auto& [topo, bad] : cases) {
+    const std::string at = bad.name + " on " +
+                           (topo == &coarse ? "the coarse testbed"
+                                            : "the testbed");
+    for (const char* engine : {"smt", "greedy", "tabu", "portfolio"}) {
+      ScheduleOptions opt;
+      opt.engine = engineFromString(engine);
+      EXPECT_THROW(buildSchedule(*topo, {onGrid, bad}, opt), ConfigError)
+          << engine << ", " << at;
+      opt.method = Method::PERIOD;
+      opt.periodSlotFactor = 3;
+      EXPECT_THROW(buildSchedule(*topo, {onGrid, stop}, opt), ConfigError)
+          << engine << ", " << at;
+    }
+    EXPECT_THROW(AdmissionEngine(*topo, {onGrid, bad}, SchedulerConfig{}),
+                 ConfigError)
+        << at;
+
+    AdmissionEngine eng(*topo, {onGrid}, SchedulerConfig{});
+    ASSERT_TRUE(eng.feasible()) << at;
+    const std::uint64_t before = scheduleHash(eng.schedule());
+    const AdmissionDecision d = eng.request(addRequest(bad));
+    EXPECT_FALSE(d.admitted) << at;
+    EXPECT_EQ(d.rung, "invalid") << at;
+    EXPECT_EQ(scheduleHash(eng.schedule()), before) << at;
+  }
+}
+
+// Three TCT streams on disjoint links with prime periods of about 1 s:
+// their hyperperiod, ~1.00002e21 ns, does not fit int64.  Every engine
+// raises ConfigError instead of exporting a wrapped hyperperiod; the
+// admission engine admits two of them and rejects the third as invalid.
+TEST(Expand, HyperperiodOverflowIsConfigErrorForEveryEngine) {
+  const net::Topology topo = net::makeTestbedTopology();
+  // D1 -> D2, D2 -> D1 and D3 -> D4 share no directed link.
+  const std::vector<net::StreamSpec> specs = {
+      tct(topo, "p1", 0, 1, microseconds(1000003), 200, false),
+      tct(topo, "p2", 1, 0, microseconds(999983), 200, false),
+      tct(topo, "p3", 2, 3, microseconds(1000033), 200, false)};
   for (const char* engine : {"smt", "greedy", "tabu", "portfolio"}) {
     ScheduleOptions opt;
     opt.engine = engineFromString(engine);
-    EXPECT_THROW(buildSchedule(topo, {onGrid, offGrid}, opt), ConfigError)
-        << engine;
-    opt.method = Method::PERIOD;
-    opt.periodSlotFactor = 3;
-    EXPECT_THROW(buildSchedule(topo, {onGrid, stop}, opt), ConfigError)
-        << engine;
+    EXPECT_THROW(buildSchedule(topo, specs, opt), ConfigError) << engine;
   }
+  EXPECT_THROW(AdmissionEngine(topo, specs, SchedulerConfig{}), ConfigError);
 
-  AdmissionEngine eng(topo, {onGrid}, SchedulerConfig{});
+  AdmissionEngine eng(topo, {specs[0]}, SchedulerConfig{});
   ASSERT_TRUE(eng.feasible());
-  const std::uint64_t before = scheduleHash(eng.schedule());
-  const AdmissionDecision d = eng.request(addRequest(offGrid));
-  EXPECT_FALSE(d.admitted);
-  EXPECT_EQ(d.rung, "invalid");
-  EXPECT_EQ(scheduleHash(eng.schedule()), before);
+  const AdmissionDecision second = eng.request(addRequest(specs[1]));
+  EXPECT_TRUE(second.admitted);
+  EXPECT_EQ(second.rung, "delta");
+  const std::uint64_t before = eng.stateHash();
+  const AdmissionDecision third = eng.request(addRequest(specs[2]));
+  EXPECT_FALSE(third.admitted);
+  EXPECT_EQ(third.rung, "invalid");
+  EXPECT_NE(third.detail.find("overflow"), std::string::npos) << third.detail;
+  EXPECT_EQ(eng.stateHash(), before);
+  EXPECT_EQ(eng.schedule().hyperperiod, microseconds(999985999949));
 }
 
 TEST(Expand, PrudentReservationOnlyOnSharedOverlappingLinks) {

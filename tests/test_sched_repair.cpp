@@ -202,6 +202,18 @@ TEST(RepairLinksDown, UnknownFailedLinkThrows) {
                ConfigError);
 }
 
+// An infeasible base is caller input, not a library bug: ConfigError.
+TEST(RepairLinksDown, InfeasibleBaseThrowsConfigError) {
+  const net::Topology t = ringTopology();
+  std::vector<net::StreamSpec> specs = {tct("a", 0, 2, milliseconds(4), 1000)};
+  ScheduleOptions options;
+  options.config = config();
+  MethodSchedule base = buildSchedule(t, specs, options);
+  ASSERT_TRUE(base.schedule.info.feasible);
+  base.schedule.info.feasible = false;
+  EXPECT_THROW(repairLinkDown(t, base.schedule, 0), ConfigError);
+}
+
 TEST(RepairLinksDown, ScheduleReferencingMissingLinkThrows) {
   // A schedule solved against the ring must not be repaired against a
   // smaller topology whose link-id space doesn't contain its paths: the
