@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <optional>
 
 #include "common/check.h"
 #include "common/math.h"
@@ -101,6 +102,26 @@ std::string idleDetail(const net::Topology& topo, const ExpandedStream& s,
          " at the earliest, bound " + formatTime(miss.bound * tu);
 }
 
+/// Rung "idle"'s reason for a clash: both streams, the link, and the
+/// frame lengths against the gcd of the periods.
+std::string clashDetail(const net::Topology& topo, const ExpandedStream& s,
+                        const ExpandedStream& other,
+                        const PlacementClash& clash, TimeNs tu) {
+  const net::Link& l = topo.link(clash.link);
+  return "stream '" + s.name + "' collides with stream '" + other.name +
+         "' at every offset on link " + std::to_string(clash.link) + " (" +
+         topo.node(l.from).name + "->" + topo.node(l.to).name +
+         "): frames of " + formatTime(clash.len * tu) + " and " +
+         formatTime(clash.otherLen * tu) + " outlast the " +
+         formatTime(clash.gcd * tu) + " gcd of their periods";
+}
+
+std::uint64_t contentHashOf(const ExpandedStream& s) {
+  Hasher h;
+  hashStream(h, s);
+  return h.h;
+}
+
 }  // namespace
 
 std::uint64_t scheduleHash(const Schedule& s) {
@@ -152,6 +173,9 @@ AdmissionEngine::AdmissionEngine(const net::Topology& topo,
   // exactly the priorities a batch expansion in admission order would give.
   Expansion exp = expandStreams(topo_, initialSpecs, config_, cursor_);
   streams_ = std::move(exp.streams);
+  for (const ExpandedStream& st : streams_) {
+    contentHash_.push_back(contentHashOf(st));
+  }
   liveStream_.assign(streams_.size(), 1);
   liveStreams_ = static_cast<int>(streams_.size());
   for (std::size_t i = 0; i < initialSpecs.size(); ++i) {
@@ -169,23 +193,20 @@ AdmissionEngine::AdmissionEngine(const net::Topology& topo,
   ETSN_REQUIRE(placement_->hyperTu() <=
                    std::numeric_limits<std::int64_t>::max() / placement_->tu(),
                "the hyperperiod of the initial streams overflows int64 ns");
-  const auto solved = solveLive();
-  feasible_ = solved.has_value();
-  if (!feasible_) return;
-  for (const auto& [id, starts] : *solved) {
-    placement_->placeAt(id, starts);
-    toggleHash(id);
-  }
+  // The initial solve commits like a re-solve: the solved Placement is
+  // swapped in, and the empty one it replaces is the first scratch.
+  Txn txn = beginTxn();
+  feasible_ = tryFullResolve(txn);
+  if (feasible_) scratch_ = std::move(txn.ops.back().placement);
 }
 
 // --- hashing ---------------------------------------------------------------
 
 std::uint64_t AdmissionEngine::streamStateHash(StreamId id) const {
-  const ExpandedStream& s = streams_[static_cast<std::size_t>(id)];
-  Hasher h;
-  hashStream(h, s);
-  if (placement_ && id < placement_->trackedStreams() &&
-      placement_->isPlaced(id)) {
+  // FNV-1a is sequential, so continuing from the cached content state
+  // gives hashStream's value followed by the starts.
+  Hasher h{contentHash_[static_cast<std::size_t>(id)]};
+  if (id < placement_->trackedStreams() && placement_->isPlaced(id)) {
     const auto& st = placement_->startsOf(id);
     h.u64(st.size());
     for (const auto& hop : st) {
@@ -200,6 +221,11 @@ std::uint64_t AdmissionEngine::streamStateHash(StreamId id) const {
 
 void AdmissionEngine::toggleHash(StreamId id) {
   stateHash_ ^= streamStateHash(id);
+}
+
+void AdmissionEngine::hashContent(StreamId id) {
+  contentHash_[static_cast<std::size_t>(id)] =
+      contentHashOf(streams_[static_cast<std::size_t>(id)]);
 }
 
 std::uint64_t AdmissionEngine::stateHash() const {
@@ -219,6 +245,7 @@ void AdmissionEngine::doAppend(Txn& txn, std::vector<ExpandedStream> streams) {
   op.count = static_cast<int>(streams.size());
   for (ExpandedStream& s : streams) {
     ETSN_CHECK(s.id == static_cast<StreamId>(streams_.size()));
+    contentHash_.push_back(contentHashOf(s));
     streams_.push_back(std::move(s));
     liveStream_.push_back(1);
     ++liveStreams_;
@@ -250,14 +277,29 @@ bool AdmissionEngine::doTryPlace(Txn& txn, StreamId id) {
   return true;
 }
 
-void AdmissionEngine::doPlaceAt(Txn& txn, StreamId id,
-                                const Starts& starts) {
-  toggleHash(id);
-  placement_->placeAt(id, starts);
-  toggleHash(id);
+void AdmissionEngine::doSwap(Txn& txn) {
   Op op;
-  op.kind = Op::Kind::Place;
-  op.stream = id;
+  op.kind = Op::Kind::Swap;
+  op.stateHash = stateHash_;
+  // Only the streams whose placement changed change their hash.
+  std::vector<StreamId> changed;
+  for (StreamId id = 0; id < static_cast<StreamId>(streams_.size()); ++id) {
+    const bool was = placement_->isPlaced(id);
+    const bool now = scratch_->isPlaced(id);
+    if (!was && !now) continue;
+    if (was && now) {
+      if (placement_->startsOf(id) == scratch_->startsOf(id)) continue;
+      op.moved.push_back(id);
+    }
+    changed.push_back(id);
+    toggleHash(id);
+  }
+  op.placement = std::move(placement_);
+  placement_ = std::move(scratch_);
+  for (const StreamId id : changed) toggleHash(id);
+  ETSN_CHECK_MSG(placement_->numPlaced() == liveStreams_,
+                 "a re-solve left a live stream unplaced or a dead one "
+                 "placed");
   txn.ops.push_back(std::move(op));
 }
 
@@ -271,6 +313,7 @@ void AdmissionEngine::doSetFrames(Txn& txn, StreamId id,
   op.frames = streams_[static_cast<std::size_t>(id)].framesOnLink;  // old
   toggleHash(id);
   streams_[static_cast<std::size_t>(id)].framesOnLink = std::move(frames);
+  hashContent(id);
   toggleHash(id);
   txn.ops.push_back(std::move(op));
 }
@@ -319,10 +362,16 @@ void AdmissionEngine::rollback(Txn& txn, std::size_t mark) {
                      !placement_->isPlaced(id));
           toggleHash(id);
         }
+        // The scratch Placement may hold truncated streams: a re-solve
+        // that gave up leaves its partial schedule there, and a Swap
+        // rollback returns the swapped-in Placement to it.
+        if (scratch_) scratch_->clear();
         streams_.resize(keep);
         liveStream_.resize(keep);
+        contentHash_.resize(keep);
         liveStreams_ -= op.count;
         placement_->syncAppendedStreams();
+        if (scratch_) scratch_->syncAppendedStreams();
         break;
       }
       case Op::Kind::Rip:
@@ -339,7 +388,15 @@ void AdmissionEngine::rollback(Txn& txn, std::size_t mark) {
         toggleHash(op.stream);
         streams_[static_cast<std::size_t>(op.stream)].framesOnLink =
             std::move(op.frames);
+        hashContent(op.stream);
         toggleHash(op.stream);
+        break;
+      case Op::Kind::Swap:
+        // The swapped-in Placement becomes the scratch again, stale until
+        // its next solve clears it.
+        if (!scratch_) scratch_ = std::move(placement_);
+        placement_ = std::move(op.placement);
+        stateHash_ = op.stateHash;
         break;
       case Op::Kind::SpecAdd: {
         ETSN_CHECK(op.specIdx == static_cast<int>(specs_.size()) - 1);
@@ -395,11 +452,9 @@ std::vector<StreamId> AdmissionEngine::appendSpec(
     }
   }
 
-  // Grid checks before the streams enter the Placement: uniform tu
-  // (expandSpec already put the period on every link's grid) and
-  // hyperperiod divisibility (growth is handled by a rebuild).
+  // Grid check before the streams enter the Placement: a uniform tu
+  // (expandSpec already put the period on every link's grid).
   const TimeNs tu = placement_->tu();
-  bool needRebuild = false;
   for (const ExpandedStream& s : fresh) {
     for (const net::LinkId l : s.path) {
       if (topo_.link(l).timeUnit != tu) {
@@ -407,10 +462,6 @@ std::vector<StreamId> AdmissionEngine::appendSpec(
             "stream '" + spec.name +
             "' uses a link time unit different from the schedule's");
       }
-    }
-    if (placement_->hyperTu() <= 0 ||
-        placement_->hyperTu() % (s.period / tu) != 0) {
-      needRebuild = true;
     }
   }
   // schedule() exports the live hyperperiod in ns and cannot throw, so an
@@ -439,14 +490,9 @@ std::vector<StreamId> AdmissionEngine::appendSpec(
   std::vector<StreamId>& ids =
       specs_[static_cast<std::size_t>(specIdx)].streams;
   for (int k = 0; k < count; ++k) ids.push_back(firstId + k);
-  // The rebuild is committed even if the request is later rejected: it
-  // preserves every placement bit-for-bit and only widens the internal
-  // hyperperiod, which placement results are invariant to.
-  if (needRebuild) {
-    rebuildPlacement();
-  } else {
-    placement_->syncAppendedStreams();
-  }
+  // A widened hyperperiod stays widened if the request is later
+  // rejected: placements are invariant to it.
+  placement_->syncAppendedStreams();
   return ids;
 }
 
@@ -503,15 +549,6 @@ std::vector<StreamId> AdmissionEngine::regrid(
   return out;
 }
 
-void AdmissionEngine::rebuildPlacement() {
-  std::vector<std::pair<StreamId, Starts>> keep;
-  for (StreamId id = 0; id < placement_->trackedStreams(); ++id) {
-    if (placement_->isPlaced(id)) keep.emplace_back(id, placement_->startsOf(id));
-  }
-  placement_ = std::make_unique<Placement>(topo_, streams_, config_);
-  for (const auto& [id, st] : keep) placement_->placeAt(id, st);
-}
-
 // --- ladder ----------------------------------------------------------------
 
 bool AdmissionEngine::placeSlice(Txn& txn, std::vector<StreamId> queue,
@@ -560,67 +597,23 @@ bool AdmissionEngine::placeSlice(Txn& txn, std::vector<StreamId> queue,
   return true;
 }
 
-std::optional<std::vector<std::pair<StreamId, AdmissionEngine::Starts>>>
-AdmissionEngine::solveLive() const {
-  std::vector<ExpandedStream> compact;
-  std::vector<StreamId> toEngine;
-  std::int32_t outSpec = 0;
-  for (const SpecEntry& e : specs_) {
-    if (!e.live) continue;
-    for (const StreamId sid : e.streams) {
-      ExpandedStream c = streams_[static_cast<std::size_t>(sid)];
-      c.id = static_cast<StreamId>(compact.size());
-      c.specId = outSpec;
-      toEngine.push_back(sid);
-      compact.push_back(std::move(c));
-    }
-    ++outSpec;
+bool AdmissionEngine::solveLive() {
+  if (scratch_) {
+    scratch_->syncAppendedStreams();
+  } else {
+    scratch_ = std::make_unique<Placement>(topo_, streams_, config_);
   }
-  std::vector<std::pair<StreamId, Starts>> out;
-  if (compact.empty()) return out;
-  const PortfolioResult r = runPortfolio(topo_, compact, config_,
-                                         opts_.portfolio);
-  if (!r.feasible) return std::nullopt;
-
-  for (std::size_t i = 0; i < compact.size(); ++i) {
-    Starts starts(compact[i].path.size());
-    for (std::size_t hop = 0; hop < starts.size(); ++hop) {
-      starts[hop].resize(
-          static_cast<std::size_t>(compact[i].framesOnLink[hop]));
-    }
-    out.emplace_back(toEngine[i], std::move(starts));
+  std::vector<StreamId> live;
+  for (std::size_t i = 0; i < streams_.size(); ++i) {
+    if (liveStream_[i]) live.push_back(static_cast<StreamId>(i));
   }
-  const TimeNs tu = placement_->tu();
-  for (const Slot& sl : r.slots) {
-    out[static_cast<std::size_t>(sl.stream)]
-        .second[static_cast<std::size_t>(sl.hop)]
-               [static_cast<std::size_t>(sl.frameIndex)] = sl.start / tu;
-  }
-  return out;
+  return runPortfolio(*scratch_, live, opts_.portfolio).feasible;
 }
 
 bool AdmissionEngine::tryFullResolve(Txn& txn) {
   txn.usedResolve = true;
-  const auto solved = solveLive();
-  if (!solved) return false;
-  // Commit through the op log, moving only what the solve moved: rip the
-  // placed streams whose solved starts differ, then pin every live stream
-  // left unplaced (the ripped ones, the request's new streams and the
-  // regridded ones).  Every rip precedes every pin — a transient overlap
-  // of two Det frames would corrupt the bitmap occupancy.  Logging the
-  // re-solve lets the caller roll the whole transaction back, as on the
-  // cheap rungs: a Modify whose add phase is rejected after its remove
-  // phase escalated here.
-  for (const auto& [id, starts] : *solved) {
-    if (placement_->isPlaced(id) && placement_->startsOf(id) != starts) {
-      doRip(txn, id);
-    }
-  }
-  for (const auto& [id, starts] : *solved) {
-    if (!placement_->isPlaced(id)) doPlaceAt(txn, id, starts);
-  }
-  ETSN_CHECK_MSG(placement_->numPlaced() == static_cast<int>(solved->size()),
-                 "a re-solve left a stream placed that is not live");
+  if (!solveLive()) return false;
+  doSwap(txn);
   return true;
 }
 
@@ -650,6 +643,19 @@ bool AdmissionEngine::processAdd(const net::StreamSpec& spec, Txn& txn,
       *rung = "idle";
       *detail = idleDetail(topo_, streams_[static_cast<std::size_t>(sid)],
                            *miss, placement_->tu());
+      return false;
+    }
+  }
+  // Nor can any state admit a slice stream with a frame that collides at
+  // every offset with a frame placed on its path: every admitting state
+  // places both.
+  for (const StreamId sid : slice) {
+    if (const auto clash = placement_->clash(sid)) {
+      *rung = "idle";
+      *detail = clashDetail(
+          topo_, streams_[static_cast<std::size_t>(sid)],
+          streams_[static_cast<std::size_t>(clash->other)], *clash,
+          placement_->tu());
       return false;
     }
   }
@@ -712,13 +718,14 @@ AdmissionDecision AdmissionEngine::decide(const AdmissionRequest& req,
   d.rung = rung;
   d.detail = detail;
   if (ok) {
-    std::vector<StreamId> ripped;
+    std::vector<StreamId> moved;
     for (const Op& op : txn.ops) {
-      if (op.kind == Op::Kind::Rip) ripped.push_back(op.stream);
+      if (op.kind == Op::Kind::Rip) moved.push_back(op.stream);
+      moved.insert(moved.end(), op.moved.begin(), op.moved.end());
     }
-    std::sort(ripped.begin(), ripped.end());
-    ripped.erase(std::unique(ripped.begin(), ripped.end()), ripped.end());
-    for (const StreamId sid : ripped) {
+    std::sort(moved.begin(), moved.end());
+    moved.erase(std::unique(moved.begin(), moved.end()), moved.end());
+    for (const StreamId sid : moved) {
       if (liveStream_[static_cast<std::size_t>(sid)]) ++d.movedStreams;
     }
   }
@@ -758,6 +765,10 @@ AdmissionDecision AdmissionEngine::request(const AdmissionRequest& req) {
   if (txn.usedResolve) ++counters_.fullResolves;
   if (d.admitted) {
     ++counters_.admits;
+    // A Placement a re-solve replaced is the next re-solve's scratch.
+    for (Op& op : txn.ops) {
+      if (!scratch_ && op.placement) scratch_ = std::move(op.placement);
+    }
   } else {
     ++counters_.rejects;
     rollback(txn);

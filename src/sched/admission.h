@@ -4,13 +4,17 @@
 //
 // Decision ladder, cheapest rung first (see DESIGN.md "Admission control"):
 //
-//  idle — an Add's slice (see rung 1) first runs the idle-network test
-//     (Placement::idleMiss): each stream's frames at their earliest
-//     starts against window (1)-(2) and latency (4).  A stream that
-//     misses there misses in every placement state, so no rip-up or
-//     re-solve could admit it: the request is rejected in O(hops x
-//     frames), and the detail names the stream, constraint, link and
-//     bound.
+//  idle — rejects a request no placement state can admit, in time linear
+//     in the slice (see rung 1) and the frames on its path, before any
+//     rip-up or re-solve.  An Add's slice first runs the idle-network
+//     test (Placement::idleMiss): each stream's frames at their earliest
+//     starts against window (1)-(2) and latency (4); a stream that misses
+//     there misses in every placement state.  Then the clash test
+//     (Placement::clash): a slice frame and a placed frame on one link
+//     that may not overlap collide at every offset when their lengths sum
+//     to more than the gcd of their periods, so no state holding both can
+//     exist.  The detail names the stream, constraint, link and bound, or
+//     both streams, the link and the gcd.
 //  1. delta-place — untouched streams stay pinned bit-for-bit in the
 //     Placement substrate (sched/placement.h); only the request's slice
 //     (the new streams, plus shared TCT streams whose prudent-reservation
@@ -19,12 +23,15 @@
 //     conflicting streams off the blocking link (canonical name-ordered
 //     victims, at most 64 per pass) and re-place them too.  Rungs 1 and
 //     2 are one pass: a pass that rips nothing decides on rung 1.
-//  3. full re-solve — the portfolio scheduler on the canonical live
-//     stream set; the verdict authority for every other rejection
-//     (identical to a from-scratch solve over the same specs), at
-//     baseline cost.  Commits through the op log like every other rung,
-//     so even a transaction whose earlier phase re-solved wholesale (a
-//     Modify) unwinds exactly on rejection.
+//  3. full re-solve — the portfolio scheduler over the live streams, in
+//     place: greedy (then tabu) runs on the engine's own stream vector
+//     with the live ids, whose stable laxity order is a from-scratch
+//     solve's over the same specs, in a scratch Placement the engine
+//     keeps and clears.  The verdict authority for every other
+//     rejection, at one greedy pass.  An admitting re-solve commits by
+//     swapping the scratch Placement in through one op-log entry, so even
+//     a transaction whose earlier phase re-solved (a Modify) unwinds
+//     exactly on rejection.
 //
 // Determinism contract: every decision is a pure function of the
 // canonical engine state (stream contents + placements + the priority
@@ -36,10 +43,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "net/stream.h"
@@ -72,10 +77,11 @@ AdmissionRequest modifyRequest(net::StreamSpec spec, std::string name = "");
 
 struct AdmissionDecision {
   bool admitted = false;
-  /// Ladder rung that decided: "idle" (a stream misses its window or
-  /// latency bound even on an idle network; always a rejection), "delta",
-  /// "ripup", "resolve", or "invalid" (malformed request, state
-  /// untouched).
+  /// Ladder rung that decided: "idle" (no placement state can admit the
+  /// request: a stream misses its window or latency bound even on an idle
+  /// network, or collides at every offset with a placed frame; always a
+  /// rejection), "delta", "ripup", "resolve", or "invalid" (malformed
+  /// request, state untouched).
   std::string rung;
   /// Human-readable rejection reason; empty on admission.
   std::string detail;
@@ -139,10 +145,11 @@ class AdmissionEngine {
     enum class Kind {
       Append,     // n streams appended to streams_
       Rip,        // stream ripped from placement (starts saved)
-      Place,      // stream placed (tryPlace / placeAt)
+      Place,      // stream placed (tryPlace)
       SetFrames,  // framesOnLink overwritten (old saved)
       SpecAdd,    // spec entry appended (live)
       SpecKill,   // spec entry retired (live -> false)
+      Swap,       // a re-solve's Placement swapped in (old one saved)
     };
     Kind kind;
     StreamId stream = -1;
@@ -150,6 +157,11 @@ class AdmissionEngine {
     int count = 0;
     std::vector<int> frames;
     Starts starts;
+    // Swap: the replaced Placement, the state hash before the swap, and
+    // the streams placed in both whose starts changed.
+    std::unique_ptr<Placement> placement;
+    std::uint64_t stateHash = 0;
+    std::vector<StreamId> moved;
   };
   struct Txn {
     std::vector<Op> ops;
@@ -166,7 +178,8 @@ class AdmissionEngine {
   void doAppend(Txn& txn, std::vector<ExpandedStream> streams);
   void doRip(Txn& txn, StreamId id);
   bool doTryPlace(Txn& txn, StreamId id);
-  void doPlaceAt(Txn& txn, StreamId id, const Starts& starts);
+  /// Swaps scratch_ in as the live Placement.
+  void doSwap(Txn& txn);
   void doSetFrames(Txn& txn, StreamId id, std::vector<int> frames);
   int doSpecAdd(Txn& txn, net::StreamSpec spec);
   /// Rips the spec's placed streams, then retires it (live -> false).
@@ -184,12 +197,13 @@ class AdmissionEngine {
   /// to a fixed budget of name-ordered victims (re-queued in name order);
   /// rolls back and returns false if a stream still finds no offsets.
   bool placeSlice(Txn& txn, std::vector<StreamId> queue, std::string* rung);
+  /// Rung 3: solveLive, then doSwap if it is feasible.
   bool tryFullResolve(Txn& txn);
-  /// The portfolio solve of the live streams, compacted to contiguous ids
-  /// in admission order — exactly what a from-scratch solve over the live
-  /// specs sees, so its verdict is the offline oracle's.  Each live
-  /// stream's solved starts, by engine id; nullopt if infeasible.
-  std::optional<std::vector<std::pair<StreamId, Starts>>> solveLive() const;
+  /// The portfolio solve of the live streams into scratch_ (made or
+  /// synced first).  Live ids ascend in admission order, so the solve
+  /// places them exactly as a from-scratch solve over the live specs
+  /// would, and its verdict is the offline oracle's.
+  bool solveLive();
 
   // --- expansion / prudent reservation ---
   /// Adds `spec` and appends its streams (Alg. 1 grids against the live
@@ -202,10 +216,12 @@ class AdmissionEngine {
   /// groups; returns them name-ordered.
   std::vector<StreamId> regrid(Txn& txn,
                                const std::vector<StreamId>& ectStreams);
-  void rebuildPlacement();
 
   // --- hashing ---
+  /// contentHash_[id] continued over the stream's placed starts.
   std::uint64_t streamStateHash(StreamId id) const;
+  /// Recomputes contentHash_[id] after the stream's content changed.
+  void hashContent(StreamId id);
   /// XORs the stream's current state hash into stateHash_: called once
   /// before and once after a mutation, it swaps the old content for the
   /// new.
@@ -220,9 +236,17 @@ class AdmissionEngine {
   std::unordered_map<std::string, int> liveByName_;  // spec name -> index
   std::vector<ExpandedStream> streams_;
   std::vector<char> liveStream_;
+  /// Per stream, the FNV state after hashing its content (everything but
+  /// its starts); recomputed on append and on a grid change.
+  std::vector<std::uint64_t> contentHash_;
   int liveSpecs_ = 0;
   int liveStreams_ = 0;
+  /// The live Placement, and the re-solve workspace: a Placement over the
+  /// same streams that runPortfolio clears before each rank.  A Swap
+  /// trades the two; scratch_ is null while a transaction holds the
+  /// replaced one, and may hold stale placements between solves.
   std::unique_ptr<Placement> placement_;
+  std::unique_ptr<Placement> scratch_;
   PriorityCursor cursor_;
 
   std::uint64_t stateHash_ = 0;

@@ -76,6 +76,42 @@ void assignBits(std::vector<std::uint64_t>& w, std::int64_t from,
   }
 }
 
+/// Bits [pos, pos + n) of `w` as the low n bits of a word, 1 <= n <= 64.
+std::uint64_t getBits(const std::vector<std::uint64_t>& w, std::int64_t pos,
+                      std::int64_t n) {
+  const std::size_t i = static_cast<std::size_t>(pos >> 6);
+  const unsigned off = static_cast<unsigned>(pos) & 63;
+  std::uint64_t v = w[i] >> off;
+  if (off + n > 64) v |= w[i + 1] << (64 - off);
+  return n == 64 ? v : v & ((std::uint64_t{1} << n) - 1);
+}
+
+/// Copies bits [0, ring) of `w` over [ring, newRing), newRing a multiple
+/// of ring: the ring's occupancy repeated, one destination word (or less)
+/// at a time.  Each chunk reads bits `ring` positions back, which are
+/// already in place.
+void tileBits(std::vector<std::uint64_t>& w, std::int64_t ring,
+              std::int64_t newRing) {
+  w.resize(bitWords(newRing), 0);
+  for (std::int64_t pos = ring; pos < newRing;) {
+    const std::int64_t n =
+        std::min({64 - (pos & 63), ring, newRing - pos});
+    const std::uint64_t m = wordMask(pos & 63, (pos & 63) + n);
+    std::uint64_t& word = w[static_cast<std::size_t>(pos >> 6)];
+    word = (word & ~m) | (getBits(w, pos - ring, n) << (pos & 63));
+    pos += n;
+  }
+}
+
+/// Per-tu counters over [0, ring) repeated over [ring, newRing).
+void tileCounts(std::vector<std::uint16_t>& c, std::int64_t ring,
+                std::int64_t newRing) {
+  c.resize(static_cast<std::size_t>(newRing));
+  for (std::int64_t at = ring; at < newRing; at += ring) {
+    std::copy_n(c.begin(), ring, c.begin() + at);
+  }
+}
+
 /// First position in [from, to) whose bit is set in `word(i)`, the i-th
 /// 64-bit word; -1 if none.  Bits outside the range are never read, so
 /// the tail of the last word past a caller's `to` counts as neither set
@@ -126,6 +162,26 @@ Placement::Placement(const net::Topology& topo,
     hyperTu_ = lcmAll(periods);
     useBitmap_ = hyperTu_ <= kMaxBitmapTu;
   }
+  for (const ExpandedStream& s : streams) {
+    track(s);
+    if (!useBitmap_) continue;
+    // Each ring divides the hyperperiod, so the lcms stay in range.
+    const std::int64_t period = s.period / tu_;
+    for (const net::LinkId l : s.path) {
+      std::int64_t& ring = links_[static_cast<std::size_t>(l)].ring;
+      ring = ring == 0 ? period : std::lcm(ring, period);
+    }
+  }
+}
+
+void Placement::track(const ExpandedStream& s) {
+  const std::int64_t period = s.period / tu_;
+  for (const net::LinkId l : s.path) {
+    LinkState& ls = links_[static_cast<std::size_t>(l)];
+    ls.periodGcd = std::gcd(ls.periodGcd, period);
+    ls.maxLen = std::max(
+        ls.maxLen, ceilDiv(maxFrameTxTime(s, topo_.link(l)), tu_));
+  }
 }
 
 bool Placement::canOverlapWith(const ExpandedStream& s,
@@ -145,41 +201,60 @@ std::vector<std::uint16_t>& Placement::probSpecCounts(LinkState& ls,
     if (id == specId) return counts;
   }
   ls.probSpec.emplace_back(
-      specId, std::vector<std::uint16_t>(static_cast<std::size_t>(hyperTu_)));
+      specId, std::vector<std::uint16_t>(static_cast<std::size_t>(ls.ring)));
   return ls.probSpec.back().second;
+}
+
+void Placement::growRing(LinkState& ls, std::int64_t periodTu) {
+  if (ls.ring > 0 && ls.ring % periodTu == 0) return;
+  const std::int64_t ring =
+      ls.ring == 0 ? periodTu : std::lcm(ls.ring, periodTu);
+  if (!ls.detAll.empty()) {
+    tileBits(ls.detAll, ls.ring, ring);
+    tileBits(ls.detNoShare, ls.ring, ring);
+  }
+  if (!ls.probCount.empty()) {
+    tileBits(ls.probAny, ls.ring, ring);
+    tileCounts(ls.probCount, ls.ring, ring);
+    for (auto& [id, counts] : ls.probSpec) tileCounts(counts, ls.ring, ring);
+  }
+  ls.ring = ring;
 }
 
 void Placement::mark(const ExpandedStream& s, LinkState& ls,
                      std::int64_t start, std::int64_t len,
                      std::int64_t periodTu, bool place) {
   if (!useBitmap_) return;
+  if (place) growRing(ls, periodTu);
+  const std::int64_t ring = ls.ring;
   if (ls.detAll.empty()) {
-    ls.detAll.assign(bitWords(hyperTu_), 0);
-    ls.detNoShare.assign(bitWords(hyperTu_), 0);
+    ls.detAll.assign(bitWords(ring), 0);
+    ls.detNoShare.assign(bitWords(ring), 0);
   }
-  const std::int64_t reps = hyperTu_ / periodTu;
+  const std::int64_t reps = ring / periodTu;
   if (s.kind == StreamKind::Det) {
-    // Each repetition covers [pos, pos + len) on the hyperperiod ring:
-    // at most two word ranges, split at the wrap.
-    const std::int64_t span = std::min(len, hyperTu_);
+    // Each repetition covers [pos, pos + len) on the ring: at most two
+    // word ranges, split at the wrap.
+    const std::int64_t span = std::min(len, ring);
     const auto assign = [&](std::int64_t from, std::int64_t to) {
       assignBits(ls.detAll, from, to, place);
       if (!s.share) assignBits(ls.detNoShare, from, to, place);
     };
+    std::int64_t pos = start % ring;
     for (std::int64_t r = 0; r < reps; ++r) {
-      const std::int64_t pos = (start + r * periodTu) % hyperTu_;
-      assign(pos, std::min(pos + span, hyperTu_));
-      if (pos + span > hyperTu_) assign(0, pos + span - hyperTu_);
+      assign(pos, std::min(pos + span, ring));
+      if (pos + span > ring) assign(0, pos + span - ring);
+      if ((pos += periodTu) >= ring) pos -= ring;
     }
     return;
   }
   if (ls.probCount.empty()) {
-    ls.probCount.assign(static_cast<std::size_t>(hyperTu_), 0);
-    ls.probAny.assign(bitWords(hyperTu_), 0);
+    ls.probCount.assign(static_cast<std::size_t>(ring), 0);
+    ls.probAny.assign(bitWords(ring), 0);
   }
   std::vector<std::uint16_t>& spec = probSpecCounts(ls, s.specId);
   for (std::int64_t r = 0; r < reps; ++r) {
-    std::int64_t pos = (start + r * periodTu) % hyperTu_;
+    std::int64_t pos = (start + r * periodTu) % ring;
     for (std::int64_t i = 0; i < len; ++i) {
       auto& all = ls.probCount[static_cast<std::size_t>(pos)];
       auto& own = spec[static_cast<std::size_t>(pos)];
@@ -191,7 +266,7 @@ void Placement::mark(const ExpandedStream& s, LinkState& ls,
         if (--all == 0) clearBit(ls.probAny, pos);
         --own;
       }
-      if (++pos == hyperTu_) pos = 0;
+      if (++pos == ring) pos = 0;
     }
   }
 }
@@ -201,14 +276,23 @@ std::int64_t Placement::bitmapPush(const ExpandedStream& s,
                                    std::int64_t a, std::int64_t len,
                                    std::int64_t periodTu) const {
   if (ls.detAll.empty() && ls.probCount.empty()) return a;
-  const std::int64_t reps = hyperTu_ / periodTu;
+  // The repetitions (a + kP) mod R for k < R / gcd(R, P) meet every
+  // residue a repetition of the candidate can take on the ring, whether
+  // or not P divides R; each is one step of P mod R on from the last.
+  const std::int64_t ring = ls.ring;
+  const std::int64_t reps = ring / std::gcd(ring, periodTu);
+  const std::int64_t step = periodTu % ring;
+  const auto next = [&](std::int64_t base) {
+    base += step;
+    return base >= ring ? base - ring : base;
+  };
   // The push for the first repetition whose window [base, base + len)
   // meets an occupied tu: slide the window start past the occupied run
   // holding the window's first occupied tu `pos`, whose end `e` is the
   // first free tu after it on the ring (-1 if there is none).
   const auto pushPast = [&](std::int64_t base, std::int64_t e) {
     if (e < 0) return std::int64_t{-1};  // link fully occupied
-    const std::int64_t dist = (e - base + hyperTu_) % hyperTu_;
+    const std::int64_t dist = (e - base + ring) % ring;
     // dist == 0: the only free run wrapped back to the window start, i.e.
     // it is shorter than `len` — no start position fits at all.
     return dist == 0 ? std::int64_t{-1} : a + dist;
@@ -222,18 +306,18 @@ std::int64_t Placement::bitmapPush(const ExpandedStream& s,
       return ls.detAll[i] | (avoidProb ? ls.probAny[i] : 0);
     };
     const auto vacant = [&](std::size_t i) { return ~occupied(i); };
-    const std::int64_t span = std::min(len, hyperTu_);
-    for (std::int64_t r = 0; r < reps; ++r) {
-      const std::int64_t base = (a + r * periodTu) % hyperTu_;
+    const std::int64_t span = std::min(len, ring);
+    std::int64_t base = a % ring;
+    for (std::int64_t r = 0; r < reps; ++r, base = next(base)) {
       std::int64_t pos =
-          firstSetBit(occupied, base, std::min(base + span, hyperTu_));
-      if (pos < 0 && base + span > hyperTu_) {
-        pos = firstSetBit(occupied, 0, base + span - hyperTu_);
+          firstSetBit(occupied, base, std::min(base + span, ring));
+      if (pos < 0 && base + span > ring) {
+        pos = firstSetBit(occupied, 0, base + span - ring);
       }
       if (pos < 0) continue;
-      // Both searches stop at hyperTu_: the last word's bits past it are
+      // Both searches stop at the ring: the last word's bits past it are
       // not tu of the ring, and must not end a run that wraps to tu 0.
-      std::int64_t e = firstSetBit(vacant, pos, hyperTu_);
+      std::int64_t e = firstSetBit(vacant, pos, ring);
       if (e < 0) e = firstSetBit(vacant, 0, pos);
       return pushPast(base, e);
     }
@@ -253,20 +337,20 @@ std::int64_t Placement::bitmapPush(const ExpandedStream& s,
         ownSpec ? (*ownSpec)[static_cast<std::size_t>(pos)] : 0;
     return all > own;  // a *different* ECT spec covers this tu
   };
-  for (std::int64_t r = 0; r < reps; ++r) {
-    const std::int64_t base = (a + r * periodTu) % hyperTu_;
+  std::int64_t base = a % ring;
+  for (std::int64_t r = 0; r < reps; ++r, base = next(base)) {
     std::int64_t pos = base;
     for (std::int64_t i = 0; i < len; ++i) {
       if (occupied(pos)) {
         std::int64_t e = pos;
         std::int64_t scanned = 0;
         while (occupied(e)) {
-          if (++e == hyperTu_) e = 0;
-          if (++scanned > hyperTu_) return -1;  // link fully occupied
+          if (++e == ring) e = 0;
+          if (++scanned > ring) return -1;  // link fully occupied
         }
         return pushPast(base, e);
       }
-      if (++pos == hyperTu_) pos = 0;
+      if (++pos == ring) pos = 0;
     }
   }
   return a;
@@ -483,6 +567,7 @@ void Placement::syncAppendedStreams() {
     epoch_.resize(n);
     return;
   }
+  std::int64_t hyper = hyperTu_;
   for (std::size_t i = starts_.size(); i < n; ++i) {
     const ExpandedStream& s = (*streams_)[i];
     for (const net::LinkId l : s.path) {
@@ -491,12 +576,27 @@ void Placement::syncAppendedStreams() {
     }
     ETSN_CHECK_MSG(s.period > 0 && s.period % tu_ == 0,
                    "stream period must be a positive multiple of tu");
-    ETSN_CHECK_MSG(hyperTu_ > 0 && hyperTu_ % (s.period / tu_) == 0,
-                   "appended stream's period must divide the hyperperiod "
-                   "(rebuild the Placement to grow it)");
+    hyper = hyper == 0 ? s.period / tu_ : lcm64(hyper, s.period / tu_);
   }
+  for (std::size_t i = starts_.size(); i < n; ++i) track((*streams_)[i]);
   starts_.resize(n);
   epoch_.resize(n, 0);
+  // No array spans the hyperperiod, so it widens in place.  A Placement
+  // built over no streams starts on the bitmaps once it has a period;
+  // one whose hyperperiod outgrows them drops them for the pairwise
+  // search, which needs only the placed lists.
+  if (hyperTu_ == 0) useBitmap_ = hyper <= kMaxBitmapTu;
+  hyperTu_ = hyper;
+  if (useBitmap_ && hyperTu_ > kMaxBitmapTu) {
+    useBitmap_ = false;
+    for (LinkState& ls : links_) {
+      ls.detAll = {};
+      ls.detNoShare = {};
+      ls.probAny = {};
+      ls.probCount = {};
+      ls.probSpec = {};
+    }
+  }
 }
 
 void Placement::remove(StreamId id) {
@@ -520,6 +620,54 @@ void Placement::remove(StreamId id) {
   }
   starts_[static_cast<std::size_t>(id)].clear();
   --numPlaced_;
+}
+
+void Placement::clear() {
+  if (numPlaced_ == 0) return;
+  for (LinkState& ls : links_) {
+    for (const Placed& p : ls.placed) {
+      mark((*streams_)[static_cast<std::size_t>(p.stream)], ls, p.start,
+           p.len, p.period, /*place=*/false);
+    }
+    ls.placed.clear();
+  }
+  for (auto& st : starts_) st.clear();
+  numPlaced_ = 0;
+}
+
+std::optional<PlacementClash> Placement::clash(StreamId id) const {
+  const ExpandedStream& s = (*streams_)[static_cast<std::size_t>(id)];
+  const std::int64_t period = s.period / tu_;
+  for (int hop = 0; hop < s.hops(); ++hop) {
+    const net::LinkId link = s.path[static_cast<std::size_t>(hop)];
+    const net::Link& l = topo_.link(link);
+    std::int64_t len = 0;
+    for (int j = 0; j < s.framesOnLink[static_cast<std::size_t>(hop)]; ++j) {
+      len = std::max(len, ceilDiv(frameTxTimeOf(s, j, l), tu_));
+    }
+    const LinkState& ls = links_[static_cast<std::size_t>(link)];
+    // Every placed frame is at most ls.maxLen long, and its period is a
+    // multiple of ls.periodGcd, so its gcd with ours is no smaller than
+    // gcd(period, ls.periodGcd): on harmonic plants no frame is scanned.
+    if (len + ls.maxLen <= std::gcd(period, ls.periodGcd)) continue;
+    std::optional<PlacementClash> out;
+    for (const Placed& p : ls.placed) {
+      // The periodic overlap test's open interval (a - b - lb, a - b + la)
+      // is longer than the gcd g, so it holds a multiple of g whatever a
+      // is.
+      const std::int64_t g = std::gcd(period, p.period);
+      if (len + p.len <= g || p.stream == id || canOverlapWith(s, p)) {
+        continue;
+      }
+      if (!out ||
+          (*streams_)[static_cast<std::size_t>(p.stream)].name <
+              (*streams_)[static_cast<std::size_t>(out->other)].name) {
+        out = PlacementClash{link, p.stream, len, p.len, g};
+      }
+    }
+    if (out) return out;
+  }
+  return std::nullopt;
 }
 
 std::vector<StreamId> Placement::conflictCandidates(StreamId id,

@@ -20,18 +20,27 @@
 // has two implementations that give identical starts:
 //  * pairwise — scan the link's placed frames with gcd-periodic overlap
 //    tests (always available);
-//  * bitmap — per-link occupancy arrays over the hyperperiod, split by
-//    overlap category (Det, non-shared Det, Prob per ECT spec), giving
-//    O(window) earliest-fit search instead of O(placed²).  Used when the
-//    hyperperiod is tractable (see kMaxBitmapTu); this is what makes
-//    5000-stream instances placeable in seconds.  Det frames are set,
-//    cleared and searched a 64-bit word at a time: a repetition's range
-//    [pos, pos + len) is split at the hyperperiod wrap into at most two
-//    word ranges, and the push finds a window's first occupied tu and the
-//    end of its run with std::countr_zero.  The last word's bits past the
-//    hyperperiod are not tu of the ring: every search stops at hyperTu(),
-//    so they never end a run that wraps to tu 0.  Prob frames keep
-//    per-tu counters, one per ECT spec.
+//  * bitmap — per-link occupancy arrays, split by overlap category (Det,
+//    non-shared Det, Prob per ECT spec), giving O(window) earliest-fit
+//    search instead of O(placed²).  Used when the hyperperiod is
+//    tractable (see kMaxBitmapTu); this is what makes 5000-stream
+//    instances placeable in seconds.  Each link's arrays span that
+//    link's own ring: the lcm of the periods of the streams crossing it
+//    (Craciunas et al.: periodic frames collide only modulo the gcd of
+//    their periods, so a link's occupancy repeats at the lcm of its own
+//    periods).  The ring is set at construction and grows, by tiling the
+//    arrays a word at a time, when a placed frame brings a period that
+//    does not divide it; a search steps its repetitions (a + kP) mod R
+//    for k < R / gcd(R, P), so a candidate whose period does not divide
+//    the ring is searched exactly too.  A ring only shortens the arrays;
+//    every start is the one the hyperperiod-wide search would find.  Det
+//    frames are set, cleared and searched a 64-bit word at a time: a
+//    repetition's range [pos, pos + len) is split at the ring's wrap into
+//    at most two word ranges, and the push finds a window's first
+//    occupied tu and the end of its run with std::countr_zero.  The last
+//    word's bits past the ring are not tu of it: every search stops at
+//    the ring, so they never end a run that wraps to tu 0.  Prob frames
+//    keep per-tu counters, one per ECT spec.
 #pragma once
 
 #include <cstdint>
@@ -73,6 +82,18 @@ struct PlacementMiss {
   std::int64_t value = 0;
 };
 
+/// A placed frame that a stream's frame collides with at every offset
+/// (Placement::clash).  Two periodic frames that may not overlap collide
+/// at every relative offset when their lengths sum to more than the gcd
+/// of their periods.  All times in tu.
+struct PlacementClash {
+  net::LinkId link = net::kNoLink;
+  StreamId other = -1;       // the placed stream
+  std::int64_t len = 0;      // the stream's longest frame on `link`
+  std::int64_t otherLen = 0;
+  std::int64_t gcd = 0;      // of the two periods
+};
+
 class Placement {
  public:
   /// `streams` must outlive the Placement (engines own the expansion).
@@ -93,6 +114,12 @@ class Placement {
   /// tryPlace's verdict.  Returns the miss, or nullopt if the stream fits.
   std::optional<PlacementMiss> idleMiss(StreamId id) const;
 
+  /// A placed frame that some frame of unplaced `id` collides with at
+  /// every offset, so tryPlace fails while it stays placed: on the first
+  /// hop (in path order) that has one, the partner with the smallest
+  /// stream name.  nullopt if none.  O(hops x placed frames on the path).
+  std::optional<PlacementClash> clash(StreamId id) const;
+
   /// Pin a stream at the given per-hop, per-frame start offsets (in tu)
   /// without searching: the shape must match the stream's framesOnLink
   /// grid, and the offsets are trusted to be feasible (they come from a
@@ -111,9 +138,10 @@ class Placement {
   /// Resize internal per-stream state after the caller appended streams
   /// to (or truncated rejected appends from) the vector passed at
   /// construction — online admission grows and shrinks the stream set in
-  /// place.  Every appended stream's period must divide the existing
-  /// hyperperiod and use the same tu (otherwise rebuild the Placement,
-  /// see hyperTu()); truncated streams must be unplaced.
+  /// place.  Appended streams must use the same tu; truncated streams
+  /// must be unplaced.  An appended period widens hyperTu() in place
+  /// (ConfigError if it overflows int64); past kMaxBitmapTu the bitmaps
+  /// are freed and the pairwise search takes over.
   void syncAppendedStreams();
 
   /// Streams whose per-stream state is allocated (== the stream vector's
@@ -122,6 +150,10 @@ class Placement {
 
   /// Rip a placed stream back out (backtracking / tabu moves).
   void remove(StreamId id);
+
+  /// Rip every placed stream out.  The rings and arrays stay allocated,
+  /// so a cleared Placement is a cheap workspace for the next solve.
+  void clear();
 
   bool isPlaced(StreamId id) const {
     return !starts_[static_cast<std::size_t>(id)].empty();
@@ -148,14 +180,20 @@ class Placement {
 
   const std::vector<ExpandedStream>& streams() const { return *streams_; }
   TimeNs tu() const { return tu_; }
-  /// Hyperperiod of the construction-time stream set, in tu.  A stream
-  /// appended later fits this Placement only if its period divides it.
+  /// Hyperperiod of every stream tracked so far, in tu (widened by
+  /// syncAppendedStreams, never narrowed).
   std::int64_t hyperTu() const { return hyperTu_; }
   bool usesBitmap() const { return useBitmap_; }
+  /// The ring of `link`'s occupancy arrays, in tu: a divisor of hyperTu(),
+  /// 0 while no stream that crosses the link was tracked at construction
+  /// or placed since (bitmap path only).
+  std::int64_t ringTu(net::LinkId link) const {
+    return links_[static_cast<std::size_t>(link)].ring;
+  }
 
   /// Hyperperiods (in tu) above this are placed via the pairwise path;
-  /// below it, per-link occupancy arrays over the hyperperiod fit in a few
-  /// MB even on wide topologies.
+  /// below it, per-link occupancy arrays, each no longer than the
+  /// hyperperiod, fit in a few MB even on wide topologies.
   static constexpr std::int64_t kMaxBitmapTu = std::int64_t{1} << 18;
 
  private:
@@ -170,7 +208,15 @@ class Placement {
   };
   struct LinkState {
     std::vector<Placed> placed;
-    // Bitmap path (lazily allocated; hyperTu_ bits / counters each):
+    // Bitmap path: the lcm of the periods (tu) of the streams crossing
+    // the link at construction and of every period placed on it since,
+    // and arrays of `ring` bits / counters each (allocated at the link's
+    // first placed frame).
+    std::int64_t ring = 0;
+    // Over the streams tracked so far that cross the link: the gcd of
+    // their periods and their longest frame, both in tu (clash's filter).
+    std::int64_t periodGcd = 0;
+    std::int64_t maxLen = 0;
     std::vector<std::uint64_t> detAll;      // any Det frame
     std::vector<std::uint64_t> detNoShare;  // non-shared Det frames
     std::vector<std::uint64_t> probAny;     // >= 1 Prob frame (mirror)
@@ -221,10 +267,15 @@ class Placement {
                           std::int64_t periodTu) const;
   void mark(const ExpandedStream& s, LinkState& ls, std::int64_t start,
             std::int64_t len, std::int64_t periodTu, bool place);
+  /// Widens ls.ring to a multiple of `periodTu`, tiling the link's
+  /// allocated arrays over the new ring.
+  void growRing(LinkState& ls, std::int64_t periodTu);
   std::vector<std::uint16_t>& probSpecCounts(LinkState& ls,
                                              std::int32_t specId);
 
   bool canOverlapWith(const ExpandedStream& s, const Placed& p) const;
+  /// Folds a tracked stream into its links' periodGcd and maxLen.
+  void track(const ExpandedStream& s);
 
   const net::Topology& topo_;
   const std::vector<ExpandedStream>* streams_;

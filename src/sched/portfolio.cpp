@@ -5,8 +5,8 @@
 #include <chrono>
 #include <deque>
 
+#include "common/check.h"
 #include "common/rng.h"
-#include "sched/placement.h"
 
 namespace etsn::sched {
 
@@ -21,10 +21,9 @@ constexpr int kTabuTenure = 16;
 /// The placement order of greedy and tabu's seed: deterministic
 /// streams first, tightest laxity first; then probabilistic streams in
 /// (spec, occurrence) order so early possibilities grab the early shared
-/// slots.
-std::vector<StreamId> laxityOrder(const std::vector<ExpandedStream>& streams) {
-  std::vector<StreamId> order;
-  for (const ExpandedStream& s : streams) order.push_back(s.id);
+/// slots.  Stable, so ties keep the order of `ids`.
+std::vector<StreamId> laxityOrder(const std::vector<ExpandedStream>& streams,
+                                  std::vector<StreamId> order) {
   std::stable_sort(order.begin(), order.end(),
                    [&](StreamId ia, StreamId ib) {
                      const ExpandedStream& a =
@@ -44,18 +43,22 @@ std::vector<StreamId> laxityOrder(const std::vector<ExpandedStream>& streams) {
   return order;
 }
 
+std::vector<StreamId> allIds(const std::vector<ExpandedStream>& streams) {
+  std::vector<StreamId> ids;
+  for (const ExpandedStream& s : streams) ids.push_back(s.id);
+  return ids;
+}
+
 }  // namespace
 
 /// Greedy earliest-slot placement in laxity order with bounded
 /// backtracking: on failure, rip the most recently placed conflicting
 /// stream off the blocking link, retry the failed stream, and re-queue the
 /// victim.
-EngineResult runGreedy(const net::Topology& topo,
-                       const std::vector<ExpandedStream>& streams,
-                       const SchedulerConfig& config) {
+EngineResult runGreedy(Placement& p, const std::vector<StreamId>& ids) {
+  ETSN_CHECK(p.numPlaced() == 0);
   EngineResult out;
-  Placement p(topo, streams, config);
-  const std::vector<StreamId> order = laxityOrder(streams);
+  const std::vector<StreamId> order = laxityOrder(p.streams(), ids);
   std::deque<StreamId> queue(order.begin(), order.end());
   int budget = kGreedyBacktrack;
   while (!queue.empty()) {
@@ -76,21 +79,18 @@ EngineResult runGreedy(const net::Topology& topo,
     queue.push_back(victim);
   }
   out.feasible = true;
-  out.slots = p.slots();
   return out;
 }
 
-EngineResult runTabu(const net::Topology& topo,
-                     const std::vector<ExpandedStream>& streams,
-                     const SchedulerConfig& config,
+EngineResult runTabu(Placement& p, const std::vector<StreamId>& ids,
                      const PortfolioOptions& opts) {
+  ETSN_CHECK(p.numPlaced() == 0);
   EngineResult out;
-  Placement p(topo, streams, config);
 
   // No-rip-up seed: each stream once, in laxity order; collect the
   // conflicted remainder.
   std::deque<StreamId> unplaced;
-  for (const StreamId id : laxityOrder(streams)) {
+  for (const StreamId id : laxityOrder(p.streams(), ids)) {
     ++out.steps;
     if (!p.tryPlace(id)) unplaced.push_back(id);
   }
@@ -98,7 +98,7 @@ EngineResult runTabu(const net::Topology& topo,
   // Repair: force each unplaced stream in by evicting a seeded-random
   // non-tabu victim from the blocking link; evictions are tabu for a
   // tenure so the search cannot ping-pong the same pair.
-  std::vector<std::int64_t> tabuUntil(streams.size(), -1);
+  std::vector<std::int64_t> tabuUntil(p.streams().size(), -1);
   Rng rng(opts.seed);
   std::int64_t iter = 0;
   while (!unplaced.empty()) {
@@ -124,7 +124,46 @@ EngineResult runTabu(const net::Topology& topo,
     unplaced.push_back(victim);
   }
   out.feasible = true;
-  out.slots = p.slots();
+  return out;
+}
+
+EngineResult runGreedy(const net::Topology& topo,
+                       const std::vector<ExpandedStream>& streams,
+                       const SchedulerConfig& config) {
+  Placement p(topo, streams, config);
+  EngineResult out = runGreedy(p, allIds(streams));
+  if (out.feasible) out.slots = p.slots();
+  return out;
+}
+
+EngineResult runTabu(const net::Topology& topo,
+                     const std::vector<ExpandedStream>& streams,
+                     const SchedulerConfig& config,
+                     const PortfolioOptions& opts) {
+  Placement p(topo, streams, config);
+  EngineResult out = runTabu(p, allIds(streams), opts);
+  if (out.feasible) out.slots = p.slots();
+  return out;
+}
+
+PortfolioResult runPortfolio(Placement& p, const std::vector<StreamId>& ids,
+                             const PortfolioOptions& opts) {
+  using Clock = std::chrono::steady_clock;
+  static constexpr std::array<const char*, 2> kNames = {"greedy", "tabu"};
+  PortfolioResult out;
+  for (std::size_t rank = 0; rank < kNames.size() && !out.feasible; ++rank) {
+    p.clear();
+    const auto t0 = Clock::now();
+    const EngineResult r =
+        rank == 0 ? runGreedy(p, ids) : runTabu(p, ids, opts);
+    out.runs.push_back(
+        {kNames[rank], r.feasible,
+         std::chrono::duration<double>(Clock::now() - t0).count(), r.steps});
+    if (r.feasible) {
+      out.feasible = true;
+      out.winner = kNames[rank];
+    }
+  }
   return out;
 }
 
@@ -132,22 +171,9 @@ PortfolioResult runPortfolio(const net::Topology& topo,
                              const std::vector<ExpandedStream>& streams,
                              const SchedulerConfig& config,
                              const PortfolioOptions& opts) {
-  using Clock = std::chrono::steady_clock;
-  static constexpr std::array<const char*, 2> kNames = {"greedy", "tabu"};
-  PortfolioResult out;
-  for (std::size_t rank = 0; rank < kNames.size() && !out.feasible; ++rank) {
-    const auto t0 = Clock::now();
-    EngineResult r = rank == 0 ? runGreedy(topo, streams, config)
-                               : runTabu(topo, streams, config, opts);
-    out.runs.push_back(
-        {kNames[rank], r.feasible,
-         std::chrono::duration<double>(Clock::now() - t0).count(), r.steps});
-    if (r.feasible) {
-      out.feasible = true;
-      out.winner = kNames[rank];
-      out.slots = std::move(r.slots);
-    }
-  }
+  Placement p(topo, streams, config);
+  PortfolioResult out = runPortfolio(p, allIds(streams), opts);
+  if (out.feasible) out.slots = p.slots();
   return out;
 }
 

@@ -25,6 +25,14 @@
 // lowest-ranked feasible engine wins, and a rank runs only when every
 // rank below it gave up.  Per-engine seconds are timing metadata, never
 // part of the deterministic result.
+//
+// Each engine places a list of stream ids into a caller-owned, empty
+// Placement and leaves its result there; the admission engine re-solves
+// this way on its own stream vector, in a Placement it keeps.  The batch
+// overloads build a Placement over every stream and export its slots.
+// The placement order is the ids' stable laxity order, so ids listed in
+// ascending order are placed exactly as a compacted copy of those
+// streams would be.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +40,7 @@
 #include <vector>
 
 #include "net/topology.h"
+#include "sched/placement.h"
 #include "sched/schedule.h"
 
 namespace etsn::sched {
@@ -45,10 +54,17 @@ struct PortfolioOptions {
 
 struct EngineResult {
   bool feasible = false;
+  /// The batch overloads' schedule; empty from the in-place ones.
   std::vector<Slot> slots;
   /// Engine work counter (placements + rip-ups), for benches.
   std::int64_t steps = 0;
 };
+
+/// In place: place `ids` into `p`, which holds nothing placed.  When the
+/// engine gives up, `p` holds whatever it had placed by then.
+EngineResult runGreedy(Placement& p, const std::vector<StreamId>& ids);
+EngineResult runTabu(Placement& p, const std::vector<StreamId>& ids,
+                     const PortfolioOptions& opts);
 
 EngineResult runGreedy(const net::Topology& topo,
                        const std::vector<ExpandedStream>& streams,
@@ -67,11 +83,17 @@ struct EngineRun {
 
 struct PortfolioResult {
   bool feasible = false;
+  /// The batch overload's schedule; empty from the in-place one.
   std::vector<Slot> slots;
-  std::string winner;  // engine that provided `slots` ("" if none)
+  std::string winner;  // engine that supplied the schedule ("" if none)
   std::vector<EngineRun> runs;  // the ranks that ran, in rank order
 };
 
+/// In place, like runGreedy, except that `p` may hold placed streams: it
+/// is cleared before each rank, and holds the winner's schedule when
+/// feasible.
+PortfolioResult runPortfolio(Placement& p, const std::vector<StreamId>& ids,
+                             const PortfolioOptions& opts);
 PortfolioResult runPortfolio(const net::Topology& topo,
                              const std::vector<ExpandedStream>& streams,
                              const SchedulerConfig& config,

@@ -8,8 +8,12 @@
 //    here), and the exported streams must equal a batch expansion of the
 //    live specs.
 //  * Rejections leave the schedule byte-identical (content hash).
-//  * An admitting re-solve re-pins only the streams it moved, and counts
-//    exactly those as moved.
+//  * An admitting re-solve commits exactly the portfolio's schedule of the
+//    live streams, and counts as moved exactly the streams whose slots it
+//    changed; a re-solve that gives up, and a Modify whose two phases both
+//    re-solve, unwind byte-for-byte.
+//  * An Add that collides at every offset with a placed frame rejects on
+//    rung "idle", before any re-solve.
 //  * Two engines fed the same trace agree on every verdict and state hash.
 //  * Invalid requests (unknown node, duplicate name, unknown removal)
 //    reject with rung "invalid" and the service stays up; a seeded fuzz
@@ -515,6 +519,144 @@ TEST(Admission, ResolveRepinsOnlyTheStreamsItMoves) {
   EXPECT_GT(rejected, 0);
   EXPECT_GT(kept, 0);
   EXPECT_GT(moved, 0);
+}
+
+/// The base specs of a two-switch ring on which removing the ECT makes a
+/// re-solve place its three shared streams' shrunken grids (found by a
+/// seeded search over random plants), and a 9-kB, 1-ms stream from node 2
+/// to node 5 that passes the idle rung there but that no re-solve fits.
+std::vector<net::StreamSpec> ringBase() {
+  const auto shared = [](const std::string& name, net::NodeId src,
+                         net::NodeId dst, TimeNs period, TimeNs latency,
+                         int payload, int priority) {
+    net::StreamSpec s = tct(name, src, dst, period, payload, true, priority);
+    s.maxLatency = latency;
+    return s;
+  };
+  return {shared("s0", 2, 4, milliseconds(4), microseconds(780), 891, 4),
+          shared("s1", 2, 4, milliseconds(8), microseconds(858), 1331, 6),
+          shared("s2", 3, 5, milliseconds(8), microseconds(396), 757, 6),
+          workload::makeEct("ect", 2, 5, milliseconds(8), 973)};
+}
+
+net::StreamSpec ringHog(const std::string& name) {
+  return tct(name, 2, 5, milliseconds(1), 9000, false, 1);
+}
+
+net::Topology ringTopology() {
+  return workload::makeScaledTopology(workload::TopologyKind::Ring, 2, 2);
+}
+
+// Regression: a re-solve that gives up leaves its partial schedule, the
+// request's appended stream included, in the engine's scratch Placement;
+// the rollback must clear it before truncating the stream vector, and the
+// scratch must serve the requests that follow.
+TEST(Admission, GivenUpResolveLeavesTheEngineServing) {
+  const net::Topology topo = ringTopology();
+  AdmissionEngine eng(topo, ringBase(), config());
+  ASSERT_TRUE(eng.feasible());
+  for (int round = 0; round < 2; ++round) {
+    const std::uint64_t before = eng.stateHash();
+    const std::uint64_t schedBefore = scheduleHash(eng.schedule());
+    const std::int64_t resolves = eng.counters().fullResolves;
+    const AdmissionDecision d = eng.request(addRequest(ringHog("hog")));
+    EXPECT_FALSE(d.admitted);
+    EXPECT_EQ(d.rung, "resolve") << d.detail;
+    EXPECT_EQ(eng.counters().fullResolves, resolves + 1);
+    EXPECT_EQ(eng.stateHash(), before);
+    EXPECT_EQ(scheduleHash(eng.schedule()), schedBefore);
+    // More requests on the same scratch: an admitted add, a removal that
+    // re-solves or not, and a re-add of a removed stream.
+    const AdmissionDecision add = eng.request(addRequest(
+        tct("small" + std::to_string(round), 3, 4, milliseconds(8), 300,
+            false, 2)));
+    EXPECT_TRUE(add.admitted) << add.rung << ": " << add.detail;
+    EXPECT_TRUE(eng.request(removeRequest("s1")).admitted);
+    expectValid(topo, eng.schedule(), 1, round);
+    EXPECT_TRUE(eng.request(addRequest(ringBase()[1])).admitted);
+    expectValid(topo, eng.schedule(), 2, round);
+  }
+  // A from-scratch solve admits the final live set too.
+  EXPECT_TRUE(oracleFeasible(topo, eng.schedule().specs));
+}
+
+// Regression: a Modify of the ECT whose remove phase re-solves (the
+// shared streams' shrunken grids do not re-place) and whose add phase
+// re-solves and is rejected: both Swaps unwind, and the engine returns to
+// its state hash and schedule byte-for-byte.  A second engine, fed the two
+// phases as separate requests, shows that both reach the re-solve.
+TEST(Admission, ModifyWhoseTwoPhasesResolveUnwindsBoth) {
+  const net::Topology topo = ringTopology();
+  AdmissionEngine phases(topo, ringBase(), config());
+  ASSERT_TRUE(phases.feasible());
+  const AdmissionDecision removed = phases.request(removeRequest("ect"));
+  EXPECT_TRUE(removed.admitted);
+  EXPECT_EQ(removed.rung, "resolve");
+  EXPECT_GT(removed.movedStreams, 0);
+  const std::int64_t resolves = phases.counters().fullResolves;
+  const AdmissionDecision added = phases.request(addRequest(ringHog("ect")));
+  EXPECT_FALSE(added.admitted);
+  EXPECT_EQ(added.rung, "resolve");
+  EXPECT_EQ(phases.counters().fullResolves, resolves + 1);
+
+  AdmissionEngine eng(topo, ringBase(), config());
+  ASSERT_TRUE(eng.feasible());
+  const std::uint64_t before = eng.stateHash();
+  const Schedule was = eng.schedule();
+  const AdmissionDecision d = eng.request(modifyRequest(ringHog("ect")));
+  EXPECT_FALSE(d.admitted);
+  EXPECT_EQ(d.rung, "resolve");
+  EXPECT_EQ(eng.stateHash(), before);
+  const Schedule now = eng.schedule();
+  EXPECT_EQ(scheduleHash(now), scheduleHash(was));
+  ASSERT_EQ(now.slots.size(), was.slots.size());
+  for (std::size_t i = 0; i < now.slots.size(); ++i) {
+    EXPECT_EQ(now.slots[i].stream, was.slots[i].stream) << "slot " << i;
+    EXPECT_EQ(now.slots[i].start, was.slots[i].start) << "slot " << i;
+  }
+  // Still serving: the same two phases as separate requests reach what
+  // the phased engine reached.
+  EXPECT_TRUE(eng.request(removeRequest("ect")).admitted);
+  EXPECT_EQ(eng.stateHash(), phases.stateHash());
+  expectValid(topo, eng.schedule(), 0, 2);
+}
+
+// An Add whose period is coprime to a placed stream's on a shared link can
+// never fit: two periodic frames that may not overlap avoid each other
+// only if their lengths sum to at most the gcd of their periods, here one
+// tu.  The clash test rejects it on rung "idle" without the rip-up pass or
+// the re-solve (which took 0.66 s and 16.7 s for these two Adds, most of
+// it in tabu), and the detail names both streams, the link and the gcd.
+// The 100 003-us period lifts the engine's hyperperiod past the bitmap
+// bound, so the Placement drops its bitmaps for the pairwise search, and
+// the engine keeps admitting.
+TEST(Admission, AddThatCollidesAtEveryOffsetRejectsOnIdle) {
+  const net::Topology topo =
+      workload::makeScaledTopology(workload::TopologyKind::Line, 1, 2);
+  AdmissionEngine eng(topo, {tct("base", 1, 2, milliseconds(4), 500, false, 1)},
+                      config());
+  ASSERT_TRUE(eng.feasible());
+  for (const TimeNs period : {microseconds(1009), microseconds(100003)}) {
+    const std::uint64_t before = eng.stateHash();
+    const AdmissionCounters snap = eng.counters();
+    const AdmissionDecision d =
+        eng.request(addRequest(tct("coprime", 1, 2, period, 500, false, 2)));
+    EXPECT_FALSE(d.admitted);
+    EXPECT_EQ(d.rung, "idle") << d.detail;
+    EXPECT_EQ(eng.counters().fullResolves, snap.fullResolves);
+    EXPECT_EQ(eng.counters().deltaSolves, snap.deltaSolves);
+    EXPECT_NE(d.detail.find("stream 'coprime' collides with stream 'base' "
+                            "at every offset on link"),
+              std::string::npos)
+        << d.detail;
+    EXPECT_NE(d.detail.find("1.000us gcd"), std::string::npos) << d.detail;
+    EXPECT_EQ(eng.stateHash(), before);
+  }
+  const AdmissionDecision ok = eng.request(
+      addRequest(tct("harmonic", 1, 2, milliseconds(8), 500, false, 2)));
+  EXPECT_TRUE(ok.admitted) << ok.rung << ": " << ok.detail;
+  EXPECT_EQ(ok.rung, "delta");
+  expectValid(topo, eng.schedule(), 0, 3);
 }
 
 // Regression: rung-usage counters move at most once per request — a

@@ -13,11 +13,13 @@
 //    runs with the same seed.
 //  * Idle-network test: Placement::idleMiss gives tryPlace's verdict on an
 //    empty Placement, and a stream it rejects fails tryPlace in every
-//    state greedy passes through.
-//  * Substrate equivalence: the hyperperiod-bitmap overlap search and the
-//    pairwise one place every corpus instance identically, and agree
+//    state greedy passes through; so does a stream Placement::clash finds
+//    a partner for, while that partner stays placed.
+//  * Substrate equivalence: the per-link-ring bitmap overlap search and
+//    the pairwise one place every corpus instance identically, and agree
 //    search by search, failed searches included, on instances built for
-//    the word-at-a-time bitmap kernel's edges.
+//    the word-at-a-time bitmap kernel's edges, rings that grow mid-walk
+//    among them.
 //  * Degradation: an SMT solve that runs out of budget falls back to
 //    greedy, and says so.
 #include <gtest/gtest.h>
@@ -483,26 +485,111 @@ TEST(SchedPortfolioIdle, IdleMissMeansNoPlacementInAnyState) {
   EXPECT_GT(checkedInPlacedStates, 100);
 }
 
-/// The corpus instance plus one stream on a cable of its own whose 263-ms
-/// period lifts the hyperperiod past kMaxBitmapTu: the original streams
-/// keep their ids, and the new one never meets them.
+// The clash test against the search.  Every corpus instance gets two
+// 520-us probes, one non-shared and one shared, between its first and
+// last devices: the gcd of 520 us and each corpus period (4, 8 or 16 ms)
+// is 40 us, shorter than a probe frame (500 B, 44 us at 100 Mb/s) alone,
+// so a probe clashes with every Det frame on its path (and the
+// non-shared one with every ECT possibility too), while the hyperperiod,
+// at most 208 000 tu, keeps the bitmap search.  In every state of
+// greedy's walk over the corpus streams, a probe that clash() finds a
+// partner for must fail tryPlace; a probe that places is ripped back out.
+TEST(SchedPortfolioIdle, ClashMeansNoPlacementInThatState) {
+  int clashes = 0;
+  int placedProbes = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Instance inst = makeInstance(seed);
+    const std::size_t corpusSpecs = inst.specs.size();
+    for (const bool share : {false, true}) {
+      net::StreamSpec probe;
+      probe.name = share ? "probe-shared" : "probe";
+      probe.src = inst.topo.devices().front();
+      probe.dst = inst.topo.devices().back();
+      probe.period = microseconds(520);
+      probe.maxLatency = microseconds(520);
+      probe.payloadBytes = 500;
+      probe.share = share;
+      inst.specs.push_back(probe);
+    }
+    SchedulerConfig config;
+    config.numProbabilistic = 3;
+    const Expansion exp = expandStreams(inst.topo, inst.specs, config);
+    std::vector<StreamId> probes;
+    std::vector<StreamId> order;
+    for (const ExpandedStream& s : exp.streams) {
+      (static_cast<std::size_t>(s.specId) < corpusSpecs ? order : probes)
+          .push_back(s.id);
+    }
+    sortByLaxity(exp.streams, order);
+    Placement p(inst.topo, exp.streams, config);
+    ASSERT_TRUE(p.usesBitmap()) << "instance " << seed;
+
+    std::deque<StreamId> queue(order.begin(), order.end());
+    int budget = 256;
+    while (true) {
+      for (const StreamId m : probes) {
+        const std::optional<PlacementClash> c = p.clash(m);
+        const bool placed = p.tryPlace(m);
+        if (c) {
+          ++clashes;
+          EXPECT_FALSE(placed)
+              << "instance " << seed << ": "
+              << exp.streams[static_cast<std::size_t>(m)].name
+              << " clashes with "
+              << exp.streams[static_cast<std::size_t>(c->other)].name
+              << " on link " << c->link << " but places";
+          EXPECT_TRUE(p.isPlaced(c->other));
+          EXPECT_GT(c->len + c->otherLen, c->gcd);
+        }
+        if (placed) {
+          ++placedProbes;
+          p.remove(m);
+        }
+      }
+      if (queue.empty()) break;
+      const StreamId s = queue.front();
+      queue.pop_front();
+      if (p.tryPlace(s)) continue;
+      const std::vector<StreamId> victims =
+          p.conflictCandidates(s, p.lastFailedLink());
+      if (victims.empty() || budget-- <= 0) break;
+      StreamId victim = victims.front();
+      for (const StreamId v : victims) {
+        if (p.placeEpoch(v) > p.placeEpoch(victim)) victim = v;
+      }
+      p.remove(victim);
+      queue.push_front(s);
+      queue.push_back(victim);
+    }
+  }
+  EXPECT_GT(clashes, 1000);
+  EXPECT_GT(placedProbes, 100);
+}
+
+/// The corpus instance plus one stream on a cable of its own, then `late`
+/// specs: the original streams keep their ids, and the slow stream never
+/// meets them.  Its default 263-ms period lifts the hyperperiod past
+/// kMaxBitmapTu.
 struct WideInstance {
   net::Topology topo;
   Expansion exp;
 };
 
-WideInstance widen(const Instance& inst, const SchedulerConfig& config) {
+WideInstance widen(const Instance& inst, const SchedulerConfig& config,
+                   TimeNs slowPeriod = milliseconds(263),
+                   const std::vector<net::StreamSpec>& late = {}) {
   WideInstance wide{inst.topo, {}};
   net::StreamSpec slow;
   slow.name = "slow";
   slow.src = wide.topo.addDevice("slow-talker");
   slow.dst = wide.topo.addDevice("slow-listener");
   wide.topo.connect(slow.src, slow.dst);
-  slow.period = milliseconds(263);
-  slow.maxLatency = milliseconds(263);
+  slow.period = slowPeriod;
+  slow.maxLatency = slowPeriod;
   slow.payloadBytes = 100;
   std::vector<net::StreamSpec> specs = inst.specs;
   specs.push_back(slow);
+  specs.insert(specs.end(), late.begin(), late.end());
   wide.exp = expandStreams(wide.topo, specs, config);
   return wide;
 }
@@ -568,45 +655,119 @@ Instance makeEdgeInstance(std::uint64_t seed) {
   return inst;
 }
 
+/// 9-ms TCT streams on `inst`'s devices, half of them sharing.
+std::vector<net::StreamSpec> lateSpecs(const Instance& inst,
+                                       std::uint64_t seed) {
+  workload::TctWorkload w;
+  w.numStreams = 4;
+  w.periods = {microseconds(9000)};
+  w.networkLoad = 0.3;
+  w.numSharing = 2;
+  w.seed = seed + 2;
+  std::vector<net::StreamSpec> late = workload::generateTct(inst.topo, w);
+  for (std::size_t i = 0; i < late.size(); ++i) {
+    late[i].name = "late" + std::to_string(i);
+  }
+  return late;
+}
+
 // Greedy's walk on one instance through both overlap searches in
 // lockstep: the bitmap Placement of the instance and the pairwise one of
 // its widened copy must agree on every search, failed ones included
 // (verdict, blocking link, rip-up candidates), on every start, and so on
-// every rip-up.
+// every rip-up.  Halfway through the walk, 9-ms streams join both stream
+// vectors (syncAppendedStreams), which lifts the bitmap hyperperiod to
+// 9000 tu: their searches step through rings of 3000 tu that their
+// period does not divide, and their placements grow those rings to
+// 9000 tu, tiling the Det bits (neither ring is a multiple of 64) and,
+// on links an ECT crosses, the Prob counters.
 TEST(SchedPortfolioSubstrate, WordKernelMatchesPairwiseAtItsEdges) {
   int failedSearches = 0;
   int placedSearches = 0;
   int longFrames = 0;
   int wrappedFrames = 0;
   int prob = 0;
+  int offRingSearches = 0;
+  int grownRings = 0;
+  int tiledProb = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     const Instance inst = makeEdgeInstance(seed);
     SchedulerConfig config;
     config.numProbabilistic = 3;
-    const Expansion exp = expandStreams(inst.topo, inst.specs, config);
-    const WideInstance wide = widen(inst, config);
-    Placement bits(inst.topo, exp.streams, config);
-    Placement pairs(wide.topo, wide.exp.streams, config);
+    const std::vector<net::StreamSpec> late = lateSpecs(inst, seed);
+    // The bitmap side's slow stream has a 1-ms period, so both expansions
+    // give every stream the same id; it is never placed.
+    const WideInstance narrow = widen(inst, config, milliseconds(1), late);
+    const WideInstance wide = widen(inst, config, milliseconds(263), late);
+    const std::size_t slowId = static_cast<std::size_t>(
+        narrow.exp.specToStreams[inst.specs.size()].front());
+    const std::size_t firstLate = slowId + 1;
+    std::vector<ExpandedStream> bitStreams(
+        narrow.exp.streams.begin(),
+        narrow.exp.streams.begin() + static_cast<std::ptrdiff_t>(firstLate));
+    std::vector<ExpandedStream> pairStreams(
+        wide.exp.streams.begin(),
+        wide.exp.streams.begin() + static_cast<std::ptrdiff_t>(firstLate));
+    Placement bits(narrow.topo, bitStreams, config);
+    Placement pairs(wide.topo, pairStreams, config);
     ASSERT_TRUE(bits.usesBitmap());
     ASSERT_FALSE(pairs.usesBitmap());
     ASSERT_EQ(bits.hyperTu(), 3000);
 
     std::vector<StreamId> order;
-    for (const ExpandedStream& s : exp.streams) order.push_back(s.id);
-    sortByLaxity(exp.streams, order);
+    for (std::size_t i = 0; i < slowId; ++i) {
+      order.push_back(static_cast<StreamId>(i));
+    }
+    sortByLaxity(bitStreams, order);
     std::deque<StreamId> queue(order.begin(), order.end());
+    const auto probPlacedOn = [&](net::LinkId l) {
+      return std::any_of(
+          bitStreams.begin(), bitStreams.end(), [&](const ExpandedStream& o) {
+            return o.kind == StreamKind::Prob && bits.isPlaced(o.id) &&
+                   std::find(o.path.begin(), o.path.end(), l) != o.path.end();
+          });
+    };
     int budget = 256;
+    std::size_t steps = 0;
     while (!queue.empty()) {
+      if (steps++ == order.size() / 2) {
+        for (std::size_t i = firstLate; i < narrow.exp.streams.size(); ++i) {
+          bitStreams.push_back(narrow.exp.streams[i]);
+          pairStreams.push_back(wide.exp.streams[i]);
+          queue.push_back(static_cast<StreamId>(i));
+        }
+        bits.syncAppendedStreams();
+        pairs.syncAppendedStreams();
+        ASSERT_TRUE(bits.usesBitmap());
+        ASSERT_FALSE(pairs.usesBitmap());
+        ASSERT_EQ(bits.hyperTu(), 9000);
+      }
       const StreamId s = queue.front();
       queue.pop_front();
+      const ExpandedStream& st = bitStreams[static_cast<std::size_t>(s)];
       const std::string at = "instance " + std::to_string(seed) +
-                             ", stream " +
-                             exp.streams[static_cast<std::size_t>(s)].name;
+                             ", stream " + st.name;
+      const std::int64_t period = st.period / bits.tu();
+      std::vector<std::int64_t> ringsBefore;
+      for (const net::LinkId l : st.path) {
+        ringsBefore.push_back(bits.ringTu(l));
+        if (bits.ringTu(l) % period != 0 &&
+            !bits.conflictCandidates(s, l).empty()) {
+          ++offRingSearches;
+        }
+      }
       const bool placed = bits.tryPlace(s);
       ASSERT_EQ(placed, pairs.tryPlace(s)) << at;
       if (placed) {
         ASSERT_EQ(bits.startsOf(s), pairs.startsOf(s)) << at;
         ++placedSearches;
+        for (std::size_t hop = 0; hop < st.path.size(); ++hop) {
+          const net::LinkId l = st.path[hop];
+          if (ringsBefore[hop] == 3000 && bits.ringTu(l) == 9000) {
+            ++grownRings;
+            if (probPlacedOn(l)) ++tiledProb;
+          }
+        }
         continue;
       }
       ++failedSearches;
@@ -626,17 +787,18 @@ TEST(SchedPortfolioSubstrate, WordKernelMatchesPairwiseAtItsEdges) {
     }
 
     // Evidence that the walk reached the kernel's edges.
-    const std::int64_t hyper = bits.hyperTu();
     for (const Slot& slot : bits.slots()) {
       const ExpandedStream& st =
-          exp.streams[static_cast<std::size_t>(slot.stream)];
+          bitStreams[static_cast<std::size_t>(slot.stream)];
       const std::int64_t start = slot.start / bits.tu();
       const std::int64_t len = slot.duration / bits.tu();
       const std::int64_t period = st.period / bits.tu();
+      const std::int64_t ring = bits.ringTu(st.path[
+          static_cast<std::size_t>(slot.hop)]);
       if (len > 64) ++longFrames;
       if (st.kind == StreamKind::Prob) ++prob;
-      for (std::int64_t r = 0; r < hyper / period; ++r) {
-        if ((start + r * period) % hyper + len > hyper) {
+      for (std::int64_t r = 0; r < ring / period; ++r) {
+        if ((start + r * period) % ring + len > ring) {
           ++wrappedFrames;
           break;
         }
@@ -648,6 +810,9 @@ TEST(SchedPortfolioSubstrate, WordKernelMatchesPairwiseAtItsEdges) {
   EXPECT_GT(longFrames, 1000);
   EXPECT_GT(wrappedFrames, 100);
   EXPECT_GT(prob, 300);
+  EXPECT_GT(offRingSearches, 100);
+  EXPECT_GT(grownRings, 100);
+  EXPECT_GT(tiledProb, 30);
 }
 
 // With a one-conflict budget the testbed's SMT solves give up, and every
